@@ -14,6 +14,7 @@
 package rnuca_test
 
 import (
+	"context"
 	"testing"
 
 	"rnuca"
@@ -179,6 +180,26 @@ func BenchmarkExtensionMemLatency(b *testing.B) {
 		c := experiments.NewCampaign(benchScale())
 		if t := c.MemLatencySweep(); len(t.Rows) != 3 {
 			b.Fatal("memlat incomplete")
+		}
+	}
+}
+
+// BenchmarkJobRunCold is the end-to-end row for a small cold job: one
+// Job.Run of OLTP-DB2 under R-NUCA at the load-smoke shape (300 warmup
+// and 600 measured references). Each iteration uses a fresh workload
+// seed, so no two iterations simulate the same streams.
+func BenchmarkJobRunCold(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := rnuca.OLTPDB2()
+		w.Seed += uint64(i) + 1
+		job := rnuca.Job{
+			Input:   rnuca.FromWorkload(w),
+			Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
+			Options: rnuca.RunOptions{Warm: 300, Measure: 600},
+		}
+		if _, err := job.Run(context.Background()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -42,6 +42,6 @@
 // Trace.Stages aggregates them into a per-stage wall-clock
 // breakdown (rnuca.Result.Timing). The span names used across the
 // pipeline are: job.queue, job.run, cache.lookup, replay.setup,
-// sim.cell, result.fold, classify.pass, convert.ingest, and
-// figure.build.
+// workload.setup, sim.cell, result.fold, classify.pass,
+// convert.ingest, and figure.build.
 package obs

@@ -9,8 +9,6 @@
 // produce bit-identical CPI stacks.
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256**). It is deliberately not math/rand so that streams can be
 // split per core and per workload without global locking, and so results
@@ -101,50 +99,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Zipf draws from a Zipf-like distribution over [0, n) with skew s >= 0.
-// s == 0 degenerates to uniform. Higher s concentrates probability on low
-// ranks, which is how the workload generators model hot database pages and
-// hot instruction blocks.
-type Zipf struct {
-	n   int
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf precomputes the CDF for a Zipf(s) distribution over n ranks.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: NewZipf with non-positive n")
-	}
-	z := &Zipf{n: n, cdf: make([]float64, n), rng: rng}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1.0 / math.Pow(float64(i+1), s)
-		z.cdf[i] = sum
-	}
-	inv := 1.0 / sum
-	for i := range z.cdf {
-		z.cdf[i] *= inv
-	}
-	return z
-}
-
-// Draw returns the next rank in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search the precomputed CDF.
-	lo, hi := 0, z.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }

@@ -68,17 +68,7 @@ func NewGenerator(spec Spec, core int) *Generator {
 	rng := stats.NewRNG(spec.Seed*1_000_003 + uint64(core)*7919)
 	g := &Generator{spec: spec, core: core, rng: rng}
 
-	instrBlocks := int(spec.InstrFootprint / blockBytes)
-	privBytes := spec.PrivatePerCore
-	if spec.PrivateFootprints != nil {
-		privBytes = spec.PrivateFootprints[core]
-	}
-	privBlocks := int(privBytes / blockBytes)
-	sharedBlocks := int(spec.SharedFootprint / blockBytes)
-	roBlocks := int(spec.SharedROFootprint / blockBytes)
-	if roBlocks < 1 {
-		roBlocks = 1
-	}
+	instrBlocks, privBlocks, sharedBlocks, roBlocks := spec.ranks(core)
 	g.instr = stats.NewZipf(rng.Split(), instrBlocks, spec.InstrSkew)
 	g.private = stats.NewZipf(rng.Split(), privBlocks, spec.PrivateSkew)
 	g.shared = stats.NewZipf(rng.Split(), sharedBlocks, spec.SharedSkew)
@@ -100,6 +90,21 @@ func NewGenerator(spec Spec, core int) *Generator {
 		g.scanPtr = int64(core) * int64(privBlocks) / int64(spec.Cores)
 	}
 	return g
+}
+
+// ranks returns the rank counts of a core's four Zipf tables: its
+// instruction, private, shared read-write and shared read-only blocks.
+func (spec Spec) ranks(core int) (instr, private, shared, sharedRO int) {
+	privBytes := spec.PrivatePerCore
+	if spec.PrivateFootprints != nil {
+		privBytes = spec.PrivateFootprints[core]
+	}
+	sharedRO = int(spec.SharedROFootprint / blockBytes)
+	if sharedRO < 1 {
+		sharedRO = 1
+	}
+	return int(spec.InstrFootprint / blockBytes), int(privBytes / blockBytes),
+		int(spec.SharedFootprint / blockBytes), sharedRO
 }
 
 // Next implements trace.Stream.

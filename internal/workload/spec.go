@@ -148,6 +148,22 @@ func (s Spec) Validate() error {
 	if s.InstrFootprint <= 0 || s.PrivatePerCore <= 0 || s.SharedFootprint <= 0 {
 		return fmt.Errorf("workload %s: non-positive footprint", s.Name)
 	}
+	// Each footprint must fit its address region (generator.go's layout);
+	// a larger one would alias into the next region.
+	for _, r := range []struct {
+		name        string
+		size, limit int64
+	}{
+		{"instruction", s.InstrFootprint, sharedBase - instrBase},
+		{"private", s.PrivatePerCore, privateStep},
+		{"shared", s.SharedFootprint, sharedROBase - sharedBase},
+		{"shared read-only", s.SharedROFootprint, privateBase - sharedROBase},
+	} {
+		if r.size > r.limit {
+			return fmt.Errorf("workload %s: %s footprint %d exceeds its %d-byte region",
+				s.Name, r.name, r.size, r.limit)
+		}
+	}
 	if s.BusyPerRef <= 0 {
 		return fmt.Errorf("workload %s: BusyPerRef %d", s.Name, s.BusyPerRef)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rnuca"
+	"rnuca/internal/obs"
 	"rnuca/internal/resultcache"
 )
 
@@ -133,6 +134,33 @@ func TestJobRunCancellation(t *testing.T) {
 	}
 	if r.Refs >= 50_000_000 {
 		t.Fatal("run completed despite cancellation")
+	}
+}
+
+// Building a generated workload's streams is a stage of its own: every
+// batch records one workload.setup span beside its sim.cell.
+func TestJobRunTracesWorkloadSetup(t *testing.T) {
+	tr := obs.NewTrace(0)
+	job := rnuca.Job{
+		Input:   rnuca.FromWorkload(rnuca.OLTPDB2()),
+		Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
+		Options: rnuca.RunOptions{Warm: 300, Measure: 600, Batches: 3},
+	}
+	r, err := job.Run(obs.ContextWithTrace(context.Background(), tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, st := range r.Timing {
+		counts[st.Stage] = st.Count
+	}
+	if counts["workload.setup"] != 3 || counts["sim.cell"] != 3 {
+		t.Fatalf("stages %+v: want 3 workload.setup and 3 sim.cell", r.Timing)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "workload.setup" && sp.Attrs["workload"] != "OLTP-DB2" {
+			t.Fatalf("workload.setup attrs = %v", sp.Attrs)
+		}
 	}
 }
 

@@ -402,7 +402,11 @@ func runBatches(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design) Resul
 		if opt.Source != nil {
 			results[b] = runOneSource(ws, bo, mk, opt.Source(b))
 		} else {
-			results[b] = runOne(ws, bo, mk, workload.Streams(ws))
+			setup := obs.StartSpan(opt.ctx, "workload.setup")
+			setup.SetAttr("workload", ws.Name)
+			streams := workload.Streams(ws)
+			setup.End()
+			results[b] = runOne(ws, bo, mk, streams)
 		}
 		cpi.Add(results[b].CPI())
 	}
