@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper
 // (regenerating the experiment end to end at a reduced scale), plus
 // microbenchmarks of the core mechanisms (rotational interleaving lookup,
-// cache and directory operations, torus traversal, workload generation,
-// and full-engine throughput per design).
+// cache and directory operations, OS page translation and re-classification
+// purges, torus traversal, workload generation, and full-engine throughput
+// per design).
 //
 // Regenerate everything at publication scale with:
 //
@@ -21,8 +22,10 @@ import (
 	"rnuca/internal/cache"
 	"rnuca/internal/experiments"
 	"rnuca/internal/noc"
+	"rnuca/internal/ospage"
 	rot "rnuca/internal/rnuca"
 	"rnuca/internal/sim"
+	"rnuca/internal/trace"
 	"rnuca/internal/workload"
 )
 
@@ -230,6 +233,60 @@ func BenchmarkCacheLookupInsert(b *testing.B) {
 		addr := cache.Addr(uint64(i%32768) * 64)
 		if _, hit := c.Lookup(addr); !hit {
 			c.Insert(addr, cache.Shared, cache.ClassShared)
+		}
+	}
+}
+
+// translateLoop times ospage.System.Translate for one core cycling over
+// pages distinct pages, after one untimed pass has classified them all.
+func translateLoop(b *testing.B, pages uint64) {
+	cfg := sim.Config16()
+	sys := ospage.NewSystem(cfg.PageBytes, cfg.TLBEntries, cfg.Cores)
+	pageBytes := uint64(cfg.PageBytes)
+	for p := uint64(0); p < pages; p++ {
+		sys.Translate(p*pageBytes, 0, 0, false, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Translate(uint64(i)%pages*pageBytes, 0, 0, false, false)
+	}
+}
+
+// BenchmarkTranslateTLBHit is the OS page layer's fast path: every access
+// hits a translation the core's TLB holds.
+func BenchmarkTranslateTLBHit(b *testing.B) { translateLoop(b, uint64(sim.Config16().TLBEntries)) }
+
+// BenchmarkTranslateWalk is its slow path: cycling over twice the TLB's
+// reach makes every access miss, walk the page table and evict the LRU
+// translation.
+func BenchmarkTranslateWalk(b *testing.B) { translateLoop(b, 2*uint64(sim.Config16().TLBEntries)) }
+
+// BenchmarkReclassPurge times R-NUCA's page re-classification: each
+// iteration core 1 touches eight blocks of a fresh page, making it private
+// to core 1, and core 9 then reads it, which re-classifies the page shared
+// and purges its blocks from slice 1 and core 1's L1s. Core 1's private
+// pages fill its whole slice beforehand, the state a purge meets in a
+// warmed run.
+func BenchmarkReclassPurge(b *testing.B) {
+	ch := sim.NewChassis(sim.Config16())
+	d := rnuca.NewDesign(rnuca.DesignRNUCA, ch)
+	ref := func(core int, addr uint64) trace.Ref {
+		return trace.Ref{Core: core, Thread: core, Kind: trace.Load, Addr: addr, Class: cache.ClassPrivate, Busy: 1}
+	}
+	for a := uint64(0); a < uint64(ch.Cfg.L2SliceBytes); a += uint64(ch.Cfg.BlockBytes) {
+		d.Access(ref(1, a))
+	}
+	pageBytes := uint64(ch.Cfg.PageBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page := 1<<32 + uint64(i)*pageBytes
+		for blk := uint64(0); blk < 8; blk++ {
+			d.Access(ref(1, page+blk*uint64(ch.Cfg.BlockBytes)))
+		}
+		if d.Access(ref(9, page)).Reclass == 0 {
+			b.Fatal("no re-classification")
 		}
 	}
 }

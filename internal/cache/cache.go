@@ -307,24 +307,26 @@ func (c *Cache) Invalidate(addr Addr) (Line, bool) {
 	return Line{}, false
 }
 
-// InvalidateMatching removes every line for which keep returns false,
-// returning the number removed. The R-NUCA page re-classification shootdown
-// uses this to purge a page's blocks from the previous owner's slice.
-func (c *Cache) InvalidateMatching(match func(Addr, *Line) bool) int {
-	removed := 0
-	for set := range c.sets {
-		lines := c.sets[set]
-		for i := len(lines) - 1; i >= 0; i-- {
-			a := c.reconstruct(set, lines[i].Tag)
-			if match(a, &lines[i]) {
-				c.occupancy[lines[i].Class]--
-				lines = append(lines[:i], lines[i+1:]...)
-				removed++
+// InvalidateRange removes every resident block whose address lies in
+// [lo, hi), passing each removed block to removed when it is non-nil, and
+// returns the number removed. It probes one set per block of the range
+// rather than walking the array, so the R-NUCA page re-classification
+// shootdown pays for the page it purges, not for the slice's capacity.
+// Survivors keep their order within each set.
+func (c *Cache) InvalidateRange(lo, hi Addr, removed func(Addr, Line)) int {
+	block := Addr(c.geom.BlockBytes)
+	n := 0
+	// a >= lo stops the walk if rounding up or stepping wraps past the
+	// top of the address space.
+	for a := (lo + block - 1) &^ (block - 1); a >= lo && a < hi; a += block {
+		if line, ok := c.Invalidate(a); ok {
+			if removed != nil {
+				removed(a, line)
 			}
+			n++
 		}
-		c.sets[set] = lines
 	}
-	return removed
+	return n
 }
 
 // ForEach visits every live line. The callback must not mutate the cache.

@@ -112,22 +112,52 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestInvalidateMatchingPage(t *testing.T) {
+func TestInvalidateRangePage(t *testing.T) {
 	c := New(smallGeom())
 	// Insert blocks from two 8KB pages.
 	pageA, pageB := Addr(0x0), Addr(0x2000)
 	for i := 0; i < 8; i++ {
 		c.Insert(pageA+Addr(i*64), Shared, ClassPrivate)
-		c.Insert(pageB+Addr(i*64), Shared, ClassPrivate)
+		c.Insert(pageB+Addr(i*64), Modified, ClassPrivate)
 	}
-	n := c.InvalidateMatching(func(a Addr, _ *Line) bool {
-		return a >= pageA && a < pageA+0x2000
+	var dirty int
+	n := c.InvalidateRange(pageB, pageB+0x2000, func(a Addr, line Line) {
+		if a < pageB || a >= pageB+0x2000 {
+			t.Errorf("removed %#x outside the page", uint64(a))
+		}
+		if line.State.Dirty() {
+			dirty++
+		}
 	})
-	if n != 8 {
-		t.Fatalf("purged %d blocks, want 8", n)
+	if n != 8 || dirty != 8 {
+		t.Fatalf("purged %d blocks (%d dirty), want 8 (8)", n, dirty)
 	}
 	if c.Lines() != 8 {
 		t.Fatalf("remaining %d, want 8", c.Lines())
+	}
+	if n := c.InvalidateRange(pageB, pageB+0x2000, nil); n != 0 {
+		t.Fatalf("second purge removed %d", n)
+	}
+}
+
+// A range whose end wraps past the top of the address space is empty,
+// and one that starts in the top block stops instead of wrapping to 0.
+func TestInvalidateRangeTopOfAddressSpace(t *testing.T) {
+	c := New(smallGeom())
+	top := ^Addr(0) &^ 63
+	c.Insert(0, Shared, ClassShared)
+	c.Insert(top, Shared, ClassShared)
+	if n := c.InvalidateRange(top, top+64, nil); n != 0 {
+		t.Fatalf("wrapped range removed %d", n)
+	}
+	if n := c.InvalidateRange(top+1, ^Addr(0), nil); n != 0 {
+		t.Fatalf("range above the top block removed %d", n)
+	}
+	if n := c.InvalidateRange(top, ^Addr(0), nil); n != 1 || c.Lines() != 1 {
+		t.Fatalf("top block purge removed %d, %d lines left", n, c.Lines())
+	}
+	if _, ok := c.Peek(0); !ok {
+		t.Fatal("block 0 purged by a range at the top of the address space")
 	}
 }
 

@@ -56,37 +56,54 @@ func TestLRUStackProperty(t *testing.T) {
 	}
 }
 
-// InvalidateMatching over random states never corrupts occupancy.
-func TestQuickInvalidateMatchingOccupancy(t *testing.T) {
+// InvalidateRange over random states removes exactly what a walk of the
+// whole array filtering on the range would, leaves every survivor where
+// it was (same per-set order, hence the same ForEach sequence), and keeps
+// occupancy equal to the survivors.
+func TestQuickInvalidateRangeMatchesFullScan(t *testing.T) {
 	g := Geometry{SizeBytes: 16 << 10, Ways: 4, BlockBytes: 64}
-	f := func(addrs []uint16, cut uint16) bool {
+	f := func(addrs []uint16, lo, span uint16, classes []uint8) bool {
 		c := New(g)
-		inserted := map[Addr]bool{}
-		for _, a := range addrs {
+		for i, a := range addrs {
 			addr := Addr(a) &^ 63
-			if inserted[addr] {
-				continue
-			}
 			if _, hit := c.Lookup(addr); !hit {
-				if v := c.Insert(addr, Shared, ClassPrivate); v.Valid {
-					delete(inserted, v.Addr)
+				class := ClassPrivate
+				if i < len(classes) {
+					class = Class(classes[i] % 4)
 				}
-				inserted[addr] = true
+				c.Insert(addr, Shared, class)
 			}
 		}
-		boundary := Addr(cut) &^ 63
-		removed := c.InvalidateMatching(func(a Addr, _ *Line) bool { return a < boundary })
-		// Occupancy must equal survivors.
-		live := 0
-		c.ForEach(func(a Addr, _ *Line) {
-			if a < boundary {
-				return // would mean InvalidateMatching missed one
+		from, to := Addr(lo), Addr(lo)+Addr(span)
+		type kept struct {
+			a    Addr
+			line Line
+		}
+		var want []kept
+		wantRemoved := 0
+		c.ForEach(func(a Addr, line *Line) {
+			if a >= from && a < to {
+				wantRemoved++
+				return
 			}
-			live++
+			want = append(want, kept{a, *line})
 		})
-		return c.Lines() == live && removed >= 0
+		if c.InvalidateRange(from, to, nil) != wantRemoved {
+			return false
+		}
+		var got []kept
+		c.ForEach(func(a Addr, line *Line) { got = append(got, kept{a, *line}) })
+		if len(got) != len(want) || c.Lines() != len(got) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,6 +23,29 @@ func TestBitset(t *testing.T) {
 	}
 }
 
+// A read served by a clean sharer picks its supplier without allocating,
+// and a write lists the other sharers in ascending tile order.
+func TestSharerWalksDoNotAllocate(t *testing.T) {
+	d := NewDirectory(16)
+	dist := func(tile int) int { return 16 - tile }
+	for _, tile := range []int{9, 2, 12} {
+		d.Read(0x40, tile, dist)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if act := d.Read(0x40, 5, dist); act.Provider != 12 {
+			t.Fatalf("provider %d, want the nearest sharer 12", act.Provider)
+		}
+		d.Evict(0x40, 5, false)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per sharer read", allocs)
+	}
+	act := d.Write(0x40, 9, dist)
+	if got := act.Invalidated; len(got) != 2 || got[0] != 2 || got[1] != 12 {
+		t.Fatalf("invalidated %v, want [2 12]", got)
+	}
+}
+
 func TestColdReadComesFromMemory(t *testing.T) {
 	d := NewDirectory(16)
 	act := d.Read(0x40, 3, nil)

@@ -190,10 +190,8 @@ func (d *Directory) Write(addr cache.Addr, t int, dist Nearest) Action {
 		act.Source = SourceSharer
 		act.Provider = d.nearestOf(e.Sharers, dist)
 	}
-	for _, s := range e.Sharers.Tiles() {
-		if s != t {
-			act.Invalidated = append(act.Invalidated, s)
-		}
+	for v := uint64(e.Sharers.Clear(t)); v != 0; v &= v - 1 {
+		act.Invalidated = append(act.Invalidated, bits.TrailingZeros64(v))
 	}
 	d.invals += uint64(len(act.Invalidated))
 	e.Owner = t
@@ -263,9 +261,12 @@ func (d *Directory) Holders(addr cache.Addr) []int {
 	return out
 }
 
+// nearestOf walks the set's bits directly: it runs on every read that
+// finds clean sharers, and Tiles would allocate a slice per call.
 func (d *Directory) nearestOf(b Bitset, dist Nearest) int {
 	best, bestD := -1, 1<<30
-	for _, t := range b.Tiles() {
+	for v := uint64(b); v != 0; v &= v - 1 {
+		t := bits.TrailingZeros64(v)
 		dd := 0
 		if dist != nil {
 			dd = dist(t)

@@ -315,6 +315,37 @@ func TestReactiveReclassificationPurgesPreviousOwner(t *testing.T) {
 	}
 }
 
+// A re-classification purges exactly the page's blocks: the blocks on
+// either side of the page boundary stay in the previous owner's slice and
+// L1, and the charge counts only the purged blocks.
+func TestReactivePurgeIsPageScoped(t *testing.T) {
+	ch := chassis16()
+	d := NewReactive(ch)
+	page := uint64(0x8000000)
+	pageBytes := uint64(ch.Cfg.PageBytes)
+	before, after := page-64, page+pageBytes
+	for _, a := range []uint64{before, page, page + 64, page + pageBytes - 64, after} {
+		d.Access(load(1, a, cache.ClassPrivate))
+	}
+	got := d.Access(load(9, page+128, cache.ClassShared))
+	// The page's three blocks sat in both slice 1 and core 1's L1D.
+	want := float64(ch.Cfg.PoisonCycles) + 6*float64(ch.Cfg.PurgePerBlockCycles)
+	if got.Reclass != want {
+		t.Fatalf("reclass charge %v, want %v", got.Reclass, want)
+	}
+	if d.SliceOccupancy(1) != 2 {
+		t.Fatalf("previous owner holds %d blocks, want the 2 outside the page", d.SliceOccupancy(1))
+	}
+	for _, a := range []uint64{before, after} {
+		if _, ok := ch.L1D[1].Peek(cache.Addr(a)); !ok {
+			t.Fatalf("block %#x outside the page left core 1's L1", a)
+		}
+	}
+	if err := ch.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReactiveThreadMigrationKeepsPrivate(t *testing.T) {
 	ch := chassis16()
 	d := NewReactive(ch)

@@ -226,10 +226,8 @@ func (d *Reactive) purge(r trace.Ref, res ospage.Result) float64 {
 	ch := d.ch
 	d.reclassCount++
 	pageBytes := uint64(ch.Cfg.PageBytes)
-	pageBase := r.Addr &^ (pageBytes - 1)
-	inPage := func(a cache.Addr, _ *cache.Line) bool {
-		return uint64(a) >= pageBase && uint64(a) < pageBase+pageBytes
-	}
+	lo := cache.Addr(r.Addr &^ (pageBytes - 1))
+	hi := lo + cache.Addr(pageBytes)
 
 	purged := 0
 	switch res.Reclass {
@@ -238,16 +236,16 @@ func (d *Reactive) purge(r trace.Ref, res ospage.Result) float64 {
 			// The page's blocks may sit anywhere in the previous owner's
 			// private cluster (one slice for size-1 clusters).
 			for _, t := range d.privPlacement(res.PrevOwner).PrivateClusterTiles(noc.TileID(res.PrevOwner)) {
-				purged += d.sl.l2[t].InvalidateMatching(inPage)
+				purged += d.sl.l2[t].InvalidateRange(lo, hi, nil)
 			}
-			purged += ch.L1PurgeMatching(res.PrevOwner, inPage)
+			purged += ch.L1PurgeRange(res.PrevOwner, lo, hi)
 		}
 	case ospage.ReclassInstrToShared, ospage.ReclassPrivateToInstr:
 		// Replicas may exist at any slice that serves the page's blocks;
 		// purge chip-wide.
 		for t := 0; t < ch.Cfg.Cores; t++ {
-			purged += d.sl.l2[t].InvalidateMatching(inPage)
-			purged += ch.L1PurgeMatching(t, inPage)
+			purged += d.sl.l2[t].InvalidateRange(lo, hi, nil)
+			purged += ch.L1PurgeRange(t, lo, hi)
 		}
 	}
 	d.purgedBlocks += uint64(purged)

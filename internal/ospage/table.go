@@ -67,6 +67,8 @@ const (
 	// ReclassPrivateToInstr: an instruction fetch hit a page previously
 	// classified private (e.g. JIT code or loader-touched pages).
 	ReclassPrivateToInstr
+
+	numReclassKinds
 )
 
 // String implements fmt.Stringer.
@@ -95,8 +97,9 @@ type Entry struct {
 
 // Stats counts classification activity.
 type Stats struct {
-	FirstTouches      uint64
-	Reclassifications map[ReclassKind]uint64
+	FirstTouches uint64
+	// Reclassifications counts transitions, indexed by ReclassKind.
+	Reclassifications [numReclassKinds]uint64
 	PoisonWaits       uint64
 	TLBShootdowns     uint64
 }
@@ -117,11 +120,7 @@ func NewTable(pageBytes int) *Table {
 	for b := pageBytes; b > 1; b >>= 1 {
 		bits++
 	}
-	return &Table{
-		pageBits: bits,
-		entries:  map[PageID]*Entry{},
-		stats:    Stats{Reclassifications: map[ReclassKind]uint64{}},
-	}
+	return &Table{pageBits: bits, entries: map[PageID]*Entry{}}
 }
 
 // PageBits returns log2 of the page size.
@@ -133,14 +132,12 @@ func (t *Table) PageOf(addr uint64) PageID { return PageID(addr >> t.pageBits) }
 // Lookup returns the entry for a page, or nil if untouched.
 func (t *Table) Lookup(p PageID) *Entry { return t.entries[p] }
 
-// Stats returns a copy of the counters (the map is shared; callers treat it
-// as read-only).
+// Stats returns a copy of the counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// Transitions is a flat, map-free snapshot of the classification
-// counters, suitable for deterministic encoding (the flight recorder
-// delta-encodes consecutive snapshots; Stats' map form would force
-// nondeterministic iteration).
+// Transitions is a flat snapshot of the classification counters with
+// one named field per transition, the form the flight recorder
+// delta-encodes between consecutive snapshots.
 type Transitions struct {
 	FirstTouches    uint64
 	PrivateToShared uint64

@@ -143,31 +143,20 @@ func (ch *Chassis) L1Purge(addr cache.Addr) int {
 	return n
 }
 
-// L1PurgeMatching removes every matching line from one core's L1 caches,
+// L1PurgeRange removes every block in [lo, hi) from one core's L1 caches,
 // keeping the L1 directory consistent (page shootdowns during R-NUCA
 // re-classification). It returns the number of lines removed.
-func (ch *Chassis) L1PurgeMatching(core int, match func(cache.Addr, *cache.Line) bool) int {
+func (ch *Chassis) L1PurgeRange(core int, lo, hi cache.Addr) int {
 	n := 0
-	for _, l1 := range []*cache.Cache{ch.L1D[core], ch.L1I[core]} {
-		var addrs []cache.Addr
-		l1.ForEach(func(a cache.Addr, line *cache.Line) {
-			if match(a, line) {
-				addrs = append(addrs, a)
-			}
-		})
-		for _, a := range addrs {
-			line, _ := l1.Invalidate(a)
+	for _, pair := range [2][2]*cache.Cache{{ch.L1D[core], ch.L1I[core]}, {ch.L1I[core], ch.L1D[core]}} {
+		sibling := pair[1]
+		n += pair[0].InvalidateRange(lo, hi, func(a cache.Addr, line cache.Line) {
 			// Drop the core from the directory if its sibling L1 no
 			// longer holds the block either.
-			sibling := ch.L1D[core]
-			if l1 == ch.L1D[core] {
-				sibling = ch.L1I[core]
-			}
 			if _, ok := sibling.Peek(a); !ok {
 				ch.L1Dir.Evict(a, core, line.State.Dirty())
 			}
-			n++
-		}
+		})
 	}
 	return n
 }
