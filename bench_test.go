@@ -1,9 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper
 // (regenerating the experiment end to end at a reduced scale), plus
 // microbenchmarks of the core mechanisms (rotational interleaving lookup,
-// cache and directory operations, OS page translation and re-classification
-// purges, torus traversal, workload generation, and full-engine throughput
-// per design).
+// cache operations, L1 directory transactions, OS page translation and
+// re-classification purges, torus traversal, workload generation, and
+// full-engine throughput per design).
 //
 // Regenerate everything at publication scale with:
 //
@@ -288,6 +288,30 @@ func BenchmarkReclassPurge(b *testing.B) {
 		if d.Access(ref(9, page)).Reclass == 0 {
 			b.Fatal("no re-classification")
 		}
+	}
+}
+
+// BenchmarkL1Service is the directory-transaction layer: it replays a
+// prebuilt OLTP-DB2 reference slice, taken round-robin from the cores'
+// streams, into Chassis.L1Service, which runs the L1s and their MOSI
+// directory. One untimed pass warms the L1s and grows the directory's
+// table; ns/op is per reference.
+func BenchmarkL1Service(b *testing.B) {
+	w := rnuca.OLTPDB2()
+	ch := sim.NewChassis(rnuca.ConfigFor(w))
+	streams := workload.Streams(w)
+	refs := make([]trace.Ref, 1<<17)
+	for i := range refs {
+		refs[i] = streams[i%len(streams)].Next()
+	}
+	for _, r := range refs {
+		ch.L1Service(r.Core, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := refs[i%len(refs)]
+		ch.L1Service(r.Core, r)
 	}
 }
 

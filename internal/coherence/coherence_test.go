@@ -46,14 +46,43 @@ func TestSharerWalksDoNotAllocate(t *testing.T) {
 	}
 }
 
+// Once the table has grown to hold a working set, reads, writes with
+// their invalidation lists, and evictions that empty entries out of the
+// middle of probe runs allocate nothing.
+func TestTransactionsDoNotAllocate(t *testing.T) {
+	d := NewDirectory(16)
+	dist := func(tile int) int { return 16 - tile }
+	const blocks = 500
+	pass := func() {
+		for b := 0; b < blocks; b++ {
+			addr := cache.Addr(b * 64)
+			d.Read(addr, b%16, dist)
+			d.Read(addr, (b+5)%16, dist)
+			if act := d.Write(addr, (b+9)%16, dist); len(act.Invalidated) != 2 {
+				t.Fatalf("write invalidated %v, want two sharers", act.Invalidated)
+			}
+		}
+		for b := 0; b < blocks; b++ {
+			d.Evict(cache.Addr(b*64), (b+9)%16, true)
+		}
+	}
+	pass() // grows the table to hold every block
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d blocks", allocs, blocks)
+	}
+	if d.Entries() != 0 {
+		t.Fatalf("%d entries left after evicting every block", d.Entries())
+	}
+}
+
 func TestColdReadComesFromMemory(t *testing.T) {
 	d := NewDirectory(16)
 	act := d.Read(0x40, 3, nil)
 	if act.Source != SourceMemory {
 		t.Fatalf("cold read source = %v", act.Source)
 	}
-	e := d.Lookup(0x40)
-	if e == nil || !e.Sharers.Has(3) || e.Owner != -1 {
+	e, ok := d.Lookup(0x40)
+	if !ok || !e.Sharers.Has(3) || e.Owner != -1 {
 		t.Fatalf("entry after cold read: %+v", e)
 	}
 	if e.State() != cache.Shared {
@@ -64,14 +93,14 @@ func TestColdReadComesFromMemory(t *testing.T) {
 func TestReadFromOwnerTransitionsToOwned(t *testing.T) {
 	d := NewDirectory(16)
 	d.Write(0x40, 2, nil) // tile 2 becomes M
-	if st := d.Lookup(0x40).State(); st != cache.Modified {
-		t.Fatalf("after write state = %v", st)
+	if e, _ := d.Lookup(0x40); e.State() != cache.Modified {
+		t.Fatalf("after write state = %v", e.State())
 	}
 	act := d.Read(0x40, 5, nil)
 	if act.Source != SourceOwner || act.Provider != 2 {
 		t.Fatalf("read after write: %+v", act)
 	}
-	e := d.Lookup(0x40)
+	e, _ := d.Lookup(0x40)
 	if e.Owner != 2 || !e.Sharers.Has(5) {
 		t.Fatalf("entry: %+v", e)
 	}
@@ -106,7 +135,7 @@ func TestWriteInvalidatesAllOthers(t *testing.T) {
 	if len(act.Invalidated) != 2 {
 		t.Fatalf("invalidated %v, want tiles 1 and 3", act.Invalidated)
 	}
-	e := d.Lookup(0x40)
+	e, _ := d.Lookup(0x40)
 	if e.Owner != 2 || e.Sharers != 0 || e.State() != cache.Modified {
 		t.Fatalf("entry after write: %+v", e)
 	}
@@ -151,30 +180,16 @@ func TestEvictions(t *testing.T) {
 	if !act.Writeback {
 		t.Fatal("dirty owner eviction must write back")
 	}
-	e := d.Lookup(0x40)
-	if e == nil || e.Owner != -1 || !e.Sharers.Has(5) {
+	e, ok := d.Lookup(0x40)
+	if !ok || e.Owner != -1 || !e.Sharers.Has(5) {
 		t.Fatalf("entry after owner eviction: %+v", e)
 	}
 	d.Evict(0x40, 5, false)
-	if d.Lookup(0x40) != nil {
+	if _, ok := d.Lookup(0x40); ok {
 		t.Fatal("entry should vanish when last copy leaves")
 	}
 	if d.Entries() != 0 {
 		t.Fatal("entry count wrong")
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	d := NewDirectory(16)
-	d.Write(0x40, 3, nil)
-	d.Read(0x40, 5, nil)
-	d.Read(0x40, 9, nil)
-	act := d.Invalidate(0x40)
-	if len(act.Invalidated) != 3 || !act.Writeback {
-		t.Fatalf("invalidate-all: %+v", act)
-	}
-	if d.Lookup(0x40) != nil {
-		t.Fatal("entry survived invalidate-all")
 	}
 }
 

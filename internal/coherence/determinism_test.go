@@ -10,24 +10,33 @@ import (
 // TestCheckInvariantsDeterministic is the regression for the
 // map-order dependence rnuca-vet surfaced: with several violations
 // present, CheckInvariants must report the one at the lowest address
-// on every run, not whichever the map yields first.
+// whatever the table's layout, not whichever entry a walk meets first.
+// The violations are planted in every insertion order, in a table at
+// its initial size and in one grown by many live entries.
 func TestCheckInvariantsDeterministic(t *testing.T) {
-	build := func() *Directory {
+	bad := []cache.Addr{0x3000, 0x1000, 0x2000}
+	build := func(order []int, filler int) *Directory {
 		d := NewDirectory(4)
+		for i := 0; i < filler; i++ {
+			d.Read(cache.Addr(0x100000+64*i), i%4, nil)
+		}
 		// Three empty entries — each a violation on its own.
-		for _, a := range []cache.Addr{0x3000, 0x1000, 0x2000} {
-			d.entries[a] = &Entry{Owner: -1}
+		for _, k := range order {
+			pos, _ := d.find(bad[k])
+			d.insert(pos, bad[k], -1, 0)
 		}
 		return d
 	}
-	want := build().CheckInvariants()
+	want := build([]int{0, 1, 2}, 0).CheckInvariants()
 	if want == nil {
 		t.Fatal("expected a violation")
 	}
-	for i := 0; i < 50; i++ {
-		got := build().CheckInvariants()
-		if got == nil || got.Error() != want.Error() {
-			t.Fatalf("run %d reported %v, earlier run reported %v", i, got, want)
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		for _, filler := range []int{0, 1000} {
+			got := build(order, filler).CheckInvariants()
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("order %v with %d other entries reported %v, want %v", order, filler, got, want)
+			}
 		}
 	}
 	const lowest = "block 0x1000"

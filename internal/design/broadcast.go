@@ -76,13 +76,13 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 
 	var act coherence.Action
 	if r.IsWrite() {
-		act = d.dir.Write(addr, core, d.dists[core])
+		act = d.dir.Write(addr, core, ch.HopsFrom(core))
 		for _, t := range act.Invalidated {
 			d.sl.l2[t].Invalidate(addr)
 			d.sl.victim[t].Take(addr)
 		}
 	} else {
-		act = d.dir.Read(addr, core, d.dists[core])
+		act = d.dir.Read(addr, core, ch.HopsFrom(core))
 	}
 
 	lat := float64(ch.Cfg.L2HitCycles) + bcast
@@ -127,20 +127,15 @@ func (d *PrivateBroadcast) broadcastCost(from noc.TileID) float64 {
 // broadcastUpgrade invalidates remote copies of a locally written block.
 func (d *PrivateBroadcast) broadcastUpgrade(core int, addr cache.Addr, line *cache.Line) float64 {
 	line.State = cache.Modified
-	e := d.dir.Lookup(addr)
 	others := 0
-	if e != nil {
-		for _, t := range e.Sharers.Tiles() {
-			if t != core {
-				others++
-			}
-		}
+	if e, ok := d.dir.Lookup(addr); ok {
+		others = e.Sharers.Clear(core).Count()
 		if e.Owner >= 0 && e.Owner != core {
 			others++
 		}
 	}
 	tile := noc.TileID(core)
-	act := d.dir.Write(addr, core, d.dists[core])
+	act := d.dir.Write(addr, core, d.ch.HopsFrom(core))
 	for _, t := range act.Invalidated {
 		d.sl.l2[t].Invalidate(addr)
 		d.sl.victim[t].Take(addr)

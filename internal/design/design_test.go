@@ -24,6 +24,35 @@ func ifetch(core int, addr uint64) trace.Ref {
 	return trace.Ref{Core: core, Thread: core, Kind: trace.IFetch, Addr: addr, Class: cache.ClassInstruction, Busy: 1}
 }
 
+// Once the directories' tables have grown to hold the working set,
+// Private.Access allocates nothing: L1 and L2 directory transactions,
+// their invalidation lists, write upgrades and L1 evictions included.
+func TestPrivateAccessDoesNotAllocate(t *testing.T) {
+	d := NewPrivate(chassis16())
+	// 3000 blocks overflow every core's L1, so L1 evictions empty L1
+	// directory entries; they all fit in each private L2 slice.
+	const blocks = 3000
+	pass := func() {
+		for b := uint64(0); b < blocks; b++ {
+			c := int(b % 16)
+			addr := 0x100000 + b*64
+			d.Access(load(c, addr, cache.ClassShared))
+			d.Access(load((c+3)%16, addr, cache.ClassShared))
+			d.Access(store((c+7)%16, addr, cache.ClassShared)) // invalidates both readers
+			d.Access(load(c, addr, cache.ClassShared))         // served by the new owner
+			d.Access(store(c, addr, cache.ClassShared))        // local write upgrade
+		}
+	}
+	pass()
+	pass()
+	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
+		t.Fatalf("%v allocations per pass of %d accesses", allocs, 5*blocks)
+	}
+	if err := d.Directory().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // ---- Shared design ----
 
 func TestSharedSingleLocationPerBlock(t *testing.T) {

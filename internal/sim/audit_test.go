@@ -73,11 +73,11 @@ func TestL1PurgeRangeKeepsDirectoryConsistent(t *testing.T) {
 		t.Fatalf("%d writebacks, want 6", wb)
 	}
 	for b := uint64(0); b < 8; b++ {
-		if ch.L1Dir.Lookup(cache.Addr(base+b*64)) != nil {
+		if _, ok := ch.L1Dir.Lookup(cache.Addr(base + b*64)); ok {
 			t.Fatal("directory entry survived L1PurgeRange")
 		}
 	}
-	if e := ch.L1Dir.Lookup(cache.Addr(base + 0x1000)); e == nil || !e.Sharers.Has(3) {
+	if e, ok := ch.L1Dir.Lookup(cache.Addr(base + 0x1000)); !ok || !e.Sharers.Has(3) {
 		t.Fatal("another core's copy was purged")
 	}
 	if err := ch.Audit(); err != nil {

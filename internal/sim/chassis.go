@@ -26,6 +26,13 @@ type Chassis struct {
 	// detect dirty-in-remote-L1 (L1-to-L1 transfers) and invalidate L1
 	// copies on writes.
 	L1Dir *coherence.Directory
+
+	// dists[core] measures hops from core's tile, for directory
+	// transactions. Built once: minting a closure per transaction was a
+	// per-reference heap allocation.
+	dists []coherence.Nearest
+	// inval backs L1Info.Invalidated.
+	inval [64]int
 }
 
 // NewChassis builds the shared hardware for a configuration.
@@ -51,9 +58,12 @@ func NewChassis(cfg Config) *Chassis {
 		ch.Net.EnableLinkQueues()
 	}
 	l1geom := cache.Geometry{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways, BlockBytes: cfg.BlockBytes}
+	ch.dists = make([]coherence.Nearest, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		ch.L1I = append(ch.L1I, cache.New(l1geom))
 		ch.L1D = append(ch.L1D, cache.New(l1geom))
+		tile := noc.TileID(i)
+		ch.dists[i] = func(t int) int { return ch.Hops(tile, noc.TileID(t)) }
 	}
 	return ch
 }
@@ -64,7 +74,9 @@ type L1Info struct {
 	// RemoteOwner is a core whose L1 holds the block dirty (M), or -1.
 	// Such an access must be serviced L1-to-L1.
 	RemoteOwner int
-	// Invalidated lists cores whose L1 copies a write invalidated.
+	// Invalidated lists cores whose L1 copies a write invalidated, or is
+	// nil. It is a view of a buffer the chassis owns and stays valid only
+	// until the next L1Service call.
 	Invalidated []int
 }
 
@@ -72,10 +84,12 @@ type L1Info struct {
 // reports whether a remote L1 holds the block dirty, applies write
 // invalidations to the other L1s, installs the block in the requestor's
 // L1, and keeps the L1 directory consistent (including evictions).
+//
+//rnuca:hotpath
 func (ch *Chassis) L1Service(core int, r trace.Ref) L1Info {
 	addr := r.BlockAddr()
 	info := L1Info{RemoteOwner: -1}
-	if e := ch.L1Dir.Lookup(addr); e != nil && e.Owner >= 0 && e.Owner != core {
+	if e, ok := ch.L1Dir.Lookup(addr); ok && e.Owner >= 0 && e.Owner != core {
 		// The owner's L1 must actually still hold it (the directory is
 		// kept in sync, so this is an audit-grade double check).
 		if _, ok := ch.L1D[e.Owner].Peek(addr); ok {
@@ -83,17 +97,19 @@ func (ch *Chassis) L1Service(core int, r trace.Ref) L1Info {
 		}
 	}
 
-	dist := func(t int) int { return ch.Topo.Hops(noc.TileID(core), noc.TileID(t)) }
-	var act coherence.Action
 	if r.IsWrite() {
-		act = ch.L1Dir.Write(addr, core, dist)
+		act := ch.L1Dir.Write(addr, core, ch.HopsFrom(core))
 		for _, c := range act.Invalidated {
 			ch.L1D[c].Invalidate(addr)
 			ch.L1I[c].Invalidate(addr)
-			info.Invalidated = append(info.Invalidated, c)
+		}
+		// The victim eviction below is another directory transaction, so
+		// the list is copied out of the directory's buffer.
+		if n := copy(ch.inval[:], act.Invalidated); n > 0 {
+			info.Invalidated = ch.inval[:n:n]
 		}
 	} else {
-		ch.L1Dir.Read(addr, core, dist)
+		ch.L1Dir.Read(addr, core, ch.HopsFrom(core))
 	}
 
 	// Install in the requestor's L1 (I or D by access kind).
@@ -127,22 +143,6 @@ func (ch *Chassis) L1Service(core int, r trace.Ref) L1Info {
 	return info
 }
 
-// L1Purge removes a block from every core's L1s (page purges and L2-level
-// invalidations in designs that enforce inclusion for correctness).
-func (ch *Chassis) L1Purge(addr cache.Addr) int {
-	n := 0
-	for c := 0; c < ch.Cfg.Cores; c++ {
-		if _, ok := ch.L1D[c].Invalidate(addr); ok {
-			n++
-		}
-		if _, ok := ch.L1I[c].Invalidate(addr); ok {
-			n++
-		}
-	}
-	ch.L1Dir.Invalidate(addr)
-	return n
-}
-
 // L1PurgeRange removes every block in [lo, hi) from one core's L1 caches,
 // keeping the L1 directory consistent (page shootdowns during R-NUCA
 // re-classification). It returns the number of lines removed.
@@ -163,6 +163,10 @@ func (ch *Chassis) L1PurgeRange(core int, lo, hi cache.Addr) int {
 
 // Hops returns the topological distance between two tiles.
 func (ch *Chassis) Hops(a, b noc.TileID) int { return ch.Topo.Hops(a, b) }
+
+// HopsFrom returns the hop distance from core's tile to any tile, the
+// distance a directory transaction by core picks its supplier with.
+func (ch *Chassis) HopsFrom(core int) coherence.Nearest { return ch.dists[core] }
 
 // CtrlLatency charges a control message traversal.
 func (ch *Chassis) CtrlLatency(from, to noc.TileID) float64 {
@@ -231,8 +235,7 @@ func (ch *Chassis) Audit() error {
 	for t := 0; t < ch.Cfg.Cores; t++ {
 		ch.L1D[t].ForEach(func(addr cache.Addr, line *cache.Line) {
 			if line.State.Dirty() {
-				e := ch.L1Dir.Lookup(addr)
-				if e == nil || e.Owner != t {
+				if e, ok := ch.L1Dir.Lookup(addr); !ok || e.Owner != t {
 					failure = fmt.Errorf("sim: core %d holds %#x dirty without directory ownership", t, uint64(addr))
 				}
 			}

@@ -112,18 +112,6 @@ func TestChassisL1Service(t *testing.T) {
 	}
 }
 
-func TestChassisL1Purge(t *testing.T) {
-	ch := NewChassis(Config16())
-	r := trace.Ref{Core: 4, Kind: trace.Load, Addr: 0x3000, Class: cache.ClassShared, Busy: 1}
-	ch.L1Service(4, r)
-	if n := ch.L1Purge(0x3000); n != 1 {
-		t.Fatalf("purged %d copies, want 1", n)
-	}
-	if ch.L1Dir.Lookup(0x3000) != nil {
-		t.Fatal("directory entry survived purge")
-	}
-}
-
 func TestInvalFanoutLatency(t *testing.T) {
 	ch := NewChassis(Config16())
 	if got := ch.InvalFanout(0, nil); got != 0 {
