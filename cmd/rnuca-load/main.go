@@ -20,11 +20,12 @@
 // comparisons, replay targets -corpus. Weights are comma-separated
 // kind=N pairs.
 //
-// Each job's submit→terminal latency is recorded client-side with the
-// same streaming quantile estimators the server uses, so the final
-// comparison table — client vs the server's /v1/stats — is estimator
-// against estimator: the delta is network, polling granularity, and
-// scheduling, the part of latency a server-side view never sees.
+// Each job's submit→terminal latency is recorded client-side in a
+// whole-run histogram over the server's bucket layout, read with the
+// same interpolation the server's windows use, so the final comparison
+// table — client vs the server's /v1/stats — compares like with like:
+// the delta is network, polling granularity, and scheduling, the part
+// of latency a server-side view never sees.
 //
 // The exit status is 0 only when every scheduled job was accepted and
 // finished done: sheds, throttles, failures, or transport errors exit 1

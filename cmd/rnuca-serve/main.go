@@ -31,7 +31,11 @@
 // rnuca_jobs_slo_breached_total{kind} counter burns on every done or
 // failed job that exceeded the target. 0 (the default) disables SLO
 // accounting; latency quantiles are tracked regardless and served on
-// /v1/stats and as rnuca_*_quantile_seconds gauges on /metrics.
+// /v1/stats and as rnuca_*_quantile_seconds gauges on /metrics. They
+// cover the trailing minute, per job kind and per route: each is
+// interpolated over log-spaced buckets (adjacent bounds 9.05% apart)
+// merged from six 10-second sub-windows, and clamped to the exact min
+// and max.
 // Submissions refused for queue pressure return 429 with Retry-After
 // (and count in rnuca_jobs_throttled_total); a draining server
 // returns 503 without Retry-After.

@@ -7,14 +7,12 @@
 //	go run ./cmd/rnuca-vet ./...
 //	go run ./cmd/rnuca-vet -json ./... | jq '.[].code'
 //	go run ./cmd/rnuca-vet -jobs 4 -sarif ./... > vet.sarif
-//	go run ./cmd/rnuca-vet -baseline vet-baseline.json ./...
 //
 // -jobs N fans the type-check out over N workers (N<=1 is the shared-
-// cache sequential loader). -baseline admits the findings recorded in
-// a baseline file and fails only on new ones; -write-baseline
-// snapshots the current findings into one. -update regenerates the
-// api-frozen.txt snapshots of packages that carry them, for deliberate
-// API changes.
+// cache sequential loader). -update regenerates the api-frozen.txt
+// snapshots of packages that carry them, for deliberate API changes.
+// Every finding fails the run: fix it, or waive it in source with an
+// //rnuca:*-ok annotation and a reason.
 //
 // See internal/analysis/doc.go for the diagnostic codes and the
 // //rnuca: annotation vocabulary.
@@ -36,12 +34,10 @@ func main() {
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log for code-scanning upload")
 	list := flag.Bool("codes", false, "list every diagnostic code the suite can emit and exit")
 	jobs := flag.Int("jobs", 1, "type-check packages over this many parallel workers")
-	baselinePath := flag.String("baseline", "", "admit the findings in this baseline file; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "snapshot current findings into this baseline file and exit 0")
 	update := flag.Bool("update", false, "regenerate api-frozen.txt snapshots instead of reporting apifreeze findings")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: rnuca-vet [-json|-sarif] [-jobs n] [-baseline file] [-write-baseline file] [-update] [packages]\n")
+			"usage: rnuca-vet [-json|-sarif] [-jobs n] [-update] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,27 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 	relativize(diags)
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "rnuca-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "rnuca-vet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		entries, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rnuca-vet:", err)
-			os.Exit(2)
-		}
-		admitted, fresh := analysis.ApplyBaseline(diags, entries)
-		if len(admitted) > 0 {
-			fmt.Fprintf(os.Stderr, "rnuca-vet: %d baselined finding(s) admitted\n", len(admitted))
-		}
-		diags = fresh
-	}
 
 	switch {
 	case *sarifOut:
@@ -119,7 +94,7 @@ func main() {
 
 // relativize rewrites diagnostic paths relative to the working
 // directory (the module root, per the run-from-module contract), so
-// findings, baselines, and SARIF artifacts are machine-portable.
+// findings and SARIF artifacts are machine-portable.
 func relativize(diags []analysis.Diagnostic) {
 	cwd, err := os.Getwd()
 	if err != nil {

@@ -244,18 +244,3 @@ func TestRepoIsVetClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
-
-// TestBaselineIsBurnedDown asserts the checked-in vet-baseline.json is
-// the empty multiset. The baseline exists as a mechanism for adopting
-// new passes incrementally on a dirty tree; this repo's policy is that
-// it never stays dirty — every finding is fixed or carries an in-source
-// waiver with a reason, so the debt ledger reads [].
-func TestBaselineIsBurnedDown(t *testing.T) {
-	entries, err := analysis.LoadBaseline(filepath.Join("..", "..", "vet-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("baselined (unfixed, unwaived) finding: %s: %s: %s", e.File, e.Code, e.Message)
-	}
-}

@@ -40,9 +40,9 @@ func scrape(t *testing.T, base, series string) float64 {
 
 // The full loop: the load generator drives ≥1000 mixed cached/cold
 // jobs into an in-process server, and afterwards the two independent
-// latency views — client-side estimators and the server's /v1/stats —
-// agree within estimator tolerance, with the saturation gauges back
-// at zero once everything drains.
+// latency views — client-side histograms and the server's /v1/stats —
+// agree within tolerance, with the saturation gauges back at zero
+// once everything drains.
 func TestLoadAgainstInProcessServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e load run")
@@ -114,10 +114,10 @@ func TestLoadAgainstInProcessServe(t *testing.T) {
 		t.Errorf("server windowed count %d, client terminal %d", server.Count, terminalJobs)
 	}
 
-	// Agreement within estimator tolerance. The client measures
-	// submit→terminal through HTTP plus a 10ms poll grid, the server
-	// measures it internally, and both views are reservoir estimates —
-	// so allow an observation floor (poll granularity plus scheduling
+	// Agreement within tolerance. The client measures submit→terminal
+	// through HTTP plus a 10ms poll grid, the server measures it
+	// internally, and both interpolate over the same bucket layout — so
+	// allow an observation floor (poll granularity plus scheduling
 	// delay while the in-process engine saturates the CPU) on top of a
 	// relative band.
 	for _, q := range []struct {

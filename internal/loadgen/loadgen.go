@@ -18,11 +18,11 @@
 //	replay   a replay over Config.Corpus (falls back to cached when no
 //	         corpus ref is configured)
 //
-// Client-side submit→terminal latency lands in the same streaming
-// quantile estimators the server uses (internal/obs/quantile), keyed
-// by mix kind plus the aggregate "all" — so the client's view and the
-// server's /v1/stats are directly comparable, estimator against
-// estimator. CompareTable renders that comparison.
+// Client-side submit→terminal latency lands in one cumulative
+// obs.Histogram per mix kind plus the aggregate "all", over the same
+// bucket layout and interpolation as the server's latency windows — so
+// the client's view and the server's /v1/stats compare like with like.
+// CompareTable renders that comparison.
 package loadgen
 
 import (
@@ -40,7 +40,7 @@ import (
 	"time"
 
 	"rnuca"
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 	"rnuca/internal/workload"
 )
 
@@ -153,14 +153,17 @@ type Result struct {
 	// Elapsed is the whole run, scheduling through last job terminal.
 	Elapsed time.Duration
 	// Latency holds client-side submit→terminal quantiles per mix kind
-	// plus the aggregate "all".
-	Latency map[string]quantile.Snapshot
+	// plus the aggregate "all", for the kinds that finished a job.
+	Latency map[string]obs.Snapshot
 }
 
 // runner carries one run's shared state.
 type runner struct {
 	cfg Config
-	lat *quantile.Vec
+	// lat holds a whole-run histogram per mix kind and "all". The map
+	// is complete before the first arrival and only read after; each
+	// histogram locks itself.
+	lat map[string]*obs.Histogram
 
 	submitted, shed, throttled, unavailable, errs atomic.Int64
 	done, failed, canceled                        atomic.Int64
@@ -176,11 +179,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	r := &runner{
-		cfg: cfg,
-		// One wide sub-window spanning any plausible run: the client
-		// wants whole-run quantiles, not a sliding view.
-		lat: quantile.NewVec(1, 24*time.Hour, 4096, cfg.Seed),
+	r := &runner{cfg: cfg, lat: map[string]*obs.Histogram{"all": obs.NewLatencyHistogram()}}
+	for kind := range cfg.Mix {
+		r.lat[kind] = obs.NewLatencyHistogram()
 	}
 
 	// The scheduler goroutine owns the RNG: the mix sequence is a pure
@@ -240,7 +241,12 @@ loop:
 		Failed:      int(r.failed.Load()),
 		Canceled:    int(r.canceled.Load()),
 		Elapsed:     time.Since(start),
-		Latency:     r.lat.Snapshots(),
+		Latency:     map[string]obs.Snapshot{},
+	}
+	for kind, h := range r.lat {
+		if s := h.Snapshot(); s.Count > 0 {
+			out.Latency[kind] = s
+		}
 	}
 	return out, r.firstErr
 }
@@ -350,8 +356,8 @@ func (r *runner) runOne(ctx context.Context, kind string, idx int) {
 		}
 	}
 	sec := time.Since(t0).Seconds()
-	r.lat.With(kind).Observe(sec)
-	r.lat.With("all").Observe(sec)
+	r.lat[kind].Observe(sec)
+	r.lat["all"].Observe(sec)
 	switch st.State {
 	case "done":
 		r.done.Add(1)

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 	"rnuca/internal/report"
 )
 
@@ -38,19 +38,12 @@ type serverLatency struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// Kind converts one server-side kind's latency to a quantile
-// snapshot, the shape CompareTable consumes. ok is false for a kind
-// the server has no window for.
-func (s ServerStats) Kind(kind string) (quantile.Snapshot, bool) {
+// Kind converts one server-side kind's latency to a snapshot, the
+// shape CompareTable consumes. ok is false for a kind the server has
+// no window for.
+func (s ServerStats) Kind(kind string) (obs.Snapshot, bool) {
 	k, ok := s.Jobs[kind]
-	if !ok {
-		return quantile.Snapshot{}, false
-	}
-	l := k.Latency
-	return quantile.Snapshot{
-		Count: l.Count, Mean: l.Mean, Min: l.Min, Max: l.Max,
-		P50: l.P50, P90: l.P90, P95: l.P95, P99: l.P99,
-	}, true
+	return obs.Snapshot(k.Latency), ok
 }
 
 // FetchServerStats reads GET /v1/stats. A nil client means
@@ -82,7 +75,7 @@ func FetchServerStats(ctx context.Context, client *http.Client, baseURL string) 
 // row one statistic, in milliseconds, with the delta the client felt
 // on top of what the server measured (network, polling granularity,
 // and scheduling — the gap a server-side-only view never sees).
-func CompareTable(client, server quantile.Snapshot) *report.Table {
+func CompareTable(client, server obs.Snapshot) *report.Table {
 	t := report.NewTable("Latency: client vs server (ms)",
 		"stat", "client", "server", "delta")
 	row := func(name string, c, s float64) {
@@ -105,7 +98,7 @@ func CompareTable(client, server quantile.Snapshot) *report.Table {
 }
 
 // MixTable renders the client-side per-mix latency summary.
-func MixTable(latency map[string]quantile.Snapshot) *report.Table {
+func MixTable(latency map[string]obs.Snapshot) *report.Table {
 	t := report.NewTable("Client latency by mix (ms)",
 		"mix", "count", "mean", "p50", "p90", "p99", "max")
 	for _, kind := range []string{"all", MixCached, MixCold, MixCompare, MixReplay} {

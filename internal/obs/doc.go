@@ -1,6 +1,7 @@
 // Package obs is the repo's dependency-free observability layer: a
-// metrics registry with a Prometheus text encoder, and a lightweight
-// span API for per-stage job timing.
+// metrics registry with a Prometheus text encoder, latency quantiles
+// over fixed buckets and sliding windows, and a lightweight span API
+// for per-stage job timing.
 //
 // # Metrics
 //
@@ -24,6 +25,32 @@
 // consistent scrape: gauges updated together are rendered together.
 // internal/serve uses this to keep its queued/running/submitted
 // family free of mid-flight skew.
+//
+// # Latency quantiles and windows
+//
+// Every latency quantile the repo reports comes from one routine:
+// linear interpolation inside the bucket where a histogram's
+// cumulative count crosses the target rank (Histogram.Quantile).
+// Snapshot adds the exact count, mean, min and max, and clamps each
+// quantile to [Min, Max], so P50 <= P90 <= P95 <= P99 <= Max.
+//
+// Latencies share one bucket layout: 255 log-spaced bounds from 1µs to
+// about an hour, adjacent bounds 2^(1/8) apart. A reported quantile and
+// the exact order statistic it estimates lie in the same bucket, so
+// they differ by less than 9.05% of the larger one, or by at most 1µs
+// in the first bucket. NewLatencyHistogram is a cumulative histogram
+// over that layout (rnuca-load's client-side view).
+//
+// Window is a sliding view over the same layout: a ring of six
+// sub-histograms of 10s each, so it summarizes the trailing minute
+// (WindowSpan), and old observations age out 10s at a time; a window
+// idle for a whole minute empties. A query adds the live sub-windows'
+// bucket counts, which merges them exactly, with no sampling, seeds or
+// weights, and then interpolates. FractionBelow reads the same counts
+// for SLO attainment. Every Window method takes the current time, so
+// a window is a pure function of its inputs and tests need no clock.
+// A Window does no locking: internal/serve keeps one per job kind and
+// route under the mutex of its latency tracker.
 //
 // # Spans
 //

@@ -304,13 +304,12 @@ func (v *FloatGaugeVec) With(values ...string) *FloatGauge {
 
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds in increasing order; an implicit +Inf bucket catches the
-// rest. The zero bucket list is replaced by DefSecondsBuckets.
+// rest. The zero bucket list is replaced by DefSecondsBuckets. Count,
+// sum, min and max are exact.
 type Histogram struct {
+	bounds []float64 // read-only after construction
 	mu     sync.Mutex
-	bounds []float64 // guarded by mu
-	counts []uint64  // guarded by mu; len(bounds)+1; last is +Inf
-	sum    float64   // guarded by mu
-	count  uint64    // guarded by mu
+	h      hist // guarded by mu
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -322,68 +321,50 @@ func newHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram buckets not increasing at %v", bounds[i]))
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	return &Histogram{bounds: bounds, h: hist{counts: make([]uint64, len(bounds)+1)}}
 }
+
+// NewLatencyHistogram returns an unregistered cumulative histogram over
+// the latency layout Window uses, so its snapshots compare like with
+// like against a Window's.
+func NewLatencyHistogram() *Histogram { return newHistogram(latencyBounds) }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.count++
+	h.h.observe(h.bounds, v)
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.h.n
 }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum
+	return h.h.sum
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution by monotone linear interpolation inside the bucket
-// where the cumulative count crosses the target rank — the
-// histogram_quantile estimate. The first bucket interpolates from a
-// lower edge of 0 (the layout is for non-negative measurements); a
-// rank landing in the +Inf bucket clamps to the highest finite bound.
-// Returns NaN when nothing was observed or q is outside [0, 1]. The
-// estimate is monotone in q and exact at bucket boundaries; its error
-// is bounded by the width of the bucket the quantile falls in.
+// distribution by interpolating inside the bucket where the cumulative
+// count crosses the target rank (see hist.quantile). Returns NaN when
+// nothing was observed or q is outside [0, 1].
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	rank := q * float64(h.count)
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		prev := cum
-		cum += h.counts[i]
-		if float64(cum) < rank {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if h.counts[i] == 0 {
-			return lo
-		}
-		return lo + (b-lo)*(rank-float64(prev))/float64(h.counts[i])
-	}
-	// The rank lands in the +Inf bucket: the best monotone answer the
-	// layout allows is the largest finite bound.
-	return h.bounds[len(h.bounds)-1]
+	return h.h.quantile(h.bounds, q)
+}
+
+// Snapshot summarizes everything observed so far.
+func (h *Histogram) Snapshot() Snapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.snapshot(h.bounds)
 }
 
 func (h *Histogram) write(w io.Writer, name, labels string) error {
@@ -391,7 +372,7 @@ func (h *Histogram) write(w io.Writer, name, labels string) error {
 	defer h.mu.Unlock()
 	cum := uint64(0)
 	for i, b := range h.bounds {
-		cum += h.counts[i]
+		cum += h.h.counts[i]
 		le := renderLabels([]string{"le"}, []string{formatFloat(b)})
 		if labels != "" {
 			le = labels + "," + le
@@ -404,13 +385,13 @@ func (h *Histogram) write(w io.Writer, name, labels string) error {
 	if labels != "" {
 		le = labels + "," + le
 	}
-	if err := sampleLine(w, name+"_bucket", le, strconv.FormatUint(h.count, 10)); err != nil {
+	if err := sampleLine(w, name+"_bucket", le, strconv.FormatUint(h.h.n, 10)); err != nil {
 		return err
 	}
-	if err := sampleLine(w, name+"_sum", labels, formatFloat(h.sum)); err != nil {
+	if err := sampleLine(w, name+"_sum", labels, formatFloat(h.h.sum)); err != nil {
 		return err
 	}
-	return sampleLine(w, name+"_count", labels, strconv.FormatUint(h.count, 10))
+	return sampleLine(w, name+"_count", labels, strconv.FormatUint(h.h.n, 10))
 }
 
 // Histogram registers an unlabeled histogram with the given bucket

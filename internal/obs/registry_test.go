@@ -83,8 +83,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// raw (non-cumulative) counts per bucket: le=1, le=2, le=4, +Inf
 	want := []uint64{2, 2, 1, 1}
 	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("bucket %d count = %d, want %d (all %v)", i, h.counts[i], w, h.counts)
+		if h.h.counts[i] != w {
+			t.Fatalf("bucket %d count = %d, want %d (all %v)", i, h.h.counts[i], w, h.h.counts)
 		}
 	}
 	if h.Count() != 6 {

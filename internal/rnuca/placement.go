@@ -46,16 +46,27 @@ type Placement struct {
 	privFallback *FixedCenterStandard
 }
 
+// CheckClusterSize reports whether a cluster of n slices can be built
+// on a chip of the given tile count: n must be a power of two no
+// larger than the chip. kind names the cluster in the error
+// ("instruction", "private").
+func CheckClusterSize(kind string, n, tiles int) error {
+	if n < 1 || n&(n-1) != 0 {
+		return fmt.Errorf("rnuca: %s cluster size %d not a power of two", kind, n)
+	}
+	if n > tiles {
+		return fmt.Errorf("rnuca: %s cluster size %d exceeds %d tiles", kind, n, tiles)
+	}
+	return nil
+}
+
 // NewPlacement builds a placement engine. instrClusterSize selects the
 // instruction cluster size; k is the interleaving bit offset (block-offset
 // bits + slice set-index bits). origin seeds RID 0 (the OS picks a random
 // tile; simulations pass a fixed origin for determinism).
 func NewPlacement(topo noc.Topology, instrClusterSize int, k uint, origin noc.TileID) (*Placement, error) {
-	if instrClusterSize < 1 || instrClusterSize&(instrClusterSize-1) != 0 {
-		return nil, fmt.Errorf("rnuca: instruction cluster size %d not a power of two", instrClusterSize)
-	}
-	if instrClusterSize > topo.Tiles() {
-		return nil, fmt.Errorf("rnuca: instruction cluster size %d exceeds %d tiles", instrClusterSize, topo.Tiles())
+	if err := CheckClusterSize("instruction", instrClusterSize, topo.Tiles()); err != nil {
+		return nil, err
 	}
 	p := &Placement{topo: topo, instrSize: instrClusterSize, k: k, privSize: 1}
 	switch {
@@ -83,11 +94,8 @@ func NewPlacementWithPrivateClusters(topo noc.Topology, instrClusterSize, privCl
 	if err != nil {
 		return nil, err
 	}
-	if privClusterSize < 1 || privClusterSize&(privClusterSize-1) != 0 {
-		return nil, fmt.Errorf("rnuca: private cluster size %d not a power of two", privClusterSize)
-	}
-	if privClusterSize > topo.Tiles() {
-		return nil, fmt.Errorf("rnuca: private cluster size %d exceeds %d tiles", privClusterSize, topo.Tiles())
+	if err := CheckClusterSize("private", privClusterSize, topo.Tiles()); err != nil {
+		return nil, err
 	}
 	p.privSize = privClusterSize
 	switch {

@@ -21,6 +21,7 @@ import (
 	"rnuca"
 	"rnuca/internal/corpus"
 	"rnuca/internal/experiments"
+	"rnuca/internal/sim"
 )
 
 // testTrace records one small OLTP-DB2 trace per test binary run and
@@ -703,6 +704,49 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if v := metric(t, hs.URL, "rnuca_jobs_rejected_total"); v != float64(len(specs)) {
 		t.Fatalf("rejected %v, want %d", v, len(specs))
+	}
+}
+
+// A job whose chassis the run could not build is refused at submit
+// with 400, before any workload state is allocated: a 10,000,000-core
+// spec must not reach workload.Streams.
+func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
+	s, hs, _ := newTestServer(t, 1)
+	cores := func(n int) rnuca.Workload {
+		w := rnuca.OLTPDB2()
+		w.Cores = n
+		return w
+	}
+	cfg8 := sim.Config8()
+	for _, tc := range []struct {
+		name string
+		job  rnuca.Job
+		want string
+	}{
+		{"65 cores", rnuca.Job{Input: rnuca.FromWorkload(cores(65))}, "65 cores outside 1..64"},
+		{"10000000 cores", rnuca.Job{Input: rnuca.FromWorkload(cores(10_000_000))}, "10000000 cores outside 1..64"},
+		{"16 cores on Config8", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
+			Options: rnuca.RunOptions{Config: &cfg8}}, "16-core input on a 8-core config"},
+		{"instr cluster 3", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
+			Options: rnuca.RunOptions{InstrClusterSize: 3}}, "not a power of two"},
+	} {
+		tc.job.Designs = []rnuca.DesignID{rnuca.DesignRNUCA}
+		body, err := json.Marshal(tc.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postRaw(t, hs.URL, string(body))
+		var msg struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, tc.want) {
+			t.Errorf("%s: %s %q, want 400 mentioning %q", tc.name, resp.Status, msg.Error, tc.want)
+		}
+	}
+	if submitted, _, _, _, rejected, _, _ := s.Metrics(); submitted != 0 || rejected != 4 {
+		t.Errorf("submitted %d, rejected %d; want 0, 4", submitted, rejected)
 	}
 }
 

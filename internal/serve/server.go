@@ -96,8 +96,8 @@ type Server struct {
 	// metrics under the render lock.
 	stats jobStats
 
-	// lat holds the windowed latency quantiles and SLO burn counters
-	// that /v1/stats serves and the quantile gauges export.
+	// lat holds the latency windows and SLO burn counters that
+	// /v1/stats serves and the quantile gauges export.
 	lat *latencyTracker
 
 	reg          *obs.Registry
@@ -446,7 +446,7 @@ func (s *Server) runJob(j *job) {
 	j.queued.End()
 	wait := time.Since(j.created).Seconds()
 	s.mQueueWait.With(j.spec.Kind).Observe(wait)
-	s.lat.queueWait.With(j.spec.Kind).Observe(wait)
+	s.lat.observeQueueWait(j.spec.Kind, wait)
 	if j.ctx.Err() != nil {
 		s.finishJob(j, JobCanceled, nil, context.Cause(j.ctx), true)
 		return

@@ -8,36 +8,22 @@ import (
 	"sync"
 	"time"
 
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 )
 
-// Sliding-window shape for the latency trackers: 6 sub-windows of 10
-// seconds give a rolling last-minute view — the signal a
-// latency-driven replication controller consumes — aging out in
-// 10-second steps.
-const (
-	statsSubWindows = 6
-	statsSubWidth   = 10 * time.Second
-	// statsSeed fixes the reservoir PRNG so windowed quantiles are a
-	// deterministic function of the observation stream.
-	statsSeed = 0x514e
-)
-
-// quantileLabels are the per-quantile gauge children exported on
-// /metrics for every tracked label set.
-var quantileLabels = []string{"p50", "p90", "p99", "max"}
-
-// latencyTracker owns the serve layer's windowed quantile state:
+// latencyTracker owns the serve layer's windowed latency state:
 // submit→terminal job latency and queue wait per job kind, HTTP
-// handler latency per route, and the SLO burn counters.
+// handler latency per route (one obs.Window per label, each covering
+// the trailing obs.WindowSpan), and the SLO burn counters. One mutex
+// guards all of it; the windows do no locking of their own.
 type latencyTracker struct {
-	jobLatency *quantile.Vec // per kind, seconds, submit→terminal
-	queueWait  *quantile.Vec // per kind, seconds
-	httpWait   *quantile.Vec // per route, seconds
+	slo time.Duration    // 0 disables SLO accounting
+	now func() time.Time // the windows' clock; tests inject their own
 
-	slo time.Duration // 0 disables SLO accounting
-
-	mu sync.Mutex
+	mu         sync.Mutex
+	jobLatency map[string]*obs.Window // guarded by mu; per kind, seconds, submit→terminal
+	queueWait  map[string]*obs.Window // guarded by mu; per kind, seconds
+	httpWait   map[string]*obs.Window // guarded by mu; per route, seconds
 	// Cumulative SLO burn counters per kind, over jobs reaching done or
 	// failed (a canceled job is the client's choice, not a latency
 	// breach).
@@ -46,42 +32,101 @@ type latencyTracker struct {
 }
 
 func newLatencyTracker(slo time.Duration) *latencyTracker {
-	mk := func(seed int64) *quantile.Vec {
-		return quantile.NewVec(statsSubWindows, statsSubWidth, 0, seed)
-	}
 	return &latencyTracker{
-		jobLatency:  mk(statsSeed),
-		queueWait:   mk(statsSeed + 1),
-		httpWait:    mk(statsSeed + 2),
 		slo:         slo,
+		now:         time.Now,
+		jobLatency:  map[string]*obs.Window{},
+		queueWait:   map[string]*obs.Window{},
+		httpWait:    map[string]*obs.Window{},
 		sloTotal:    map[string]uint64{},
 		sloBreached: map[string]uint64{},
 	}
 }
 
+// observeLocked records one value into a family's window for label,
+// creating the window on first use. Callers hold lt.mu.
+func (lt *latencyTracker) observeLocked(family map[string]*obs.Window, label string, seconds float64) {
+	w := family[label]
+	if w == nil {
+		w = obs.NewWindow()
+		family[label] = w
+	}
+	w.Observe(lt.now(), seconds)
+}
+
 // observeJob records one terminal job: its submit→terminal latency
-// always enters the windowed quantiles; done and failed jobs also
+// always enters the job-latency window; done and failed jobs also
 // burn against the SLO. Returns whether this job breached the target.
 func (lt *latencyTracker) observeJob(kind string, state JobState, seconds float64) bool {
-	lt.jobLatency.With(kind).Observe(seconds)
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.observeLocked(lt.jobLatency, kind, seconds)
 	if lt.slo <= 0 || state == JobCanceled {
 		return false
 	}
 	breached := seconds > lt.slo.Seconds()
-	lt.mu.Lock()
 	lt.sloTotal[kind]++
 	if breached {
 		lt.sloBreached[kind]++
 	}
-	lt.mu.Unlock()
 	return breached
 }
 
-// sloCounters snapshots one kind's cumulative burn counters.
-func (lt *latencyTracker) sloCounters(kind string) (total, breached uint64) {
+// observeQueueWait records how long one job of a kind sat queued.
+func (lt *latencyTracker) observeQueueWait(kind string, seconds float64) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return lt.sloTotal[kind], lt.sloBreached[kind]
+	lt.observeLocked(lt.queueWait, kind, seconds)
+}
+
+// observeHTTP records one request's handler latency on its route.
+func (lt *latencyTracker) observeHTTP(route string, seconds float64) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.observeLocked(lt.httpWait, route, seconds)
+}
+
+// latencies summarizes a family's windows at now in the wire shape,
+// omitting labels whose windows are currently empty (nil when all are,
+// so the field is omitted).
+func latencies(family map[string]*obs.Window, now time.Time) map[string]LatencyStats {
+	out := make(map[string]LatencyStats, len(family))
+	for label, w := range family {
+		if s := w.Snapshot(now); s.Count > 0 {
+			out[label] = LatencyStats(s)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// stats snapshots every window under one lock: per-kind job latency
+// with SLO attainment, queue wait per kind, and latency per route.
+func (lt *latencyTracker) stats() (jobs map[string]KindStats, queueWait, http map[string]LatencyStats) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	now := lt.now()
+	jobs = map[string]KindStats{}
+	for kind, lat := range latencies(lt.jobLatency, now) {
+		ks := KindStats{Latency: lat}
+		if lt.slo > 0 {
+			total, breached := lt.sloTotal[kind], lt.sloBreached[kind]
+			ks.SLO = &SLOStats{
+				TargetSeconds:    lt.slo.Seconds(),
+				WindowAttainment: lt.jobLatency[kind].FractionBelow(now, lt.slo.Seconds()),
+				Counted:          total,
+				Breached:         breached,
+				Attainment:       1,
+			}
+			if total > 0 {
+				ks.SLO.Attainment = 1 - float64(breached)/float64(total)
+			}
+		}
+		jobs[kind] = ks
+	}
+	return jobs, latencies(lt.queueWait, now), latencies(lt.httpWait, now)
 }
 
 // StatsResponse is the GET /v1/stats payload: the serving tier's
@@ -128,14 +173,6 @@ type LatencyStats struct {
 	P90   float64 `json:"p90_seconds"`
 	P95   float64 `json:"p95_seconds"`
 	P99   float64 `json:"p99_seconds"`
-}
-
-// latencyStats converts a quantile snapshot to the wire shape.
-func latencyStats(s quantile.Snapshot) LatencyStats {
-	return LatencyStats{
-		Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max,
-		P50: s.P50, P90: s.P90, P95: s.P95, P99: s.P99,
-	}
 }
 
 // KindStats is one job kind's windowed latency plus SLO accounting.
@@ -190,9 +227,8 @@ type LedgerStats struct {
 // Stats assembles the /v1/stats snapshot.
 func (s *Server) Stats() StatsResponse {
 	out := StatsResponse{
-		WindowSeconds: (statsSubWindows * statsSubWidth).Seconds(),
+		WindowSeconds: obs.WindowSpan.Seconds(),
 		Workers:       s.cfg.Workers,
-		Jobs:          map[string]KindStats{},
 	}
 	if s.lat.slo > 0 {
 		out.SLOSeconds = s.lat.slo.Seconds()
@@ -212,26 +248,7 @@ func (s *Server) Stats() StatsResponse {
 		out.Utilization = float64(out.Inflight) / float64(s.cfg.Workers)
 	}
 
-	for kind, snap := range s.lat.jobLatency.Snapshots() {
-		ks := KindStats{Latency: latencyStats(snap)}
-		if s.lat.slo > 0 {
-			total, breached := s.lat.sloCounters(kind)
-			slo := &SLOStats{
-				TargetSeconds:    s.lat.slo.Seconds(),
-				WindowAttainment: s.lat.jobLatency.With(kind).FractionBelow(s.lat.slo.Seconds()),
-				Counted:          total,
-				Breached:         breached,
-				Attainment:       1,
-			}
-			if total > 0 {
-				slo.Attainment = 1 - float64(breached)/float64(total)
-			}
-			ks.SLO = slo
-		}
-		out.Jobs[kind] = ks
-	}
-	out.QueueWait = latencyMap(s.lat.queueWait)
-	out.HTTP = latencyMap(s.lat.httpWait)
+	out.Jobs, out.QueueWait, out.HTTP = s.lat.stats()
 
 	cm := s.cache.Metrics()
 	out.Cache = CacheStats{
@@ -240,19 +257,6 @@ func (s *Server) Stats() StatsResponse {
 	}
 	if lookups := cm.Hits + cm.Misses + cm.Shared; lookups > 0 {
 		out.Cache.HitRatio = float64(cm.Hits) / float64(lookups)
-	}
-	return out
-}
-
-// latencyMap converts a whole Vec to the wire shape.
-func latencyMap(v *quantile.Vec) map[string]LatencyStats {
-	snaps := v.Snapshots()
-	if len(snaps) == 0 {
-		return nil
-	}
-	out := make(map[string]LatencyStats, len(snaps))
-	for k, s := range snaps {
-		out[k] = latencyStats(s)
 	}
 	return out
 }
@@ -315,7 +319,7 @@ func (w *statusWriter) Flush() {
 
 // instrument wraps the service mux with per-endpoint latency and
 // status accounting: a counter per (route, status class), a fixed-
-// bucket histogram and a windowed quantile tracker per route. SSE
+// bucket histogram and a latency window per route. SSE
 // watchers record their full stream lifetime — long tails on the
 // events route are watchers, not slow handlers.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -327,29 +331,31 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sec := time.Since(start).Seconds()
 		s.mHTTPRequests.With(route, strconv.Itoa(sw.code)).Inc()
 		s.mHTTPDuration.With(route).Observe(sec)
-		s.lat.httpWait.With(route).Observe(sec)
+		s.lat.observeHTTP(route, sec)
 	})
 }
 
-// collectQuantiles publishes the windowed quantile trackers onto the
-// registry's float gauges; it runs as an OnCollect hook so every
-// scrape re-snapshots under the render lock.
+// collectQuantiles publishes the latency windows onto the registry's
+// float gauges; it runs as an OnCollect hook so every scrape
+// re-snapshots under the render lock.
 func (s *Server) collectQuantiles() {
-	publish := func(v *quantile.Vec, g func(label, q string, val float64)) {
-		for label, snap := range v.Snapshots() {
-			g(label, "p50", snap.P50)
-			g(label, "p90", snap.P90)
-			g(label, "p99", snap.P99)
-			g(label, "max", snap.Max)
+	lt := s.lat
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	now := lt.now()
+	for _, f := range []struct {
+		family map[string]*obs.Window
+		gauges *obs.FloatGaugeVec
+	}{
+		{lt.jobLatency, s.mJobQuantile},
+		{lt.queueWait, s.mQueueWaitQuantile},
+		{lt.httpWait, s.mHTTPQuantile},
+	} {
+		for label, snap := range latencies(f.family, now) {
+			f.gauges.With(label, "p50").Set(snap.P50)
+			f.gauges.With(label, "p90").Set(snap.P90)
+			f.gauges.With(label, "p99").Set(snap.P99)
+			f.gauges.With(label, "max").Set(snap.Max)
 		}
 	}
-	publish(s.lat.jobLatency, func(label, q string, val float64) {
-		s.mJobQuantile.With(label, q).Set(val)
-	})
-	publish(s.lat.queueWait, func(label, q string, val float64) {
-		s.mQueueWaitQuantile.With(label, q).Set(val)
-	})
-	publish(s.lat.httpWait, func(label, q string, val float64) {
-		s.mHTTPQuantile.With(label, q).Set(val)
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,6 +200,64 @@ func TestStatsEndpoint(t *testing.T) {
 	wr.Body.Close()
 	if wr.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/stats: %s, want 405", wr.Status)
+	}
+}
+
+// TestLatencyTrackerConcurrency hammers one tracker from many
+// goroutines — window creation, observation, rotation and snapshot
+// races across labels — for the race detector, and checks that every
+// observation and SLO burn lands.
+func TestLatencyTrackerConcurrency(t *testing.T) {
+	var clockMu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	lt := newLatencyTracker(time.Second)
+	lt.now = func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}
+	kinds := []string{"sim", "convert", "figure"}
+	const goroutines, perG = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				kind := kinds[(g+i)%len(kinds)]
+				sec := 0.5 * float64(i%4) // one in four exceeds the 1s SLO
+				lt.observeJob(kind, JobDone, sec)
+				lt.observeQueueWait(kind, sec)
+				lt.observeHTTP("/v1/jobs/{id}", sec)
+				if i%100 == 0 {
+					lt.stats()
+					// 40 one-second steps in all: sub-windows rotate, and
+					// nothing reaches the window's minute.
+					clockMu.Lock()
+					now = now.Add(time.Second)
+					clockMu.Unlock()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	jobs, queueWait, httpWait := lt.stats()
+	var count, counted, breached, waits uint64
+	for _, kind := range kinds {
+		ks := jobs[kind]
+		count += ks.Latency.Count
+		counted += ks.SLO.Counted
+		breached += ks.SLO.Breached
+		waits += queueWait[kind].Count
+	}
+	const total = goroutines * perG
+	if count != total || waits != total || httpWait["/v1/jobs/{id}"].Count != total {
+		t.Errorf("windowed counts: jobs %d, queue wait %d, http %d; want %d each",
+			count, waits, httpWait["/v1/jobs/{id}"].Count, total)
+	}
+	if counted != total || breached != total/4 {
+		t.Errorf("SLO burn: %d counted, %d breached; want %d, %d", counted, breached, total, total/4)
 	}
 }
 

@@ -106,13 +106,17 @@ func Config8() Config {
 	return c
 }
 
+// MaxCores is the largest chip the simulator models: directory sharer
+// sets are 64-bit masks.
+const MaxCores = 64
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Cores != c.GridW*c.GridH {
 		return fmt.Errorf("sim: %d cores on %dx%d grid", c.Cores, c.GridW, c.GridH)
 	}
-	if c.Cores <= 0 || c.Cores > 64 {
-		return fmt.Errorf("sim: core count %d outside 1..64", c.Cores)
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("sim: core count %d outside 1..%d", c.Cores, MaxCores)
 	}
 	if c.L2SliceBytes <= 0 || c.L2Ways <= 0 || c.L1Bytes <= 0 {
 		return fmt.Errorf("sim: non-positive cache sizes")

@@ -123,9 +123,12 @@ type Job struct {
 }
 
 // Validate checks the job without running it: input construction
-// errors, unknown designs, unbound corpus references, and negative
-// options all surface here as errors (the legacy entry points
-// panicked from deep inside the simulator instead).
+// errors, unknown designs, unbound corpus references, negative
+// options, and a chassis the run could not build (an invalid Config,
+// a core count other than the input's, a cluster size that is not a
+// power of two within the chip) all surface here as errors, before
+// any per-core state is allocated. A replay's core count comes from
+// its trace header, which Run checks when it opens the trace.
 func (j Job) Validate() error {
 	if err := j.Input.Err(); err != nil {
 		return err
@@ -156,21 +159,39 @@ func (j Job) Validate() error {
 			return fmt.Errorf("rnuca: job option %s is negative (%d)", f.name, f.v)
 		}
 	}
+	cores := j.Input.workload.Cores
 	switch j.Input.kind {
 	case InputWorkload:
 		if err := j.Input.workload.Validate(); err != nil {
 			return fmt.Errorf("rnuca: job workload: %w", err)
 		}
-	case InputCorpus:
-		if j.Input.path == "" {
+	case InputSource:
+		if !j.Input.hasWorkload {
+			if j.Options.Config == nil {
+				return fmt.Errorf("rnuca: source input needs ForWorkload or an explicit Options.Config")
+			}
+			cores = j.Options.Config.Cores
+		}
+	default:
+		if j.Input.kind == InputCorpus && j.Input.path == "" {
 			return fmt.Errorf("rnuca: corpus input %q is unbound (Bind a store first)", j.Input.ref)
 		}
-	case InputSource:
-		if !j.Input.hasWorkload && j.Options.Config == nil {
-			return fmt.Errorf("rnuca: source input needs ForWorkload or an explicit Options.Config")
+		if j.Options.Config == nil {
+			return nil
 		}
+		cores = j.Options.Config.Cores
 	}
-	return nil
+	if j.Options.Config == nil && (cores < 1 || cores > sim.MaxCores) {
+		// Refused before ConfigFor, whose grid search runs in time
+		// linear in the core count.
+		return fmt.Errorf("rnuca: %d cores outside 1..%d", cores, sim.MaxCores)
+	}
+	opt := runOpts{
+		Config:             j.Options.Config,
+		InstrClusterSize:   j.Options.InstrClusterSize,
+		PrivateClusterSize: j.Options.PrivateClusterSize,
+	}
+	return checkChassis(opt.withDefaults(Workload{Cores: cores}), cores)
 }
 
 func knownDesign(id DesignID) bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,9 @@ import (
 	"rnuca"
 	"rnuca/internal/obs"
 	"rnuca/internal/resultcache"
+	"rnuca/internal/sim"
+	"rnuca/internal/trace"
+	"rnuca/internal/tracefile"
 )
 
 // The canonical Job JSON encoding is frozen by a checked-in fixture:
@@ -195,6 +199,109 @@ func TestJobValidationErrors(t *testing.T) {
 		_, err := tc.job.Run(ctx)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Every job whose chassis the run could not build fails Validate and
+// Run with an error, never a panic, and before any per-core workload
+// state is allocated: core counts beyond the simulator's 64 (or not
+// the config's), an invalid explicit Config, cluster sizes that are
+// not a power of two within the chip.
+func TestJobValidateChassis(t *testing.T) {
+	ctx := context.Background()
+	cores := func(n int) rnuca.Workload {
+		w := rnuca.OLTPDB2()
+		w.Cores = n
+		return w
+	}
+	cfg8, cfg16 := sim.Config8(), sim.Config16()
+	badGrid := sim.Config16()
+	badGrid.Cores = 12
+	noSource := func(int) rnuca.RefSource { return nil }
+	job := func(in rnuca.Input, o rnuca.RunOptions) rnuca.Job {
+		return rnuca.Job{Input: in, Designs: []rnuca.DesignID{rnuca.DesignRNUCA}, Options: o}
+	}
+	db2 := rnuca.FromWorkload(rnuca.OLTPDB2())
+	cases := []struct {
+		name string
+		job  rnuca.Job
+		want string
+	}{
+		{"65 cores", job(rnuca.FromWorkload(cores(65)), rnuca.RunOptions{}), "65 cores outside 1..64"},
+		{"100000 cores", job(rnuca.FromWorkload(cores(100_000)), rnuca.RunOptions{}), "outside 1..64"},
+		{"10000000 cores", job(rnuca.FromWorkload(cores(10_000_000)), rnuca.RunOptions{}), "outside 1..64"},
+		{"prime core count", job(rnuca.FromWorkload(cores(math.MaxInt32)), rnuca.RunOptions{}), "outside 1..64"},
+		{"65 cores on Config16", job(rnuca.FromWorkload(cores(65)), rnuca.RunOptions{Config: &cfg16}),
+			"65-core input on a 16-core config"},
+		{"16 cores on Config8", job(db2, rnuca.RunOptions{Config: &cfg8}), "16-core input on a 8-core config"},
+		{"invalid Config", job(db2, rnuca.RunOptions{Config: &badGrid}), "12 cores on 4x4 grid"},
+		{"instr cluster 3", job(db2, rnuca.RunOptions{InstrClusterSize: 3}), "instruction cluster size 3 not a power of two"},
+		{"instr cluster 32", job(db2, rnuca.RunOptions{InstrClusterSize: 32}), "instruction cluster size 32 exceeds 16 tiles"},
+		{"instr cluster 2^20", job(db2, rnuca.RunOptions{InstrClusterSize: 1 << 20}), "exceeds 16 tiles"},
+		{"instr cluster 16 on Config8", job(rnuca.FromWorkload(cores(8)), rnuca.RunOptions{InstrClusterSize: 16}),
+			"instruction cluster size 16 exceeds 8 tiles"},
+		{"private cluster 3", job(db2, rnuca.RunOptions{PrivateClusterSize: 3}), "private cluster size 3 not a power of two"},
+		{"private cluster 32", job(db2, rnuca.RunOptions{PrivateClusterSize: 32}), "private cluster size 32 exceeds 16 tiles"},
+		{"private cluster 2^20", job(db2, rnuca.RunOptions{PrivateClusterSize: 1 << 20}), "exceeds 16 tiles"},
+		{"source for 65 cores", job(rnuca.FromSource(noSource).ForWorkload(cores(65)), rnuca.RunOptions{}), "outside 1..64"},
+		{"bare source, invalid Config", job(rnuca.FromSource(noSource), rnuca.RunOptions{Config: &badGrid}),
+			"12 cores on 4x4 grid"},
+		{"bare source, cluster 3", job(rnuca.FromSource(noSource), rnuca.RunOptions{Config: &cfg8, InstrClusterSize: 3}),
+			"not a power of two"},
+		{"trace, invalid Config", job(rnuca.FromTrace("never-opened.rnt"), rnuca.RunOptions{Config: &badGrid}),
+			"12 cores on 4x4 grid"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panic: %v", p)
+				}
+			}()
+			if err := tc.job.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate: err = %v, want substring %q", err, tc.want)
+			}
+			if _, err := tc.job.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run: err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+
+	// A replay's core count comes from the trace header, so the same
+	// checks run when Run opens the trace.
+	dir := t.TempDir()
+	wide := filepath.Join(dir, "wide.rnt")
+	fw, err := tracefile.Create(wide, tracefile.Header{Workload: "wide", Cores: 65, Warm: 10, Measure: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := fw.Write(trace.Ref{Core: i % 65, Addr: uint64(i) * 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2Trace := filepath.Join(dir, "db2.rnt")
+	record(t, rnuca.OLTPDB2(), rnuca.DesignRNUCA, rnuca.RunOptions{Warm: 1000, Measure: 2000}, db2Trace)
+	for _, tc := range []struct {
+		name string
+		job  rnuca.Job
+		want string
+	}{
+		{"65-core trace", job(rnuca.FromTrace(wide), rnuca.RunOptions{}), "declares 65 cores"},
+		{"16-core trace on Config8", job(rnuca.FromTrace(db2Trace), rnuca.RunOptions{Config: &cfg8}),
+			"16-core input on a 8-core config"},
+		{"16-core trace, cluster 32", job(rnuca.FromTrace(db2Trace), rnuca.RunOptions{InstrClusterSize: 32}),
+			"exceeds 16 tiles"},
+	} {
+		if err := tc.job.Validate(); err != nil {
+			t.Errorf("%s: Validate = %v before the trace is read", tc.name, err)
+		}
+		if _, err := tc.job.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -82,6 +82,7 @@ import (
 	"rnuca/internal/design"
 	"rnuca/internal/obs"
 	"rnuca/internal/obs/flight"
+	placement "rnuca/internal/rnuca"
 	"rnuca/internal/sim"
 	"rnuca/internal/stats"
 	"rnuca/internal/trace"
@@ -226,6 +227,28 @@ func (o runOpts) withDefaults(w Workload) runOpts {
 		o.Config = &cfg
 	}
 	return o
+}
+
+// checkChassis checks the chassis a run with opt (defaults applied)
+// builds for a cores-core input, turning what would panic in
+// NewChassis, NewEngine or the R-NUCA placement into errors: the
+// configuration itself (sim.Config.Validate), its core count against
+// the input's, and both R-NUCA cluster sizes.
+func checkChassis(opt runOpts, cores int) error {
+	cfg := opt.Config
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("rnuca: job config: %w", err)
+	}
+	if cfg.Cores != cores {
+		return fmt.Errorf("rnuca: %d-core input on a %d-core config", cores, cfg.Cores)
+	}
+	if err := placement.CheckClusterSize("instruction", cfg.InstrClusterSize, cfg.Cores); err != nil {
+		return err
+	}
+	if opt.PrivateClusterSize > 1 {
+		return placement.CheckClusterSize("private", opt.PrivateClusterSize, cfg.Cores)
+	}
+	return nil
 }
 
 // ConfigFor returns the Table 1 configuration matching a workload's core
@@ -444,7 +467,7 @@ func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
 	}
 	hdr := f.Header()
 	f.Close()
-	if hdr.Cores < 1 {
+	if hdr.Cores < 1 || hdr.Cores > sim.MaxCores {
 		return opt, Workload{}, fmt.Errorf("rnuca: trace %s declares %d cores", path, hdr.Cores)
 	}
 	w := workloadFor(hdr)
@@ -510,9 +533,8 @@ func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
 		}
 	}
 	opt = opt.withDefaults(w)
-	if opt.Config.Cores != hdr.Cores {
-		return opt, Workload{}, fmt.Errorf("rnuca: trace %s has %d cores, config has %d",
-			path, hdr.Cores, opt.Config.Cores)
+	if err := checkChassis(opt, hdr.Cores); err != nil {
+		return opt, Workload{}, fmt.Errorf("rnuca: trace %s: %w", path, err)
 	}
 	// A replay that needs more refs than the trace (or window) holds
 	// would recycle recorded references (the demux loops per core);
@@ -757,38 +779,4 @@ func runASRBest(w Workload, opt runOpts) Result {
 	}
 	best.Design = "A"
 	return best
-}
-
-// SpeedupCI is a matched-pair speedup estimate: both designs run on
-// identical per-batch reference streams (same seeds), so each batch
-// yields one paired speedup observation; the mean and 95% CI are computed
-// over those pairs. This mirrors how the paper's sampling methodology
-// puts confidence intervals on the Figure 12 speedups rather than on raw
-// CPIs.
-type SpeedupCI struct {
-	Mean float64
-	CI95 float64
-	N    int
-}
-
-// CompareCI measures the speedup of design a over design b on matched
-// batches. Batches defaults to 5 when the option is unset or 1 (a single
-// pair has no interval).
-func CompareCI(w Workload, a, b DesignID, ro RunOptions) SpeedupCI {
-	//rnuca:ctx-ok CompareCI is a ctx-less convenience entry point; cancelable comparisons go through the Job API
-	opt := ro.lower(context.Background()).withDefaults(w)
-	if opt.Batches < 2 {
-		opt.Batches = 5
-	}
-	var s stats.Summary
-	for batch := 0; batch < opt.Batches; batch++ {
-		ws := w
-		ws.Seed = w.Seed + uint64(batch)*0x9E37
-		single := opt
-		single.Batches = 1
-		ra := runBatches(ws, single, func(ch *sim.Chassis) sim.Design { return NewDesign(a, ch) })
-		rb := runBatches(ws, single, func(ch *sim.Chassis) sim.Design { return NewDesign(b, ch) })
-		s.Add(ra.Speedup(rb.Result))
-	}
-	return SpeedupCI{Mean: s.Mean(), CI95: s.CI95(), N: s.N()}
 }

@@ -155,22 +155,6 @@ func TestNewDesignUnknownPanics(t *testing.T) {
 	rnuca.NewDesign("X", sim.NewChassis(sim.Config16()))
 }
 
-func TestCompareCIMatchedPairs(t *testing.T) {
-	ci := rnuca.CompareCI(rnuca.MIX(), rnuca.DesignRNUCA, rnuca.DesignShared,
-		rnuca.RunOptions{Warm: 20_000, Measure: 40_000, Batches: 3})
-	if ci.N != 3 {
-		t.Fatalf("pairs = %d", ci.N)
-	}
-	// R over S on MIX is solidly positive and the CI is tight because the
-	// pairs share streams.
-	if ci.Mean <= 0 {
-		t.Fatalf("R-over-S speedup on MIX = %v", ci.Mean)
-	}
-	if ci.CI95 >= ci.Mean {
-		t.Fatalf("matched-pair CI %v should be well below the mean %v", ci.CI95, ci.Mean)
-	}
-}
-
 func TestASRBestOfSix(t *testing.T) {
 	r := run(t, rnuca.Em3d(), rnuca.DesignASR, rnuca.RunOptions{Warm: 10_000, Measure: 20_000})
 	if r.Design != "A" {
