@@ -22,6 +22,7 @@ import (
 	"rnuca/internal/cache"
 	"rnuca/internal/experiments"
 	"rnuca/internal/noc"
+	"rnuca/internal/obs/flight"
 	"rnuca/internal/ospage"
 	rot "rnuca/internal/rnuca"
 	"rnuca/internal/sim"
@@ -324,19 +325,25 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 }
 
 // Engine throughput for each design on OLTP-DB2, reported as ns per
-// simulated L2 reference.
-func benchDesign(b *testing.B, id rnuca.DesignID) {
+// simulated L2 reference. A non-nil recorder rides along, as one does
+// on every rnuca-serve cell.
+func benchDesign(b *testing.B, id rnuca.DesignID, rec *flight.Recorder) {
 	w := rnuca.OLTPDB2()
 	cfg := rnuca.ConfigFor(w)
 	ch := sim.NewChassis(cfg)
 	d := rnuca.NewDesign(id, ch)
 	eng := sim.NewEngine(ch, d, workload.Streams(w))
 	eng.OffChipMLP = w.OffChipMLP
+	eng.Flight = rec
 	b.ResetTimer()
 	eng.Run(0, b.N)
 }
 
-func BenchmarkEnginePrivate(b *testing.B) { benchDesign(b, rnuca.DesignPrivate) }
-func BenchmarkEngineShared(b *testing.B)  { benchDesign(b, rnuca.DesignShared) }
-func BenchmarkEngineRNUCA(b *testing.B)   { benchDesign(b, rnuca.DesignRNUCA) }
-func BenchmarkEngineIdeal(b *testing.B)   { benchDesign(b, rnuca.DesignIdeal) }
+func BenchmarkEnginePrivate(b *testing.B) { benchDesign(b, rnuca.DesignPrivate, nil) }
+func BenchmarkEngineShared(b *testing.B)  { benchDesign(b, rnuca.DesignShared, nil) }
+func BenchmarkEngineRNUCA(b *testing.B)   { benchDesign(b, rnuca.DesignRNUCA, nil) }
+func BenchmarkEngineIdeal(b *testing.B)   { benchDesign(b, rnuca.DesignIdeal, nil) }
+
+func BenchmarkEngineSharedFlight(b *testing.B) {
+	benchDesign(b, rnuca.DesignShared, flight.NewRecorder(flight.Config{}))
+}

@@ -138,11 +138,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", err)
 		return 2
 	}
+	var stages []obs.StageTiming
 	if spans != nil {
 		if werr := obs.WriteTraceFile(*traceOut, spans); werr != nil {
 			fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", werr)
 			return 1
 		}
+		stages = spans.Stages()
 	}
 	if *timelineOut != "" {
 		label := fmt.Sprintf("%s/%s", w.Name, id)
@@ -186,8 +188,8 @@ func run() int {
 			out["misclassifiedFrac"] = float64(r.MisclassifiedAccesses) / float64(r.ClassifiedAccesses)
 			out["mixedPageFrac"] = float64(r.MixedPageAccesses) / float64(r.Refs)
 		}
-		if len(r.Timing) > 0 {
-			out["timing"] = r.Timing
+		if len(stages) > 0 {
+			out["timing"] = stages
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -221,9 +223,9 @@ func run() int {
 		fmt.Printf("  multi-class pages  %.1f%% of accesses\n",
 			100*float64(r.MixedPageAccesses)/float64(r.Refs))
 	}
-	if len(r.Timing) > 0 {
+	if len(stages) > 0 {
 		fmt.Printf("  stage timing (%s):\n", *traceOut)
-		for _, st := range r.Timing {
+		for _, st := range stages {
 			fmt.Printf("    %-16s %9.4fs x%d\n", st.Stage, st.Seconds, st.Count)
 		}
 	}

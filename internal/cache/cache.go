@@ -1,8 +1,9 @@
 // Package cache implements the cache structures of the tiled CMP: set
-// associative arrays with true-LRU replacement, small fully-associative
-// victim caches, and MSHR (miss status holding register) bookkeeping, as
-// configured in Table 1 of the paper (64-byte blocks, 2-way 64KB L1s,
-// 16-way 1MB or 12-way 3MB L2 slices, 32 MSHRs, 16-entry victim caches).
+// associative arrays with true-LRU replacement and small fully-associative
+// victim caches, as configured in Table 1 of the paper (64-byte blocks,
+// 2-way 64KB L1s, 16-way 1MB or 12-way 3MB L2 slices, 16-entry victim
+// caches). Table 1's 32 MSHRs have no structure here: the engine folds
+// the memory-level parallelism they allow into sim.Engine.OffChipMLP.
 //
 // The arrays store metadata only (tags, state, access class); the simulator
 // is trace-driven and never materializes data bytes.
@@ -127,15 +128,6 @@ type Stats struct {
 	// Per-class occupancy-weighted event counts.
 	HitsByClass   [4]uint64
 	MissesByClass [4]uint64
-}
-
-// HitRate returns hits / (hits + misses), or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(t)
 }
 
 // Cache is a set-associative array with true LRU replacement.

@@ -260,42 +260,6 @@ func TestVictimCacheZeroEntries(t *testing.T) {
 	}
 }
 
-func TestMSHRFile(t *testing.T) {
-	m := NewMSHRFile(2)
-	if merged, ok := m.Allocate(0x40); merged || !ok {
-		t.Fatal("first allocate should be primary")
-	}
-	if merged, ok := m.Allocate(0x40); !merged || !ok {
-		t.Fatal("same-address allocate should merge")
-	}
-	if _, ok := m.Allocate(0x80); !ok {
-		t.Fatal("second entry should fit")
-	}
-	if _, ok := m.Allocate(0xC0); ok {
-		t.Fatal("file of 2 should be full")
-	}
-	if m.Stalls() != 1 {
-		t.Fatalf("stalls = %d, want 1", m.Stalls())
-	}
-	m.Retire(0x40)
-	if _, ok := m.Allocate(0xC0); !ok {
-		t.Fatal("retire should free an entry")
-	}
-	if m.Peak() != 2 {
-		t.Fatalf("peak = %d, want 2", m.Peak())
-	}
-}
-
-func TestMSHRRetireUnknownPanics(t *testing.T) {
-	m := NewMSHRFile(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("retiring unknown entry must panic")
-		}
-	}()
-	m.Retire(0x40)
-}
-
 func TestClassString(t *testing.T) {
 	if ClassInstruction.String() != "instruction" || ClassPrivate.String() != "private" ||
 		ClassShared.String() != "shared" || ClassUnknown.String() != "unknown" {

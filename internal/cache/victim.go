@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // VictimCache is a small fully-associative buffer that captures blocks
 // evicted from a primary array (Table 1: 16-entry victim caches behind the
 // L1s and L2 slices). A hit in the victim cache swaps the block back into
@@ -13,10 +15,18 @@ type VictimCache struct {
 	misses  uint64
 }
 
+// CheckVictimEntries reports a negative victim-cache size.
+func CheckVictimEntries(entries int) error {
+	if entries < 0 {
+		return fmt.Errorf("cache: negative victim cache size %d", entries)
+	}
+	return nil
+}
+
 // NewVictimCache returns a victim cache holding up to entries blocks.
 func NewVictimCache(entries int) *VictimCache {
-	if entries < 0 {
-		panic("cache: negative victim cache size")
+	if err := CheckVictimEntries(entries); err != nil {
+		panic(err)
 	}
 	return &VictimCache{
 		entries: entries,
@@ -77,71 +87,3 @@ func (v *VictimCache) Hits() uint64 { return v.hits }
 
 // Misses returns the number of failed Take calls.
 func (v *VictimCache) Misses() uint64 { return v.misses }
-
-// MSHRFile models a set of miss status holding registers. In the
-// trace-driven timing model MSHRs bound the number of overlapping misses a
-// core can sustain, which caps the memory-level parallelism credited by the
-// overlap model. The simulator registers a miss, asks for the permitted
-// overlap, and retires the miss when its latency has been charged.
-type MSHRFile struct {
-	entries     int
-	outstanding map[Addr]int // addr -> pending count (merged requests)
-	peak        int
-	allocs      uint64
-	merges      uint64
-	stalls      uint64
-}
-
-// NewMSHRFile returns a file with the given number of entries (32 in
-// Table 1).
-func NewMSHRFile(entries int) *MSHRFile {
-	if entries <= 0 {
-		panic("cache: MSHR file needs at least one entry")
-	}
-	return &MSHRFile{entries: entries, outstanding: make(map[Addr]int)}
-}
-
-// Allocate records a miss for addr. It returns merged=true when the miss
-// coalesces into an existing entry (a secondary miss to the same block),
-// and ok=false when the file is full, which models a structural stall.
-func (m *MSHRFile) Allocate(addr Addr) (merged, ok bool) {
-	if n, exists := m.outstanding[addr]; exists {
-		m.outstanding[addr] = n + 1
-		m.merges++
-		return true, true
-	}
-	if len(m.outstanding) >= m.entries {
-		m.stalls++
-		return false, false
-	}
-	m.outstanding[addr] = 1
-	m.allocs++
-	if len(m.outstanding) > m.peak {
-		m.peak = len(m.outstanding)
-	}
-	return false, true
-}
-
-// Retire releases the entry for addr. Retiring an unknown address is a
-// programming error and panics.
-func (m *MSHRFile) Retire(addr Addr) {
-	if _, ok := m.outstanding[addr]; !ok {
-		panic("cache: retiring unknown MSHR entry")
-	}
-	delete(m.outstanding, addr)
-}
-
-// InFlight returns the number of live entries.
-func (m *MSHRFile) InFlight() int { return len(m.outstanding) }
-
-// Peak returns the maximum simultaneous occupancy observed.
-func (m *MSHRFile) Peak() int { return m.peak }
-
-// Stalls returns how many allocations failed because the file was full.
-func (m *MSHRFile) Stalls() uint64 { return m.stalls }
-
-// Merges returns how many misses coalesced into existing entries.
-func (m *MSHRFile) Merges() uint64 { return m.merges }
-
-// Entries returns the configured capacity.
-func (m *MSHRFile) Entries() int { return m.entries }

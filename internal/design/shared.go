@@ -30,7 +30,7 @@ func (s slices) bankAccesses() []uint64 {
 }
 
 func newSlices(cfg sim.Config) slices {
-	geom := cache.Geometry{SizeBytes: cfg.L2SliceBytes, Ways: cfg.L2Ways, BlockBytes: cfg.BlockBytes}
+	geom := cfg.L2Geometry()
 	var s slices
 	for i := 0; i < cfg.Cores; i++ {
 		s.l2 = append(s.l2, cache.New(geom))

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"rnuca/internal/noc"
+	"rnuca/internal/ospage"
 )
 
 // Config describes the memory system.
@@ -52,8 +53,8 @@ func (c Config) Validate() error {
 	if c.AccessCycles <= 0 {
 		return fmt.Errorf("mem: non-positive access latency %d", c.AccessCycles)
 	}
-	if c.PageBytes <= 0 || c.PageBytes&(c.PageBytes-1) != 0 {
-		return fmt.Errorf("mem: page size %d not a positive power of two", c.PageBytes)
+	if err := ospage.CheckPageBytes(c.PageBytes); err != nil {
+		return err
 	}
 	if c.Controllers != len(c.ControllerTiles) {
 		return fmt.Errorf("mem: %d controllers but %d tiles listed", c.Controllers, len(c.ControllerTiles))

@@ -66,15 +66,18 @@ func TestAccessLatencyComposition(t *testing.T) {
 		t.Fatalf("local controller access = %v, want %d", lat, cfg.AccessCycles)
 	}
 	// Access from a remote tile must add request + data return traversals.
+	topo := noc.NewFoldedTorus2D(4, 4)
 	var far noc.TileID
 	for i := 0; i < 16; i++ {
-		if n.Topology().Hops(noc.TileID(i), tile) == 2 {
+		if topo.Hops(noc.TileID(i), tile) == 2 {
 			far = noc.TileID(i)
 			break
 		}
 	}
 	lat2 := m.Access(n, far, 0)
-	wantNet := n.LatencyQuiet(far, tile, noc.CtrlBytes) + n.LatencyQuiet(tile, far, noc.DataBytes)
+	// The uncontended traversals, charged on a fresh analytic network.
+	ref := noc.NewNetwork(topo, noc.DefaultLinkConfig())
+	wantNet := ref.Latency(far, tile, noc.CtrlBytes) + ref.Latency(tile, far, noc.DataBytes)
 	if lat2 != float64(cfg.AccessCycles)+wantNet {
 		t.Fatalf("remote access = %v, want %v", lat2, float64(cfg.AccessCycles)+wantNet)
 	}

@@ -10,15 +10,14 @@ func queuedNet() *Network {
 
 func TestLinkQueueUncontendedMatchesAnalytic(t *testing.T) {
 	q := queuedNet()
-	a := NewNetwork(NewFoldedTorus2D(4, 4), DefaultLinkConfig())
 	// With no competing traffic and fresh links, the queued model's
-	// latency equals the uncontended analytic latency.
+	// latency equals the uncontended latency of a fresh analytic network.
 	for _, bytes := range []int{CtrlBytes, DataBytes} {
 		for dst := 1; dst < 16; dst++ {
 			q.Reset()
 			q.SetNow(1000)
 			got := q.Latency(0, TileID(dst), bytes)
-			want := a.LatencyQuiet(0, TileID(dst), bytes)
+			want := NewNetwork(NewFoldedTorus2D(4, 4), DefaultLinkConfig()).Latency(0, TileID(dst), bytes)
 			if got != want {
 				t.Fatalf("dst %d bytes %d: queued %v != analytic %v", dst, bytes, got, want)
 			}
@@ -81,7 +80,7 @@ func TestLinkQueueResetClearsOccupancy(t *testing.T) {
 	q.SetNow(0)
 	q.Latency(0, 1, DataBytes)
 	q.Reset()
-	if !q.QueueModelEnabled() {
+	if q.busyUntil == nil {
 		t.Fatal("reset dropped the queue model")
 	}
 	q.SetNow(0)

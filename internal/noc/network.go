@@ -21,6 +21,14 @@ func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{LinkBytes: 32, LinkLatency: 1, RouterLatency: 2}
 }
 
+// Validate reports a link configuration NewNetwork cannot model.
+func (c LinkConfig) Validate() error {
+	if c.LinkBytes <= 0 || c.LinkLatency < 0 || c.RouterLatency < 0 {
+		return fmt.Errorf("noc: invalid link config %+v", c)
+	}
+	return nil
+}
+
 // Flits returns the number of flits needed to carry a message of the given
 // payload size (minimum 1, for header-only control messages).
 func (c LinkConfig) Flits(bytes int) int {
@@ -54,11 +62,21 @@ const (
 //     dimension-order route against per-link FCFS busy-until timestamps.
 //     A message arriving at a busy link waits until the link frees; its
 //     flits then occupy the link for one cycle each. This resolves
-//     contention per message in simulated time rather than on averages,
-//     at ~2x the simulation cost; the `nocmodel` ablation compares both.
+//     contention per message in simulated time rather than on averages;
+//     the `nocmodel` ablation compares both.
+//
+// Both kinds of per-link state, the link-queue model's busy-until times
+// and the flight recorder's flit counts, are slices indexed by a dense
+// link id.
+// One route table, built by the first per-link consumer, holds each
+// ordered tile pair's dimension-order route as link ids; the analytic
+// model without a recorder never builds it and needs only Hops.
 type Network struct {
 	topo Topology
 	cfg  LinkConfig
+	// links counts the directed links, the ordered tile pairs one hop
+	// apart; the analytic model divides traffic by it.
+	links int
 
 	// Window accumulation.
 	flitHops uint64
@@ -74,83 +92,81 @@ type Network struct {
 	// previous window's utilization.
 	queuePenalty float64
 
-	// perLink traffic for hot-spot analysis (lazily allocated).
-	perLink map[Link]uint64
+	// The route table: pair src*tiles+dst's route is
+	// routes[start[pair]:start[pair+1]], and linkOf labels each id.
+	tiles  int
+	start  []int32
+	routes []int32
+	linkOf []Link
 
-	// Hot-path per-link accounting for the flight recorder: flit counts
-	// kept in first-traversal order so snapshots iterate deterministically
-	// (no map-order dependence). Opt-in; the accounting only reads the
-	// route and can never affect charged latency.
-	linkAcct  bool
-	acctIndex map[Link]int
-	acctLinks []Link
-	acctFlits []uint64
+	// Flight accounting, nil until EnableLinkAccounting: flits per link
+	// id, and the ids traversed so far in first-traversal order, so
+	// snapshots iterate deterministically. It only reads routes and can
+	// never affect charged latency.
+	linkFlits []uint64
+	order     []int32
+	traversed int
 
-	// Link-queue model state.
-	queueModel bool
+	// Link-queue model state; busyUntil is nil under the analytic model.
+	busyUntil  []float64
 	now        float64
-	nextFree   map[Link]float64
 	waitCycles float64
-
-	// Route reuse for the per-message walkers: appender is the topology's
-	// buffer-filling router (set once at construction when the topology
-	// supports it) and routeBuf the buffer it refills, so neither the
-	// link-queue model nor link accounting allocates a route per message.
-	appender routeAppender
-	routeBuf []Link
-}
-
-// routeAppender is implemented by topologies that can write the
-// dimension-order route into a caller-provided buffer. Both built-in
-// topologies implement it; Route(a, b) remains in the Topology
-// interface for external implementations and cold callers.
-type routeAppender interface {
-	AppendRoute(buf []Link, a, b TileID) []Link
 }
 
 // NewNetwork returns a Network over the given topology and link parameters.
 func NewNetwork(topo Topology, cfg LinkConfig) *Network {
-	if cfg.LinkBytes <= 0 || cfg.LinkLatency < 0 || cfg.RouterLatency < 0 {
-		panic(fmt.Sprintf("noc: invalid link config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	n := &Network{topo: topo, cfg: cfg}
-	if ra, ok := topo.(routeAppender); ok {
-		n.appender = ra
+	n := &Network{topo: topo, cfg: cfg, tiles: topo.Tiles()}
+	for a := 0; a < n.tiles; a++ {
+		for b := 0; b < n.tiles; b++ {
+			if topo.Hops(TileID(a), TileID(b)) == 1 {
+				n.links++
+			}
+		}
 	}
 	return n
 }
 
-// route returns the dimension-order route from src to dst, reusing
-// n.routeBuf when the topology supports it. The returned slice is only
-// valid until the next call.
-//
-//rnuca:hotpath
-func (n *Network) route(src, dst TileID) []Link {
-	if n.appender != nil {
-		//rnuca:alloc-ok the topology boundary is the one deliberate dynamic dispatch; AppendRoute refills n.routeBuf instead of allocating
-		n.routeBuf = n.appender.AppendRoute(n.routeBuf[:0], src, dst)
-		return n.routeBuf
+// buildRoutes fills the route table once, numbering links in order of
+// first appearance over the pairs' routes.
+func (n *Network) buildRoutes() {
+	if n.start != nil {
+		return
 	}
-	//rnuca:alloc-ok fallback for external Topology implementations without AppendRoute; built-in topologies never take this path
-	return n.topo.Route(src, dst)
+	ids := make([]int32, n.tiles*n.tiles) // 1 + id of link (from, to)
+	n.start = make([]int32, 1, n.tiles*n.tiles+1)
+	var buf []Link
+	for a := 0; a < n.tiles; a++ {
+		for b := 0; b < n.tiles; b++ {
+			buf = n.topo.AppendRoute(buf[:0], TileID(a), TileID(b))
+			for _, l := range buf {
+				k := int(l.From)*n.tiles + int(l.To)
+				if ids[k] == 0 {
+					n.linkOf = append(n.linkOf, l)
+					ids[k] = int32(len(n.linkOf))
+				}
+				n.routes = append(n.routes, ids[k]-1)
+			}
+			n.start = append(n.start, int32(len(n.routes)))
+		}
+	}
 }
 
-// Topology returns the underlying topology.
-func (n *Network) Topology() Topology { return n.topo }
-
-// Config returns the link parameters.
-func (n *Network) Config() LinkConfig { return n.cfg }
+// route returns the link ids of the dimension-order route from src to dst.
+func (n *Network) route(src, dst TileID) []int32 {
+	p := int(src)*n.tiles + int(dst)
+	return n.routes[n.start[p]:n.start[p+1]]
+}
 
 // EnableLinkQueues switches contention resolution to the per-link FCFS
 // busy-until model. The simulator must then keep SetNow up to date with
 // the requesting core's clock before charging traversals.
 func (n *Network) EnableLinkQueues() {
-	n.queueModel = true
-	n.nextFree = make(map[Link]float64)
+	n.buildRoutes()
+	n.busyUntil = make([]float64, len(n.linkOf))
 }
-
-// QueueModelEnabled reports which contention model is active.
-func (n *Network) QueueModelEnabled() bool { return n.queueModel }
 
 // SetNow tells the link-queue model the current simulated time (the
 // requesting core's clock). It has no effect under the analytic model.
@@ -174,11 +190,17 @@ func (n *Network) Latency(src, dst TileID, bytes int) float64 {
 	flits := n.cfg.Flits(bytes)
 	n.flitHops += uint64(flits * hops)
 	n.messages++
-	if n.linkAcct {
-		n.recordLinkFlits(src, dst, uint64(flits))
+	if n.linkFlits != nil {
+		for _, id := range n.route(src, dst) {
+			if n.linkFlits[id] == 0 {
+				n.order[n.traversed] = id
+				n.traversed++
+			}
+			n.linkFlits[id] += uint64(flits)
+		}
 	}
-	if n.queueModel {
-		return n.traverseQueued(src, dst, flits)
+	if n.busyUntil != nil {
+		return n.traverseQueued(n.route(src, dst), flits)
 	}
 	// Pipeline model: head flit pays per-hop link+router latency; body
 	// flits stream behind (cut-through), adding serialization latency of
@@ -187,22 +209,20 @@ func (n *Network) Latency(src, dst TileID, bytes int) float64 {
 	return base + float64(hops)*n.queuePenalty
 }
 
-// traverseQueued walks the dimension-order route against per-link FCFS
-// occupancy: a message waits for each busy link, then occupies it for one
-// cycle per flit.
+// traverseQueued walks a route against per-link FCFS occupancy: a
+// message waits for each busy link, then occupies it for one cycle per
+// flit.
 //
 //rnuca:hotpath
-func (n *Network) traverseQueued(src, dst TileID, flits int) float64 {
+func (n *Network) traverseQueued(route []int32, flits int) float64 {
 	arrival := n.now
-	for _, l := range n.route(src, dst) {
+	for _, id := range route {
 		depart := arrival
-		//rnuca:alloc-ok per-link busy-until state is keyed by sparse Link pairs; the queue model is an opt-in ablation priced at ~2x
-		if busy := n.nextFree[l]; busy > depart {
+		if busy := n.busyUntil[id]; busy > depart {
 			n.waitCycles += busy - depart
 			depart = busy
 		}
-		//rnuca:alloc-ok same sparse busy-until map as the read above
-		n.nextFree[l] = depart + float64(flits)
+		n.busyUntil[id] = depart + float64(flits)
 		arrival = depart + float64(n.cfg.LinkLatency+n.cfg.RouterLatency)
 	}
 	// Serialization of the message body behind the head flit.
@@ -210,72 +230,30 @@ func (n *Network) traverseQueued(src, dst TileID, flits int) float64 {
 	return arrival - n.now
 }
 
-// LatencyQuiet is Latency without traffic accounting, used for what-if
-// probes (e.g. the Ideal design, which assumes direct uncontended links).
-func (n *Network) LatencyQuiet(src, dst TileID, bytes int) float64 {
-	hops := n.topo.Hops(src, dst)
-	if hops == 0 {
-		return 0
-	}
-	flits := n.cfg.Flits(bytes)
-	return float64(hops*(n.cfg.LinkLatency+n.cfg.RouterLatency) + (flits - 1))
-}
-
-// RecordRoute accounts traffic on each link of the dimension-order route,
-// for hot-spot analysis (used by the topology-comparison tests and the
-// mesh-vs-torus ablation).
-func (n *Network) RecordRoute(src, dst TileID, bytes int) {
-	if n.perLink == nil {
-		n.perLink = make(map[Link]uint64)
-	}
-	flits := uint64(n.cfg.Flits(bytes))
-	for _, l := range n.topo.Route(src, dst) {
-		n.perLink[l] += flits
-	}
-}
-
-// LinkLoads returns the per-link flit counts recorded by RecordRoute.
-func (n *Network) LinkLoads() map[Link]uint64 { return n.perLink }
-
 // String renders a directed link as "from>to" for timeline labels.
 func (l Link) String() string { return fmt.Sprintf("%d>%d", l.From, l.To) }
 
 // EnableLinkAccounting turns on per-link flit accounting on the Latency
-// hot path, keyed in first-traversal order for deterministic snapshots.
-// The accounting walks the dimension-order route but feeds nothing back
-// into charged latency, so enabling it cannot perturb timing.
+// hot path, kept in first-traversal order for deterministic snapshots.
+// The accounting reads routes but feeds nothing back into charged
+// latency, so enabling it cannot perturb timing. Enabling it again keeps
+// the counts.
 func (n *Network) EnableLinkAccounting() {
-	n.linkAcct = true
-	if n.acctIndex == nil {
-		n.acctIndex = make(map[Link]int)
-	}
-}
-
-// LinkAccountingEnabled reports whether EnableLinkAccounting was called.
-func (n *Network) LinkAccountingEnabled() bool { return n.linkAcct }
-
-//rnuca:hotpath
-func (n *Network) recordLinkFlits(src, dst TileID, flits uint64) {
-	for _, l := range n.route(src, dst) {
-		//rnuca:alloc-ok link->index lookup; links are sparse (from,to) pairs, and the steady state is one hash per hop with no growth
-		i, ok := n.acctIndex[l]
-		if !ok {
-			i = len(n.acctLinks)
-			//rnuca:alloc-ok first-traversal registration: each unique link grows the accounting exactly once
-			n.acctIndex[l] = i
-			//rnuca:alloc-ok same one-time registration as above
-			n.acctLinks = append(n.acctLinks, l)
-			//rnuca:alloc-ok same one-time registration as above
-			n.acctFlits = append(n.acctFlits, 0)
-		}
-		n.acctFlits[i] += flits
+	if n.linkFlits == nil {
+		n.buildRoutes()
+		n.linkFlits = make([]uint64, len(n.linkOf))
+		n.order = make([]int32, len(n.linkOf))
 	}
 }
 
 // LinkTraffic returns the accounted links in first-traversal order and
 // their cumulative flit counts. The returned slices are copies.
-func (n *Network) LinkTraffic() ([]Link, []uint64) {
-	return append([]Link(nil), n.acctLinks...), append([]uint64(nil), n.acctFlits...)
+func (n *Network) LinkTraffic() (links []Link, flits []uint64) {
+	for _, id := range n.order[:n.traversed] {
+		links = append(links, n.linkOf[id])
+		flits = append(flits, n.linkFlits[id])
+	}
+	return links, flits
 }
 
 // Advance closes the current traffic window after the given number of
@@ -300,48 +278,11 @@ func (n *Network) Advance(cycles uint64) {
 
 // utilization estimates mean link utilization for the window.
 func (n *Network) utilization(flitHops, cycles uint64) float64 {
-	if cycles == 0 {
+	if cycles == 0 || n.links == 0 {
 		return 0
 	}
-	// Directed links: torus has 4 per tile (two per dimension per
-	// direction); mesh has fewer at edges. Count exactly.
-	links := n.linkCount()
-	if links == 0 {
-		return 0
-	}
-	return float64(flitHops) / (float64(links) * float64(cycles))
+	return float64(flitHops) / (float64(n.links) * float64(cycles))
 }
-
-func (n *Network) linkCount() int {
-	w, h := n.topo.Dims()
-	switch n.topo.(type) {
-	case *FoldedTorus2D:
-		// Each tile has a +x and -x and +y and -y out-link (rings),
-		// except degenerate dimensions of size 1 (no links) and size 2
-		// (a single bidirectional pair per adjacency, i.e. 2 directed).
-		lx := 2 * w * h // directed x-links
-		if w == 1 {
-			lx = 0
-		} else if w == 2 {
-			lx = w * h // one +x and one -x per pair = 2 per 2 tiles
-		}
-		ly := 2 * w * h
-		if h == 1 {
-			ly = 0
-		} else if h == 2 {
-			ly = w * h
-		}
-		return lx + ly
-	case *Mesh2D:
-		return 2*((w-1)*h) + 2*(w*(h-1))
-	default:
-		// Fallback: assume 4 directed links per tile.
-		return 4 * w * h
-	}
-}
-
-// QueuePenalty returns the current per-hop contention penalty in cycles.
-func (n *Network) QueuePenalty() float64 { return n.queuePenalty }
 
 // Stats reports run totals.
 type Stats struct {
@@ -368,13 +309,8 @@ func (n *Network) Reset() {
 	n.flitHops, n.messages = 0, 0
 	n.totalFlitHops, n.totalMessages, n.totalCycles = 0, 0, 0
 	n.queuePenalty = 0
-	n.perLink = nil
-	if n.linkAcct {
-		n.acctIndex = make(map[Link]int)
-		n.acctLinks, n.acctFlits = nil, nil
-	}
+	clear(n.linkFlits)
+	n.traversed = 0
 	n.now, n.waitCycles = 0, 0
-	if n.queueModel {
-		n.nextFree = make(map[Link]float64)
-	}
+	clear(n.busyUntil)
 }

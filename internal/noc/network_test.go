@@ -43,13 +43,13 @@ func TestContentionRampsWithLoad(t *testing.T) {
 		n.Latency(0, 5, DataBytes)
 	}
 	n.Advance(100000)
-	light := n.QueuePenalty()
+	light := n.queuePenalty
 	// Heavy load window: many messages in few cycles.
 	for i := 0; i < 100000; i++ {
 		n.Latency(TileID(i%16), TileID((i*7)%16), DataBytes)
 	}
 	n.Advance(10000)
-	heavy := n.QueuePenalty()
+	heavy := n.queuePenalty
 	if light >= heavy {
 		t.Fatalf("queue penalty should rise with load: light=%v heavy=%v", light, heavy)
 	}
@@ -64,21 +64,16 @@ func TestContentionSaturationClamped(t *testing.T) {
 		n.Latency(0, 10, DataBytes)
 	}
 	n.Advance(10) // absurd overload
-	if p := n.QueuePenalty(); p > 10 {
+	if p := n.queuePenalty; p > 10 {
 		t.Fatalf("penalty must stay clamped at saturation, got %v", p)
 	}
 }
 
-func TestLatencyQuietDoesNotAccumulate(t *testing.T) {
+func TestLatencyRecordsTraffic(t *testing.T) {
 	n := NewNetwork(NewFoldedTorus2D(4, 4), DefaultLinkConfig())
-	n.LatencyQuiet(0, 5, DataBytes)
-	st := n.TotalStats()
-	if st.Messages != 0 || st.FlitHops != 0 {
-		t.Fatalf("LatencyQuiet must not record traffic: %+v", st)
-	}
-	n.Latency(0, 5, DataBytes)
-	st = n.TotalStats()
-	if st.Messages != 1 {
+	n.Latency(0, 5, DataBytes) // 2 hops, 3 flits
+	n.Latency(3, 3, DataBytes) // same tile: no traffic
+	if st := n.TotalStats(); st.Messages != 1 || st.FlitHops != 6 {
 		t.Fatalf("Latency must record traffic: %+v", st)
 	}
 }
@@ -88,17 +83,21 @@ func TestMeshHotSpotVsTorus(t *testing.T) {
 	// links; torus should be perfectly balanced per direction.
 	mesh := NewNetwork(NewMesh2D(4, 4), DefaultLinkConfig())
 	torus := NewNetwork(NewFoldedTorus2D(4, 4), DefaultLinkConfig())
+	mesh.EnableLinkAccounting()
+	torus.EnableLinkAccounting()
 	for a := 0; a < 16; a++ {
 		for b := 0; b < 16; b++ {
-			if a != b {
-				mesh.RecordRoute(TileID(a), TileID(b), CtrlBytes)
-				torus.RecordRoute(TileID(a), TileID(b), CtrlBytes)
-			}
+			mesh.Latency(TileID(a), TileID(b), CtrlBytes)
+			torus.Latency(TileID(a), TileID(b), CtrlBytes)
 		}
 	}
-	maxLoad := func(m map[Link]uint64) (mx, mn uint64) {
+	maxLoad := func(n *Network) (mx, mn uint64) {
+		links, flits := n.LinkTraffic()
+		if len(links) != n.links {
+			t.Fatalf("all-to-all traffic crossed %d of %d links", len(links), n.links)
+		}
 		mn = ^uint64(0)
-		for _, v := range m {
+		for _, v := range flits {
 			if v > mx {
 				mx = v
 			}
@@ -108,8 +107,8 @@ func TestMeshHotSpotVsTorus(t *testing.T) {
 		}
 		return
 	}
-	mMax, mMin := maxLoad(mesh.LinkLoads())
-	tMax, tMin := maxLoad(torus.LinkLoads())
+	mMax, mMin := maxLoad(mesh)
+	tMax, tMin := maxLoad(torus)
 	if mMax == mMin {
 		t.Fatal("mesh should have unbalanced link loads under uniform traffic")
 	}
@@ -141,17 +140,42 @@ func TestNetworkReset(t *testing.T) {
 func TestLinkCount(t *testing.T) {
 	// 4x4 torus: 2 directed x-links and 2 directed y-links per tile = 64.
 	n := NewNetwork(NewFoldedTorus2D(4, 4), DefaultLinkConfig())
-	if got := n.linkCount(); got != 64 {
-		t.Fatalf("4x4 torus link count = %d, want 64", got)
+	if n.links != 64 {
+		t.Fatalf("4x4 torus link count = %d, want 64", n.links)
 	}
 	// 4x4 mesh: 2*(3*4) + 2*(4*3) = 48.
 	m := NewNetwork(NewMesh2D(4, 4), DefaultLinkConfig())
-	if got := m.linkCount(); got != 48 {
-		t.Fatalf("4x4 mesh link count = %d, want 48", got)
+	if m.links != 48 {
+		t.Fatalf("4x4 mesh link count = %d, want 48", m.links)
 	}
 	// 4x2 torus: x-rings full (2*8=16), y dimension size 2 (8 directed).
 	n8 := NewNetwork(NewFoldedTorus2D(4, 2), DefaultLinkConfig())
-	if got := n8.linkCount(); got != 24 {
-		t.Fatalf("4x2 torus link count = %d, want 24", got)
+	if n8.links != 24 {
+		t.Fatalf("4x2 torus link count = %d, want 24", n8.links)
+	}
+}
+
+// On every grid up to 8x8, the route table numbers exactly the links
+// one hop apart, which the reference derives from the topology's type,
+// and each pair's route is as long as its hop distance.
+func TestRouteTable(t *testing.T) {
+	for w := 1; w <= 8; w++ {
+		for h := 1; h <= 8; h++ {
+			for _, topo := range []Topology{NewFoldedTorus2D(w, h), NewMesh2D(w, h)} {
+				n := NewNetwork(topo, DefaultLinkConfig())
+				n.buildRoutes()
+				if ref := newRefNetwork(topo, DefaultLinkConfig()).linkCount(); len(n.linkOf) != n.links || n.links != ref {
+					t.Fatalf("%dx%d %s: table numbers %d links, one-hop pairs %d, reference %d",
+						w, h, topo.Name(), len(n.linkOf), n.links, ref)
+				}
+				for a := 0; a < n.tiles; a++ {
+					for b := 0; b < n.tiles; b++ {
+						if got, want := len(n.route(TileID(a), TileID(b))), topo.Hops(TileID(a), TileID(b)); got != want {
+							t.Fatalf("%dx%d %s: route %d->%d has %d links, hops %d", w, h, topo.Name(), a, b, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

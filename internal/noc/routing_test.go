@@ -50,7 +50,7 @@ func TestRouteMonotoneProgress(t *testing.T) {
 			for b := 0; b < n; b++ {
 				remaining := topo.Hops(TileID(a), TileID(b))
 				cur := TileID(a)
-				for _, l := range topo.Route(TileID(a), TileID(b)) {
+				for _, l := range topo.AppendRoute(nil, TileID(a), TileID(b)) {
 					next := l.To
 					nd := topo.Hops(next, TileID(b))
 					if nd != remaining-1 {

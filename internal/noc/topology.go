@@ -1,9 +1,12 @@
 // Package noc models the on-chip interconnection network of the tiled CMP:
 // a 2-D folded torus (the paper's choice, Table 1 and §5.1) and a 2-D mesh
 // (the common alternative the paper argues against). It provides topology
-// math (distances, dimension-order routes), per-link traffic accounting,
-// and a utilization-based queueing model used by the simulator to charge
-// contention delay.
+// math (distances, dimension-order routes) and a Network that charges
+// latency with a utilization-based queueing model or per-link FCFS queues.
+// Routes and links are pure functions of the grid, so the Network numbers
+// the directed links densely and keeps one table of every tile pair's
+// route; the link queues and the flight recorder's per-link flit counts
+// are slices indexed by link id.
 //
 // The paper's network parameters (Table 1): 32-byte links, 1-cycle link
 // latency, 2-cycle routers, 4x4 torus for the 16-core CMP and 4x2 for the
@@ -33,16 +36,10 @@ type Topology interface {
 	Tiles() int
 	// Hops returns the minimal number of links traversed from a to b.
 	Hops(a, b TileID) int
-	// Route returns the ordered list of directed links on the
-	// dimension-order route from a to b. Links are identified by
-	// (from, to) tile pairs. An empty route means a == b.
-	Route(a, b TileID) []Link
-	// MaxHops returns the network diameter in hops.
-	MaxHops() int
-	// MeanHops returns the average hop count over all ordered pairs of
-	// distinct tiles. For a torus this is the same for every source tile
-	// (vertex transitivity); for a mesh it is the global average.
-	MeanHops() float64
+	// AppendRoute appends the directed links of the dimension-order
+	// route from a to b to links and returns the extended slice. Links
+	// are identified by (from, to) tile pairs; a == b appends nothing.
+	AppendRoute(links []Link, a, b TileID) []Link
 }
 
 // Link is a directed link between adjacent routers.
@@ -129,15 +126,8 @@ func (t *FoldedTorus2D) Hops(a, b TileID) int {
 	return ringDist(ca.X, cb.X, t.w) + ringDist(ca.Y, cb.Y, t.h)
 }
 
-// Route implements Topology using dimension-order (X then Y) routing.
-func (t *FoldedTorus2D) Route(a, b TileID) []Link {
-	return t.AppendRoute(nil, a, b)
-}
-
-// AppendRoute appends the dimension-order route to links and returns
-// the extended slice, letting per-message callers (the link-queue
-// contention model, flight link accounting) reuse one buffer instead
-// of allocating a fresh route per traversal.
+// AppendRoute implements Topology using dimension-order (X then Y)
+// routing.
 func (t *FoldedTorus2D) AppendRoute(links []Link, a, b TileID) []Link {
 	cur := t.coord(a)
 	dst := t.coord(b)
@@ -152,17 +142,6 @@ func (t *FoldedTorus2D) AppendRoute(links []Link, a, b TileID) []Link {
 		cur = nxt
 	}
 	return links
-}
-
-// MaxHops implements Topology.
-func (t *FoldedTorus2D) MaxHops() int { return t.w/2 + t.h/2 }
-
-// MeanHops implements Topology. On a ring of even size n the mean distance
-// to the other n-1 nodes is n^2/4/(n-1); tori are products of rings so the
-// means add after weighting, but we compute it exactly by enumeration to
-// stay correct for odd sizes too.
-func (t *FoldedTorus2D) MeanHops() float64 {
-	return meanHops(t)
 }
 
 // Mesh2D is a 2-D mesh with no wraparound links. The paper notes meshes
@@ -196,13 +175,8 @@ func (m *Mesh2D) Hops(a, b TileID) int {
 	return dx + dy
 }
 
-// Route implements Topology using X-then-Y dimension order routing.
-func (m *Mesh2D) Route(a, b TileID) []Link {
-	return m.AppendRoute(nil, a, b)
-}
-
-// AppendRoute appends the dimension-order route to links and returns
-// the extended slice (see FoldedTorus2D.AppendRoute).
+// AppendRoute implements Topology using X-then-Y dimension-order
+// routing.
 func (m *Mesh2D) AppendRoute(links []Link, a, b TileID) []Link {
 	cur := m.coord(a)
 	dst := m.coord(b)
@@ -223,28 +197,6 @@ func (m *Mesh2D) AppendRoute(links []Link, a, b TileID) []Link {
 		cur = nxt
 	}
 	return links
-}
-
-// MaxHops implements Topology.
-func (m *Mesh2D) MaxHops() int { return (m.w - 1) + (m.h - 1) }
-
-// MeanHops implements Topology.
-func (m *Mesh2D) MeanHops() float64 { return meanHops(m) }
-
-func meanHops(t Topology) float64 {
-	n := t.Tiles()
-	if n < 2 {
-		return 0
-	}
-	sum := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				sum += t.Hops(TileID(a), TileID(b))
-			}
-		}
-	}
-	return float64(sum) / float64(n*(n-1))
 }
 
 // CoordOf exposes the coordinate of a tile for a topology built on a grid.

@@ -24,9 +24,6 @@ func TestTorusDistanceBasics(t *testing.T) {
 			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if tor.MaxHops() != 4 {
-		t.Errorf("MaxHops = %d, want 4", tor.MaxHops())
-	}
 }
 
 func TestMeshDistanceBasics(t *testing.T) {
@@ -37,16 +34,21 @@ func TestMeshDistanceBasics(t *testing.T) {
 	if got := m.Hops(0, 15); got != 6 {
 		t.Errorf("mesh Hops(0,15) = %d, want 6", got)
 	}
-	if m.MaxHops() != 6 {
-		t.Errorf("mesh MaxHops = %d, want 6", m.MaxHops())
-	}
 }
 
 func TestTorusBeatsMeshOnAverage(t *testing.T) {
-	tor := NewFoldedTorus2D(4, 4)
-	msh := NewMesh2D(4, 4)
-	if tor.MeanHops() >= msh.MeanHops() {
-		t.Fatalf("torus mean hops %.3f should beat mesh %.3f", tor.MeanHops(), msh.MeanHops())
+	meanHops := func(topo Topology) float64 {
+		n, sum := topo.Tiles(), 0
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				sum += topo.Hops(TileID(a), TileID(b))
+			}
+		}
+		return float64(sum) / float64(n*(n-1))
+	}
+	tor, msh := meanHops(NewFoldedTorus2D(4, 4)), meanHops(NewMesh2D(4, 4))
+	if tor >= msh {
+		t.Fatalf("torus mean hops %.3f should beat mesh %.3f", tor, msh)
 	}
 }
 
@@ -102,7 +104,7 @@ func TestRouteMatchesHops(t *testing.T) {
 		n := topo.Tiles()
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				route := topo.Route(TileID(a), TileID(b))
+				route := topo.AppendRoute(nil, TileID(a), TileID(b))
 				if len(route) != topo.Hops(TileID(a), TileID(b)) {
 					t.Fatalf("%s: route %d->%d has %d links, hops=%d",
 						topo.Name(), a, b, len(route), topo.Hops(TileID(a), TileID(b)))
@@ -128,7 +130,7 @@ func TestRouteMatchesHops(t *testing.T) {
 
 func TestDegenerateGrids(t *testing.T) {
 	t1 := NewFoldedTorus2D(1, 1)
-	if t1.Hops(0, 0) != 0 || t1.MaxHops() != 0 {
+	if t1.Hops(0, 0) != 0 {
 		t.Fatal("1x1 torus should have zero distances")
 	}
 	t2 := NewFoldedTorus2D(2, 1)

@@ -67,7 +67,7 @@
 // Ended spans accumulate in the Trace's ring (oldest dropped past
 // capacity); Trace.Spans returns them for JSON export and
 // Trace.Stages aggregates them into a per-stage wall-clock
-// breakdown (rnuca.Result.Timing). The span names used across the
+// breakdown. The span names used across the
 // pipeline are: job.queue, job.run, cache.lookup, replay.setup,
 // workload.setup, sim.cell, result.fold, classify.pass,
 // convert.ingest, and figure.build.

@@ -24,8 +24,8 @@ type SpanData struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// StageTiming aggregates every span of one name: the per-stage
-// wall-clock breakdown a Result's Timing carries.
+// StageTiming aggregates every span of one name: one row of the
+// per-stage wall-clock breakdown Trace.Stages returns.
 //
 //rnuca:wire
 type StageTiming struct {

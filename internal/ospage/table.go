@@ -111,10 +111,20 @@ type Table struct {
 	stats    Stats
 }
 
+// CheckPageBytes reports a page size that is not a positive power of
+// two, the one page-size rule of the page table and the memory
+// controllers' interleaving.
+func CheckPageBytes(pageBytes int) error {
+	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
+		return fmt.Errorf("ospage: page size %d not a positive power of two", pageBytes)
+	}
+	return nil
+}
+
 // NewTable builds a page table for the given page size (8 KB in Table 1).
 func NewTable(pageBytes int) *Table {
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic(fmt.Sprintf("ospage: page size %d not a power of two", pageBytes))
+	if err := CheckPageBytes(pageBytes); err != nil {
+		panic(err)
 	}
 	bits := uint(0)
 	for b := pageBytes; b > 1; b >>= 1 {

@@ -1,5 +1,7 @@
 package ospage
 
+import "fmt"
+
 // TLB is a per-core translation lookaside buffer caching page
 // classifications. R-NUCA communicates placement information through the
 // standard TLB mechanism (§4.3): a hit means the core already knows the
@@ -44,12 +46,20 @@ const noLine = -1
 // NewTLB returns a TLB with the given entry count.
 func NewTLB(entries int) *TLB { return newTLBs(entries, 1)[0] }
 
+// CheckTLBEntries reports a TLB entry count outside 1..2^28.
+func CheckTLBEntries(entries int) error {
+	if entries <= 0 || entries > 1<<28 {
+		return fmt.Errorf("ospage: %d TLB entries outside 1..2^28", entries)
+	}
+	return nil
+}
+
 // newTLBs builds n empty TLBs with the given entry count. Their structs,
 // lines and indexes share one allocation each: a chip's TLBs are built
 // in every R-NUCA job's setup.
 func newTLBs(entries, n int) []*TLB {
-	if entries <= 0 || entries > 1<<28 {
-		panic("ospage: TLB needs between 1 and 2^28 entries")
+	if err := CheckTLBEntries(entries); err != nil {
+		panic(err)
 	}
 	size, bits := 2, uint(1)
 	for size < 2*entries {

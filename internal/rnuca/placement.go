@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 )
 
@@ -162,19 +161,6 @@ func (p *Placement) Rotational() bool { return p.rid != nil }
 
 // InterleaveOffset returns the bit offset k of the interleaving field.
 func (p *Placement) InterleaveOffset() uint { return p.k }
-
-// Place returns the slice holding the block at addr for a request from
-// tile req with the given classification.
-func (p *Placement) Place(req noc.TileID, addr uint64, class cache.Class) noc.TileID {
-	switch class {
-	case cache.ClassPrivate:
-		return req
-	case cache.ClassInstruction:
-		return p.InstructionSlice(req, addr)
-	default:
-		return p.SharedSlice(addr)
-	}
-}
 
 // PrivateSlice returns the slice for core-private data: the local slice.
 func (p *Placement) PrivateSlice(req noc.TileID) noc.TileID { return req }

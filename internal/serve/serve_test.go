@@ -718,7 +718,10 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 		return w
 	}
 	cfg8 := sim.Config8()
-	for _, tc := range []struct {
+	threeWays, noTLB := sim.Config16(), sim.Config16()
+	threeWays.L2Ways = 3
+	noTLB.TLBEntries = 0
+	cases := []struct {
 		name string
 		job  rnuca.Job
 		want string
@@ -729,7 +732,12 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 			Options: rnuca.RunOptions{Config: &cfg8}}, "16-core input on a 8-core config"},
 		{"instr cluster 3", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
 			Options: rnuca.RunOptions{InstrClusterSize: 3}}, "not a power of two"},
-	} {
+		{"L2Ways 3", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
+			Options: rnuca.RunOptions{Config: &threeWays}}, "not divisible by ways*block 192"},
+		{"TLBEntries 0", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
+			Options: rnuca.RunOptions{Config: &noTLB}}, "0 TLB entries outside 1..2^28"},
+	}
+	for _, tc := range cases {
 		tc.job.Designs = []rnuca.DesignID{rnuca.DesignRNUCA}
 		body, err := json.Marshal(tc.job)
 		if err != nil {
@@ -745,8 +753,8 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 			t.Errorf("%s: %s %q, want 400 mentioning %q", tc.name, resp.Status, msg.Error, tc.want)
 		}
 	}
-	if submitted, _, _, _, rejected, _, _ := s.Metrics(); submitted != 0 || rejected != 4 {
-		t.Errorf("submitted %d, rejected %d; want 0, 4", submitted, rejected)
+	if submitted, _, _, _, rejected, _, _ := s.Metrics(); submitted != 0 || rejected != uint64(len(cases)) {
+		t.Errorf("submitted %d, rejected %d; want 0, %d", submitted, rejected, len(cases))
 	}
 }
 

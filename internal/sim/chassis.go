@@ -44,20 +44,17 @@ func NewChassis(cfg Config) *Chassis {
 	if cfg.Mesh {
 		topo = noc.NewMesh2D(cfg.GridW, cfg.GridH)
 	}
-	memCfg := mem.DefaultConfig(cfg.Cores)
-	memCfg.AccessCycles = cfg.MemAccessCycles
-	memCfg.PageBytes = cfg.PageBytes
 	ch := &Chassis{
 		Cfg:   cfg,
 		Topo:  topo,
 		Net:   noc.NewNetwork(topo, cfg.Link),
-		Mem:   mem.New(memCfg),
+		Mem:   mem.New(cfg.memConfig()),
 		L1Dir: coherence.NewDirectory(cfg.Cores),
 	}
 	if cfg.LinkQueues {
 		ch.Net.EnableLinkQueues()
 	}
-	l1geom := cache.Geometry{SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways, BlockBytes: cfg.BlockBytes}
+	l1geom := cfg.L1Geometry()
 	ch.dists = make([]coherence.Nearest, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		ch.L1I = append(ch.L1I, cache.New(l1geom))
@@ -176,18 +173,6 @@ func (ch *Chassis) CtrlLatency(from, to noc.TileID) float64 {
 // DataLatency charges a data (cache block) traversal.
 func (ch *Chassis) DataLatency(from, to noc.TileID) float64 {
 	return ch.Net.Latency(from, to, noc.DataBytes)
-}
-
-// FarthestOf returns the member of tiles farthest from origin — the
-// latency-determining hop of a parallel invalidation fan-out.
-func (ch *Chassis) FarthestOf(origin noc.TileID, tiles []int) noc.TileID {
-	best, bestHops := origin, -1
-	for _, t := range tiles {
-		if h := ch.Hops(origin, noc.TileID(t)); h > bestHops {
-			best, bestHops = noc.TileID(t), h
-		}
-	}
-	return best
 }
 
 // InvalFanout charges a parallel invalidation from origin to the given

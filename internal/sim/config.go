@@ -11,7 +11,10 @@ package sim
 import (
 	"fmt"
 
+	"rnuca/internal/cache"
+	"rnuca/internal/mem"
 	"rnuca/internal/noc"
+	"rnuca/internal/ospage"
 )
 
 // Config carries the Table 1 system parameters.
@@ -67,8 +70,8 @@ type Config struct {
 	Mesh bool `json:"Mesh"`
 
 	// LinkQueues selects the per-link FCFS contention model instead of
-	// the windowed analytic one (see noc.Network); higher fidelity,
-	// roughly double the simulation cost.
+	// the windowed analytic one (see noc.Network): contention resolved
+	// per message in simulated time rather than on window averages.
 	LinkQueues bool `json:"LinkQueues"`
 
 	// WindowCycles sets the contention-model window length.
@@ -110,7 +113,9 @@ func Config8() Config {
 // sets are 64-bit masks.
 const MaxCores = 64
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: every rule a constructor of
+// the chassis or a design would panic on, checked by the same function
+// the constructor calls.
 func (c Config) Validate() error {
 	if c.Cores != c.GridW*c.GridH {
 		return fmt.Errorf("sim: %d cores on %dx%d grid", c.Cores, c.GridW, c.GridH)
@@ -118,8 +123,17 @@ func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > MaxCores {
 		return fmt.Errorf("sim: core count %d outside 1..%d", c.Cores, MaxCores)
 	}
-	if c.L2SliceBytes <= 0 || c.L2Ways <= 0 || c.L1Bytes <= 0 {
-		return fmt.Errorf("sim: non-positive cache sizes")
+	for _, err := range []error{
+		c.L1Geometry().Validate(),
+		c.L2Geometry().Validate(),
+		cache.CheckVictimEntries(c.VictimEntries),
+		c.memConfig().Validate(),
+		ospage.CheckTLBEntries(c.TLBEntries),
+		c.Link.Validate(),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	if c.InstrClusterSize < 1 {
 		return fmt.Errorf("sim: instruction cluster size %d", c.InstrClusterSize)
@@ -128,6 +142,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: zero window")
 	}
 	return nil
+}
+
+// L1Geometry returns the shape of each L1 cache.
+func (c Config) L1Geometry() cache.Geometry {
+	return cache.Geometry{SizeBytes: c.L1Bytes, Ways: c.L1Ways, BlockBytes: c.BlockBytes}
+}
+
+// L2Geometry returns the shape of each L2 slice.
+func (c Config) L2Geometry() cache.Geometry {
+	return cache.Geometry{SizeBytes: c.L2SliceBytes, Ways: c.L2Ways, BlockBytes: c.BlockBytes}
+}
+
+// memConfig returns the memory system the chassis builds.
+func (c Config) memConfig() mem.Config {
+	m := mem.DefaultConfig(c.Cores)
+	m.AccessCycles = c.MemAccessCycles
+	m.PageBytes = c.PageBytes
+	return m
 }
 
 // InterleaveOffset returns the bit offset of the slice-interleaving field:

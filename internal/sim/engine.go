@@ -83,15 +83,6 @@ func (r Result) CPI() float64 {
 	return r.Cycles / float64(r.Instructions)
 }
 
-// BucketCPI returns one bucket's CPI contribution.
-func (r Result) BucketCPI(b Bucket) float64 { return r.CPIStack[b] }
-
-// ClassCPI returns the CPI contribution of loads/ifetches of a class in a
-// bucket.
-func (r Result) ClassCPI(class cache.Class, b Bucket) float64 {
-	return r.ClassCycles[class][b]
-}
-
 // Speedup returns the throughput improvement of this result over a
 // baseline: CPI_base / CPI_this - 1.
 func (r Result) Speedup(base Result) float64 {
@@ -109,10 +100,9 @@ type Engine struct {
 
 	// OffChipMLP divides off-chip data-miss latency to model the
 	// memory-level parallelism of the out-of-order cores: the 96-entry
-	// ROB and the 32 MSHRs of Table 1 overlap independent misses
-	// (cache.MSHRFile models the structure itself; this analytic engine
-	// folds its effect into the divisor). Workloads set it from their
-	// specs; 1 means fully serialized misses.
+	// ROB and the 32 MSHRs of Table 1 overlap independent misses, and
+	// this analytic engine folds their effect into the divisor.
+	// Workloads set it from their specs; 1 means fully serialized misses.
 	OffChipMLP float64
 
 	clocks []float64

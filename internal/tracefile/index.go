@@ -153,11 +153,6 @@ func (x *IndexedReader) Chunks() int { return len(x.idx) }
 // Entry returns the i-th chunk's index entry.
 func (x *IndexedReader) Entry(i int) IndexEntry { return x.idx[i] }
 
-// IndexOffset returns the byte offset of the index frame — the end of
-// the data chunks, so chunk i's frame occupies [Entry(i).Offset,
-// Entry(i+1).Offset) and the last chunk ends here.
-func (x *IndexedReader) IndexOffset() uint64 { return x.indexOff }
-
 // ChunkCompressedBytes returns chunk i's compressed payload size.
 // Chunks are written back to back, so it is the gap to the next frame
 // (the index frame, after the last chunk) minus the frame header.

@@ -188,16 +188,6 @@ func Primary() []Spec {
 	}
 }
 
-// PrivateAverse returns the Figure 7 "private-averse" group.
-func PrivateAverse() []Spec {
-	return []Spec{OLTPDB2(), Apache(), DSSQry6(), DSSQry8(), DSSQry13(), Em3d()}
-}
-
-// SharedAverse returns the Figure 7 "shared-averse" group.
-func SharedAverse() []Spec {
-	return []Spec{OLTPOracle(), MIX()}
-}
-
 // ByName returns the named spec from the primary and extended sets.
 func ByName(name string) (Spec, bool) {
 	for _, s := range append(Primary(), Extended()...) {

@@ -305,9 +305,6 @@ func (j Job) Record(ctx context.Context, path string) (Result, error) {
 	if opt.flightRec != nil {
 		out.Timeline = opt.flightRec.Timeline()
 	}
-	if t := obs.TraceFrom(ctx); t != nil {
-		out.Timing = t.Stages()
-	}
 	if err := fw.Close(); err != nil {
 		return out, err
 	}
@@ -315,12 +312,7 @@ func (j Job) Record(ctx context.Context, path string) (Result, error) {
 }
 
 // runDesign executes one design cell of the job.
-func (j Job) runDesign(ctx context.Context, id DesignID) (res Result, err error) {
-	defer func() {
-		if t := obs.TraceFrom(ctx); t != nil {
-			res.Timing = t.Stages()
-		}
-	}()
+func (j Job) runDesign(ctx context.Context, id DesignID) (Result, error) {
 	opt := j.Options.lower(ctx)
 	mk := j.Maker
 	switch j.Input.kind {

@@ -150,16 +150,15 @@ func TestJobRunTracesWorkloadSetup(t *testing.T) {
 		Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
 		Options: rnuca.RunOptions{Warm: 300, Measure: 600, Batches: 3},
 	}
-	r, err := job.Run(obs.ContextWithTrace(context.Background(), tr))
-	if err != nil {
+	if _, err := job.Run(obs.ContextWithTrace(context.Background(), tr)); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, st := range r.Timing {
+	for _, st := range tr.Stages() {
 		counts[st.Stage] = st.Count
 	}
 	if counts["workload.setup"] != 3 || counts["sim.cell"] != 3 {
-		t.Fatalf("stages %+v: want 3 workload.setup and 3 sim.cell", r.Timing)
+		t.Fatalf("stages %+v: want 3 workload.setup and 3 sim.cell", tr.Stages())
 	}
 	for _, sp := range tr.Spans() {
 		if sp.Name == "workload.setup" && sp.Attrs["workload"] != "OLTP-DB2" {
@@ -206,8 +205,9 @@ func TestJobValidationErrors(t *testing.T) {
 // Every job whose chassis the run could not build fails Validate and
 // Run with an error, never a panic, and before any per-core workload
 // state is allocated: core counts beyond the simulator's 64 (or not
-// the config's), an invalid explicit Config, cluster sizes that are
-// not a power of two within the chip.
+// the config's), an invalid explicit Config (including each parameter
+// a chassis or design constructor rejects), cluster sizes that are not
+// a power of two within the chip.
 func TestJobValidateChassis(t *testing.T) {
 	ctx := context.Background()
 	cores := func(n int) rnuca.Workload {
@@ -223,6 +223,11 @@ func TestJobValidateChassis(t *testing.T) {
 		return rnuca.Job{Input: in, Designs: []rnuca.DesignID{rnuca.DesignRNUCA}, Options: o}
 	}
 	db2 := rnuca.FromWorkload(rnuca.OLTPDB2())
+	withCfg := func(edit func(*sim.Config)) rnuca.Job {
+		c := sim.Config16()
+		edit(&c)
+		return job(db2, rnuca.RunOptions{Config: &c})
+	}
 	cases := []struct {
 		name string
 		job  rnuca.Job
@@ -236,6 +241,16 @@ func TestJobValidateChassis(t *testing.T) {
 			"65-core input on a 16-core config"},
 		{"16 cores on Config8", job(db2, rnuca.RunOptions{Config: &cfg8}), "16-core input on a 8-core config"},
 		{"invalid Config", job(db2, rnuca.RunOptions{Config: &badGrid}), "12 cores on 4x4 grid"},
+		{"LinkBytes 0", withCfg(func(c *sim.Config) { c.Link.LinkBytes = 0 }), "invalid link config"},
+		{"LinkLatency -1", withCfg(func(c *sim.Config) { c.Link.LinkLatency = -1 }), "invalid link config"},
+		{"RouterLatency -5", withCfg(func(c *sim.Config) { c.Link.RouterLatency = -5 }), "invalid link config"},
+		{"L2Ways 3", withCfg(func(c *sim.Config) { c.L2Ways = 3 }), "size 1048576 not divisible by ways*block 192"},
+		{"L1Ways 3", withCfg(func(c *sim.Config) { c.L1Ways = 3 }), "size 65536 not divisible by ways*block 192"},
+		{"BlockBytes 0", withCfg(func(c *sim.Config) { c.BlockBytes = 0 }), "non-positive geometry"},
+		{"VictimEntries -1", withCfg(func(c *sim.Config) { c.VictimEntries = -1 }), "negative victim cache size -1"},
+		{"PageBytes 3", withCfg(func(c *sim.Config) { c.PageBytes = 3 }), "page size 3 not a positive power of two"},
+		{"TLBEntries 0", withCfg(func(c *sim.Config) { c.TLBEntries = 0 }), "0 TLB entries outside 1..2^28"},
+		{"MemAccessCycles 0", withCfg(func(c *sim.Config) { c.MemAccessCycles = 0 }), "non-positive access latency 0"},
 		{"instr cluster 3", job(db2, rnuca.RunOptions{InstrClusterSize: 3}), "instruction cluster size 3 not a power of two"},
 		{"instr cluster 32", job(db2, rnuca.RunOptions{InstrClusterSize: 32}), "instruction cluster size 32 exceeds 16 tiles"},
 		{"instr cluster 2^20", job(db2, rnuca.RunOptions{InstrClusterSize: 1 << 20}), "exceeds 16 tiles"},
@@ -355,8 +370,8 @@ func TestJobCompare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Result carries a non-comparable Timing slice (empty here — no
-		// trace in the context), so compare the measured parts.
+		// Each run has its own Timeline pointer (nil here), so compare
+		// the measured parts.
 		if cmp[id].Result != single.Result ||
 			cmp[id].CPIMean != single.CPIMean || cmp[id].CPICI != single.CPICI {
 			t.Fatalf("%s: Compare result differs from single Run", id)

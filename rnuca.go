@@ -57,9 +57,9 @@
 //
 // Attach an observability trace (internal/obs) to the context and a
 // run records per-stage spans — replay setup, per-cell simulation,
-// result fold — and reports the aggregate breakdown in
-// Result.Timing; rnuca-serve exposes the same spans per job at
-// GET /v1/jobs/{id}/trace.
+// result fold — into it; the trace's Stages aggregate them into a
+// per-stage breakdown, and rnuca-serve exposes the same spans per job
+// at GET /v1/jobs/{id}/trace.
 //
 // Externally captured traces enter through internal/ingest:
 // rnuca-trace convert turns Dinero/ChampSim-style/CSV address streams
@@ -288,10 +288,6 @@ func gridFor(n int) (int, int) {
 	return w, n / w
 }
 
-// StageTiming is one stage of a run's wall-clock breakdown
-// (re-exported from internal/obs).
-type StageTiming = obs.StageTiming
-
 // TimelineConfig configures the flight recorder (re-exported from
 // internal/obs/flight): epoch length in measured references, stored
 // epoch cap, and an optional live per-epoch observer.
@@ -314,15 +310,9 @@ type Result struct {
 	// (CPIMean equals Result.CPI() for single batches).
 	CPIMean float64 `json:"CPIMean"`
 	CPICI   float64 `json:"CPICI"`
-	// Timing is the per-stage wall-clock breakdown, populated only
-	// when the run's context carries an obs.Trace. It is diagnostic
-	// metadata, not measurement: it is excluded from the JSON encoding
-	// so observed and unobserved Results stay byte-identical on the
-	// wire and in result-cache comparisons.
-	Timing []StageTiming `json:"-"`
 	// Timeline is the flight recorder's per-epoch history, populated
-	// only when RunOptions.Timeline is set. Like Timing it is
-	// observation, not measurement — excluded from the JSON encoding so
+	// only when RunOptions.Timeline is set. It is observation, not
+	// measurement — excluded from the JSON encoding so
 	// recorded and unrecorded Results stay byte-identical on the wire
 	// and in result-cache comparisons. With Batches > 1 the timeline
 	// covers batch 0 (batches are independently-seeded repetitions, not
