@@ -30,8 +30,8 @@
 // index prints the v2 chunk index (with -stats, per-chunk compressed
 // sizes and a lastAddr drift summary; with -upgrade, rewrites any
 // readable trace as an indexed v2 file). replay re-runs any of the five
-// designs over the saved trace, in parallel across designs and batches,
-// skipping generation cost; a same-design replay reproduces the
+// designs over the saved trace, in parallel across designs (a design's
+// batches run one after another), skipping generation cost; a same-design replay reproduces the
 // recording run's numbers exactly. On indexed traces, -shards fans
 // chunk decoding across workers without changing results, and -window
 // replays only the records [START, START+N). corpus manages a
@@ -610,7 +610,7 @@ func replay(args []string) {
 	ds := fs.String("design", "", "designs to replay: comma-separated P,A,S,R,I or \"all\" (default: the recording design)")
 	warm := fs.Int("warm", 0, "warmup references (0 = recorded split)")
 	measure := fs.Int("measure", 0, "measured references (0 = recorded split)")
-	batches := fs.Int("batches", 1, "parallel replay engines per design")
+	batches := fs.Int("batches", 1, "replay batches per design, run one after another")
 	shards := fs.Int("shards", 0, "parallel trace-decode workers per engine (0 = one per CPU, 1 = sequential; needs a v2 indexed trace)")
 	window := fs.String("window", "", "replay only records START:N of the trace (needs a v2 indexed trace)")
 	traceOut := fs.String("trace-out", "", "write the replay's per-stage span trace as JSON to this path")

@@ -222,6 +222,10 @@ func (in Input) Kind() InputKind { return in.kind }
 // or corpus-backed), i.e. whether Window and Sharded apply.
 func (in Input) Replays() bool { return in.kind == InputTrace || in.kind == InputCorpus }
 
+// windowed reports whether a replay input is restricted to a record
+// window.
+func (in Input) windowed() bool { return in.windowStart > 0 || in.windowRefs > 0 }
+
 // Err returns the deferred construction error, if any knob or
 // constructor was misused.
 func (in Input) Err() error { return in.err }

@@ -50,14 +50,31 @@ func NewAdaptiveASR(ch *sim.Chassis, seed uint64) *ASR {
 	return a
 }
 
+// asrProbs are the static allocation probabilities of the paper's ASR
+// variants (§5.1).
+var asrProbs = [...]float64{0, 0.25, 0.5, 0.75, 1}
+
+// NumASRVariants is the number of ASR configurations the paper sweeps:
+// the static probabilities plus the adaptive controller.
+const NumASRVariants = len(asrProbs) + 1
+
+// NewASRVariant builds ASR configuration v of NumASRVariants: the
+// static probabilities 0, 0.25, 0.5, 0.75 and 1 in order, then the
+// adaptive variant.
+func NewASRVariant(ch *sim.Chassis, v int, seed uint64) *ASR {
+	if v < len(asrProbs) {
+		return NewASR(ch, asrProbs[v], seed)
+	}
+	return NewAdaptiveASR(ch, seed)
+}
+
 // NewASRVariants returns the paper's six ASR configurations on fresh
 // chassis built by mkChassis (each variant needs its own hardware state).
 func NewASRVariants(mk func() *sim.Chassis, seed uint64) []*ASR {
-	var out []*ASR
-	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		out = append(out, NewASR(mk(), p, seed))
+	out := make([]*ASR, NumASRVariants)
+	for v := range out {
+		out[v] = NewASRVariant(mk(), v, seed)
 	}
-	out = append(out, NewAdaptiveASR(mk(), seed))
 	return out
 }
 

@@ -245,8 +245,8 @@ type JobStatus struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	// DoneRefs/TotalRefs report per-engine simulation progress when the
-	// job is running (approximate under Batches > 1, where concurrent
-	// engines report independently and the largest count wins). A job
+	// job is running (approximate under Batches > 1, where each batch's
+	// engine counts from zero and the largest count wins). A job
 	// that joined another job's identical in-flight computation
 	// (cache outcome "shared") reports no per-ref progress — the
 	// engine belongs to the flight's starter.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -736,6 +737,8 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 			Options: rnuca.RunOptions{Config: &threeWays}}, "not divisible by ways*block 192"},
 		{"TLBEntries 0", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
 			Options: rnuca.RunOptions{Config: &noTLB}}, "0 TLB entries outside 1..2^28"},
+		{"Warm above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
+			Options: rnuca.RunOptions{Warm: math.MaxInt, Measure: 1}}, "Warm is 9223372036854775807, above 2147483647"},
 	}
 	for _, tc := range cases {
 		tc.job.Designs = []rnuca.DesignID{rnuca.DesignRNUCA}

@@ -71,7 +71,8 @@ func (s *SliceSource) Rewind() error {
 // the source. A source that cannot rewind, fails to rewind or re-read
 // (e.g. a truncated trace refusing to recycle its prefix), or holds no
 // refs at all for a core that asks, panics with a "trace:"-prefixed
-// message — rnuca.Replay converts those into errors.
+// message — Job.Run and Job.Compare convert those into errors for every
+// input kind.
 func Demux(src RefSource, cores int) []Stream {
 	d := &demux{
 		src:     src,

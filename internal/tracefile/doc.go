@@ -7,8 +7,8 @@
 // trace is also seekable (IndexedReader.Seek), windowable (Window),
 // shardable across workers (Shard, Parallel), and safe for any number of
 // concurrent readers over one file descriptor. cmd/rnuca-trace is the
-// command-line front end; rnuca.Record and rnuca.Replay are the library
-// entry points.
+// command-line front end; in the library, rnuca's Job.Record writes a
+// trace and a Job over FromTrace or FromCorpus replays one.
 //
 // # On-disk format
 //

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync/atomic"
 
+	"rnuca/internal/design"
 	"rnuca/internal/obs"
 	"rnuca/internal/sim"
+	"rnuca/internal/trace"
 	"rnuca/internal/tracefile"
 	"rnuca/internal/workload"
 )
@@ -30,9 +33,9 @@ type RunOptions struct {
 	// Measure is the number of measured references. 0 means the
 	// default.
 	Measure int
-	// Batches > 1 runs that many independently-seeded measurements
-	// and reports mean CPI with a 95% confidence interval. 0 or 1
-	// means a single batch.
+	// Batches > 1 runs that many independently-seeded measurements,
+	// one after another, and reports mean CPI with a 95% confidence
+	// interval. 0 or 1 means a single batch.
 	Batches int
 	// InstrClusterSize overrides R-NUCA's instruction cluster size
 	// (Figure 11 ablation). 0 means the configuration default.
@@ -48,9 +51,9 @@ type RunOptions struct {
 	// and per-engine total (Warm+Measure). It is a pure observation
 	// hook: it cannot stop the run (cancel the context for that), it
 	// cannot perturb the deterministic timing model, and it is
-	// excluded from the canonical encoding and every cache key. With
-	// Batches > 1 engines run concurrently, so it must be safe for
-	// concurrent use.
+	// excluded from the canonical encoding and every cache key.
+	// Compare runs its designs' engines concurrently, so there it must
+	// be safe for concurrent use.
 	Progress func(done, total int)
 	// Timeline, when non-nil, attaches a flight recorder
 	// (internal/obs/flight) to the run: every Timeline.Every measured
@@ -64,7 +67,7 @@ type RunOptions struct {
 
 // ProgressGauge is a concurrency-safe monotone progress cell whose
 // Observe method plugs directly into RunOptions.Progress: concurrent
-// engines (batches, Compare designs) report independently and the
+// engines (Compare's designs) report independently and the
 // largest count wins. The zero value is ready to use.
 type ProgressGauge struct {
 	done, total atomic.Int64
@@ -124,11 +127,12 @@ type Job struct {
 
 // Validate checks the job without running it: input construction
 // errors, unknown designs, unbound corpus references, negative
-// options, and a chassis the run could not build (an invalid Config,
-// a core count other than the input's, a cluster size that is not a
-// power of two within the chip) all surface here as errors, before
-// any per-core state is allocated. A replay's core count comes from
-// its trace header, which Run checks when it opens the trace.
+// options, Warm or Measure above 2^31-1, and a chassis the run could
+// not build (an invalid Config, a core count other than the input's,
+// a cluster size that is not a power of two within the chip) all
+// surface here as errors, before any per-core state is allocated. A
+// replay's core count comes from its trace header, which Run checks
+// when it opens the trace.
 func (j Job) Validate() error {
 	if err := j.Input.Err(); err != nil {
 		return err
@@ -146,17 +150,23 @@ func (j Job) Validate() error {
 			}
 		}
 	}
+	// Warm and Measure are capped so the engine's Warm+Measure loop
+	// bound cannot overflow; the replay path clamps a derived split the
+	// same way.
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, max int
 	}{
-		{"Warm", j.Options.Warm}, {"Measure", j.Options.Measure},
-		{"Batches", j.Options.Batches},
-		{"InstrClusterSize", j.Options.InstrClusterSize},
-		{"PrivateClusterSize", j.Options.PrivateClusterSize},
+		{"Warm", j.Options.Warm, math.MaxInt32}, {"Measure", j.Options.Measure, math.MaxInt32},
+		{"Batches", j.Options.Batches, math.MaxInt},
+		{"InstrClusterSize", j.Options.InstrClusterSize, math.MaxInt},
+		{"PrivateClusterSize", j.Options.PrivateClusterSize, math.MaxInt},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("rnuca: job option %s is negative (%d)", f.name, f.v)
+		}
+		if f.v > f.max {
+			return fmt.Errorf("rnuca: job option %s is %d, above %d", f.name, f.v, f.max)
 		}
 	}
 	cores := j.Input.workload.Cores
@@ -186,12 +196,7 @@ func (j Job) Validate() error {
 		// linear in the core count.
 		return fmt.Errorf("rnuca: %d cores outside 1..%d", cores, sim.MaxCores)
 	}
-	opt := runOpts{
-		Config:             j.Options.Config,
-		InstrClusterSize:   j.Options.InstrClusterSize,
-		PrivateClusterSize: j.Options.PrivateClusterSize,
-	}
-	return checkChassis(opt.withDefaults(Workload{Cores: cores}), cores)
+	return checkChassis(j.Options.withDefaults(Workload{Cores: cores}), cores)
 }
 
 func knownDesign(id DesignID) bool {
@@ -277,130 +282,143 @@ func (j Job) Record(ctx context.Context, path string) (Result, error) {
 	if len(j.Designs) > 0 {
 		id = j.Designs[0]
 	}
-	w := j.Input.workload
-	opt := j.Options.lower(ctx).withDefaults(w)
+	in, opt, err := j.lower(ctx)
+	if err != nil {
+		return Result{}, err
+	}
 	opt.Batches = 1
 	fw, err := tracefile.Create(path, tracefile.Header{
-		Workload:   w.Name,
+		Workload:   in.w.Name,
 		Design:     string(id),
 		Cores:      opt.Config.Cores,
-		Seed:       w.Seed,
+		Seed:       in.w.Seed,
 		Warm:       opt.Warm,
 		Measure:    opt.Measure,
-		OffChipMLP: w.OffChipMLP,
+		OffChipMLP: in.w.OffChipMLP,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	streams := tracefile.RecordStreams(fw.Writer, workload.Streams(w))
+	open := in.open
+	in.open = func(b int) ([]trace.Stream, func() error, error) {
+		streams, done, err := open(b)
+		return tracefile.RecordStreams(fw.Writer, streams), done, err
+	}
 	mk := j.Maker
 	if mk == nil {
-		mk = designMaker(id, opt)
+		mk = designMaker(id, opt.RunOptions)
 	}
-	opt.flightRec = newFlightRecorder(opt)
-	var out Result
-	res := runOne(w, opt, mk, streams)
-	out.Result = res
-	out.CPIMean = res.CPI()
-	if opt.flightRec != nil {
-		out.Timeline = opt.flightRec.Timeline()
+	out, err := runBatches(in, opt, mk)
+	if cerr := fw.Close(); err == nil {
+		err = cerr
 	}
-	if err := fw.Close(); err != nil {
+	if err != nil {
 		return out, err
 	}
 	return out, ctxErr(ctx)
 }
 
-// runDesign executes one design cell of the job.
+// runDesign executes one design cell of the job through the batch loop:
+// the Maker when set; for ASR on generated and trace inputs, the
+// paper's best-of-six (§5.1), reported as "A" with the lowest CPI (the
+// first on ties); otherwise the one design. A source input runs ASR's
+// adaptive variant only, as a sweep would pull each batch's source six
+// times.
 func (j Job) runDesign(ctx context.Context, id DesignID) (Result, error) {
-	opt := j.Options.lower(ctx)
-	mk := j.Maker
-	switch j.Input.kind {
-	case InputTrace, InputCorpus:
-		in := j.Input
-		opt.Shards = in.shards
-		opt.WindowStart, opt.WindowRefs = in.windowStart, in.windowRefs
-		setup := obs.StartSpan(ctx, "replay.setup")
-		setup.SetAttr("path", in.path)
-		opt, w, err := replaySetup(in.path, opt)
-		setup.End()
+	in, opt, err := j.lower(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	var makers []func(*sim.Chassis) sim.Design
+	switch {
+	case j.Maker != nil:
+		makers = append(makers, j.Maker)
+	case id == DesignASR && j.Input.kind != InputSource:
+		for v := 0; v < design.NumASRVariants; v++ {
+			v := v
+			makers = append(makers, func(ch *sim.Chassis) sim.Design { return design.NewASRVariant(ch, v, asrSeed) })
+		}
+	default:
+		makers = append(makers, designMaker(id, opt.RunOptions))
+	}
+	var best Result
+	for i, mk := range makers {
+		r, err := runBatches(in, opt, mk)
 		if err != nil {
 			return Result{}, err
 		}
-		var r Result
-		switch {
-		case mk != nil:
-			r, err = replayBatches(in.path, w, opt, mk)
-		case id == DesignASR:
-			r, err = replayASRBest(in.path, w, opt)
-		default:
-			r, err = replayBatches(in.path, w, opt, designMaker(id, opt))
+		if i == 0 || r.CPI() < best.CPI() {
+			best = r
 		}
+	}
+	if len(makers) > 1 {
+		best.Design = string(DesignASR)
+	}
+	return best, ctxErr(ctx)
+}
+
+// lower resolves the job for the run path: its options with defaults
+// applied (a replay's against the trace header), the progress hook that
+// both feeds RunOptions.Progress and polls the context, and its input
+// lowered to a per-batch stream opener.
+func (j Job) lower(ctx context.Context) (feed, runOpts, error) {
+	opt := runOpts{RunOptions: j.Options, ctx: ctx}
+	// With nothing to observe and nothing to cancel the hook stays nil,
+	// so the engine's fast path stays untouched.
+	if watch := j.Options.Progress; watch != nil || ctx.Done() != nil {
+		opt.poll = func(done, total int) bool {
+			if watch != nil {
+				watch(done, total)
+			}
+			return ctx.Err() == nil
+		}
+	}
+	in := j.Input
+	switch in.kind {
+	case InputTrace, InputCorpus:
+		setup := obs.StartSpan(ctx, "replay.setup")
+		setup.SetAttr("path", in.path)
+		ro, w, err := replaySetup(in, j.Options)
+		setup.End()
 		if err != nil {
-			return r, err
+			return feed{}, opt, err
 		}
-		return r, ctxErr(ctx)
-	case InputWorkload:
-		w := j.Input.workload
-		opt = opt.withDefaults(w)
-		var r Result
-		switch {
-		case mk != nil:
-			r = runBatches(w, opt, mk)
-		case id == DesignASR:
-			r = runASRBest(w, opt)
-		default:
-			r = runBatches(w, opt, designMaker(id, opt))
-		}
-		return r, ctxErr(ctx)
+		opt.RunOptions = ro
+		cores := ro.Config.Cores
+		return feed{w: w, what: "replaying " + in.path, open: func(int) ([]trace.Stream, func() error, error) {
+			src, done, err := openReplaySource(in)
+			if err != nil {
+				return nil, nil, err
+			}
+			return trace.Demux(src, cores), done, nil
+		}}, opt, nil
 	case InputSource:
-		w := j.Input.workload
-		if !j.Input.hasWorkload {
+		w := in.workload
+		if !in.hasWorkload {
 			// A bare source input: minimal timing parameters, chassis
 			// shape from the validated explicit Config.
 			w = Workload{Name: "source", Cores: j.Options.Config.Cores, OffChipMLP: 1}
 		}
-		opt.Source = j.Input.source
-		opt = opt.withDefaults(w)
-		if mk == nil {
-			// ASR runs its adaptive variant only: the best-of-six sweep
-			// would pull each batch's source six times.
-			mk = designMaker(id, opt)
-		}
-		return runBatches(w, opt, mk), ctxErr(ctx)
+		opt.RunOptions = j.Options.withDefaults(w)
+		cores := opt.Config.Cores
+		return feed{w: w, what: "reading source", open: func(b int) ([]trace.Stream, func() error, error) {
+			src := in.source(b)
+			if src == nil {
+				return nil, nil, fmt.Errorf("rnuca: source input returned no RefSource for batch %d", b)
+			}
+			return trace.Demux(src, cores), nil, nil
+		}}, opt, nil
 	}
-	return Result{}, fmt.Errorf("rnuca: job has no input")
-}
-
-// lower drops the public options onto the internal run machinery: a
-// runOpts whose Progress callback both feeds the observation hook and
-// polls the context — the single plumbing point through which
-// cancellation reaches every engine — and whose ctx carries any span
-// trace into the helpers.
-func (ro RunOptions) lower(ctx context.Context) runOpts {
-	o := runOpts{
-		Warm:               ro.Warm,
-		Measure:            ro.Measure,
-		Batches:            ro.Batches,
-		InstrClusterSize:   ro.InstrClusterSize,
-		PrivateClusterSize: ro.PrivateClusterSize,
-		Config:             ro.Config,
-		Flight:             ro.Timeline,
-		ctx:                ctx,
-	}
-	watch := ro.Progress
-	if watch == nil && ctx.Done() == nil {
-		// Nothing to observe and nothing to cancel: skip the hook so
-		// the engine's fast path stays untouched.
-		return o
-	}
-	o.Progress = func(done, total int) bool {
-		if watch != nil {
-			watch(done, total)
-		}
-		return ctx.Err() == nil
-	}
-	return o
+	w := in.workload
+	opt.RunOptions = j.Options.withDefaults(w)
+	return feed{w: w, what: "generating " + w.Name, open: func(b int) ([]trace.Stream, func() error, error) {
+		ws := w
+		ws.Seed = w.Seed + uint64(b)*0x9E37
+		setup := obs.StartSpan(ctx, "workload.setup")
+		setup.SetAttr("workload", ws.Name)
+		defer setup.End()
+		return workload.Streams(ws), nil, nil
+	}}, opt, nil
 }
 
 // ctxErr converts a canceled context into the error a partial result

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -106,8 +107,7 @@ func TestJobKeyShardedSequentialIdentical(t *testing.T) {
 // A canceled context stops a run mid-simulation: Job.Run returns
 // promptly with the context error and the partial result accumulated
 // so far. (CI runs this under -race: the cancel fires from the
-// engine's own progress callback while batched engines may run
-// concurrently.)
+// engine's own progress callback.)
 func TestJobRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -141,29 +141,91 @@ func TestJobRunCancellation(t *testing.T) {
 	}
 }
 
-// Building a generated workload's streams is a stage of its own: every
-// batch records one workload.setup span beside its sim.cell.
+// Every run kind records its stages: a generated run one
+// workload.setup and one sim.cell per batch, a replay its replay.setup,
+// a recording the generator's setup; each folds its batches once.
 func TestJobRunTracesWorkloadSetup(t *testing.T) {
-	tr := obs.NewTrace(0)
+	path := filepath.Join(t.TempDir(), "db2.rnt")
 	job := rnuca.Job{
 		Input:   rnuca.FromWorkload(rnuca.OLTPDB2()),
 		Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
-		Options: rnuca.RunOptions{Warm: 300, Measure: 600, Batches: 3},
+		Options: rnuca.RunOptions{Warm: 300, Measure: 600},
 	}
-	if _, err := job.Run(obs.ContextWithTrace(context.Background(), tr)); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, st := range tr.Stages() {
-		counts[st.Stage] = st.Count
-	}
-	if counts["workload.setup"] != 3 || counts["sim.cell"] != 3 {
-		t.Fatalf("stages %+v: want 3 workload.setup and 3 sim.cell", tr.Stages())
-	}
-	for _, sp := range tr.Spans() {
-		if sp.Name == "workload.setup" && sp.Attrs["workload"] != "OLTP-DB2" {
-			t.Fatalf("workload.setup attrs = %v", sp.Attrs)
+	batched := job
+	batched.Options.Batches = 3
+	replay := rnuca.Job{Input: rnuca.FromTrace(path), Designs: job.Designs}
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context) error
+		want map[string]int
+	}{
+		{"record", func(ctx context.Context) error { _, err := job.Record(ctx, path); return err },
+			map[string]int{"workload.setup": 1, "sim.cell": 1, "result.fold": 1}},
+		{"workload", func(ctx context.Context) error { _, err := batched.Run(ctx); return err },
+			map[string]int{"workload.setup": 3, "sim.cell": 3, "result.fold": 1}},
+		{"trace", func(ctx context.Context) error { _, err := replay.Run(ctx); return err },
+			map[string]int{"replay.setup": 1, "sim.cell": 1, "result.fold": 1}},
+	} {
+		tr := obs.NewTrace(0)
+		if err := tc.run(obs.ContextWithTrace(context.Background(), tr)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		counts := map[string]int{}
+		for _, st := range tr.Stages() {
+			counts[st.Stage] = st.Count
+		}
+		if !reflect.DeepEqual(counts, tc.want) {
+			t.Errorf("%s: stages %v, want %v", tc.name, counts, tc.want)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "workload.setup" && sp.Attrs["workload"] != "OLTP-DB2" {
+				t.Errorf("%s: workload.setup attrs = %v", tc.name, sp.Attrs)
+			}
+		}
+	}
+}
+
+// funcSource is a RefSource that cannot rewind.
+type funcSource func() (trace.Ref, bool)
+
+func (f funcSource) Next() (trace.Ref, bool) { return f() }
+
+// A bad source is an error from Run and from Compare, never a crash:
+// source inputs go through the batch loop that turns a corrupt trace
+// into an error.
+func TestJobBadSourceErrors(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		src  func(batch int) rnuca.RefSource
+		want string
+	}{
+		{"ref for core 99", func(int) rnuca.RefSource {
+			return funcSource(func() (trace.Ref, bool) { return trace.Ref{Core: 99}, true })
+		}, "demux ref for core 99 outside 0..15"},
+		{"finite, cannot rewind", func(int) rnuca.RefSource {
+			n := 0
+			return funcSource(func() (trace.Ref, bool) {
+				n++
+				return trace.Ref{Core: n % 16, Addr: uint64(n) * 64}, n <= 100
+			})
+		}, "no way to rewind"},
+		{"nil source", func(int) rnuca.RefSource { return nil }, "no RefSource for batch 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := rnuca.Job{
+				Input:   rnuca.FromSource(tc.src).ForWorkload(rnuca.OLTPDB2()),
+				Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
+				Options: rnuca.RunOptions{Warm: 1000, Measure: 2000},
+			}
+			if _, err := job.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run: err = %v, want substring %q", err, tc.want)
+			}
+			job.Designs = rnuca.AllDesigns()
+			if _, err := job.Compare(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Compare: err = %v, want substring %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -181,6 +243,10 @@ func TestJobValidationErrors(t *testing.T) {
 		{"unknown design", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"X"}}, "unknown design"},
 		{"negative warm", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
 			Options: rnuca.RunOptions{Warm: -1}}, "negative"},
+		{"warm above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
+			Options: rnuca.RunOptions{Warm: math.MaxInt, Measure: 1}}, "Warm is 9223372036854775807, above 2147483647"},
+		{"measure above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
+			Options: rnuca.RunOptions{Warm: 1, Measure: math.MaxInt}}, "Measure is 9223372036854775807, above 2147483647"},
 		{"window on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Window(1, 2),
 			Designs: []rnuca.DesignID{"R"}}, "Window on a workload input"},
 		{"sharded on source", rnuca.Job{

@@ -14,20 +14,33 @@ import (
 	"testing"
 
 	"rnuca"
+	"rnuca/internal/design"
+	"rnuca/internal/sim"
+	"rnuca/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/results-golden.json from the current simulator")
 
 // goldenPath is the file that pins simulated behaviour: the full
-// sim.Result and the SHA-256 of the flight timeline's JSON for every
-// design on small fixed jobs, across both topologies and both
-// contention models. Floats are stored as IEEE-754 bits, as in
+// sim.Result, the batch statistics and the SHA-256 of the flight
+// timeline's JSON for every design on small fixed jobs, across both
+// topologies and both contention models, plus one cell per way a job
+// reaches the engine (record, replay, batches, windows, Makers, source
+// inputs). Floats are stored as IEEE-754 bits, as in
 // bench/testdata/golden.json.
 var goldenPath = filepath.Join("testdata", "results-golden.json")
 
-// goldenWorkloads are the golden's inputs: two 16-core 4x4 workloads
-// and the 8-core MIX, whose 4x2 grid has a size-2 y-ring.
+// goldenWorkloads are crossed with both topologies and both contention
+// models: two 16-core 4x4 workloads and the 8-core MIX, whose 4x2 grid
+// has a size-2 y-ring.
 var goldenWorkloads = []func() rnuca.Workload{rnuca.OLTPDB2, rnuca.DSSQry6, rnuca.MIX}
+
+// goldenTorusWorkloads are the other primary workloads, pinned on the
+// torus with the analytic model only.
+var goldenTorusWorkloads = []func() rnuca.Workload{rnuca.OLTPOracle, rnuca.Apache, rnuca.DSSQry8, rnuca.DSSQry13, rnuca.Em3d}
+
+// goldenTimeline is the flight recorder every golden cell attaches.
+var goldenTimeline = &rnuca.TimelineConfig{Every: 2048}
 
 // goldenCompare runs every design of one golden cell.
 func goldenCompare(t *testing.T, w rnuca.Workload, mesh, queues bool, tl *rnuca.TimelineConfig) map[rnuca.DesignID]rnuca.Result {
@@ -45,38 +58,139 @@ func goldenCompare(t *testing.T, w rnuca.Workload, mesh, queues bool, tl *rnuca.
 	return res
 }
 
+// goldenEntry renders one Result exactly: the sim.Result, CPIMean and
+// CPICI, and the SHA-256 of the timeline's JSON.
+func goldenEntry(t *testing.T, r rnuca.Result) map[string]any {
+	t.Helper()
+	tl, err := json.Marshal(r.Timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]any{
+		"Result":   exactValue(reflect.ValueOf(r.Result)),
+		"CPIMean":  exactValue(reflect.ValueOf(r.CPIMean)),
+		"CPICI":    exactValue(reflect.ValueOf(r.CPICI)),
+		"Timeline": fmt.Sprintf("%x", sha256.Sum256(tl)),
+	}
+}
+
+// goldenPathCells adds one cell per way a job reaches the engine, all
+// on OLTP-DB2 (MIX for batched ASR) at 5000/15000 references: a
+// recording with its trace's SHA-256; replays of that trace (each
+// design, two batches, a sharded window, a Maker); generated runs with
+// two batches, both cluster-size overrides and a Maker; and a source
+// input under every design with two batches. The source input yields
+// the generator's per-batch streams, so each cell but ASR (adaptive
+// only on a source) must equal the same job on FromWorkload.
+func goldenPathCells(t *testing.T, got map[string]map[string]any) {
+	ctx := context.Background()
+	w := rnuca.OLTPDB2()
+	gen := rnuca.FromWorkload(w)
+	opt := rnuca.RunOptions{Warm: 5000, Measure: 15000, Timeline: goldenTimeline}
+	with := func(o rnuca.RunOptions, edit func(*rnuca.RunOptions)) rnuca.RunOptions {
+		edit(&o)
+		return o
+	}
+	batches2 := func(o *rnuca.RunOptions) { o.Batches = 2 }
+	asr75 := func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.75, 0xA5A5) }
+	run := func(in rnuca.Input, id rnuca.DesignID, mk func(*sim.Chassis) sim.Design, o rnuca.RunOptions) map[string]any {
+		t.Helper()
+		r, err := rnuca.Job{Input: in, Designs: []rnuca.DesignID{id}, Options: o, Maker: mk}.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldenEntry(t, r)
+	}
+	R, S, A := rnuca.DesignRNUCA, rnuca.DesignShared, rnuca.DesignASR
+
+	path := filepath.Join(t.TempDir(), "db2.rnt")
+	rec, err := rnuca.Job{Input: gen, Designs: []rnuca.DesignID{R}, Options: opt}.Record(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["record/OLTP-DB2"] = map[string]any{"R": goldenEntry(t, rec), "TraceSHA256": fmt.Sprintf("%x", sha256.Sum256(raw))}
+
+	tr := rnuca.FromTrace(path)
+	replay := rnuca.RunOptions{Timeline: goldenTimeline}
+	got["replay/OLTP-DB2"] = map[string]any{
+		"R": run(tr, R, nil, replay), "S": run(tr, S, nil, replay), "A": run(tr, A, nil, replay),
+	}
+	got["replay/OLTP-DB2/batches2"] = map[string]any{"S": run(tr, S, nil, with(replay, batches2))}
+	got["replay/OLTP-DB2/window2000+15000/sharded2"] = map[string]any{"R": run(tr.Window(2000, 15000).Sharded(2), R, nil, replay)}
+	got["replay/OLTP-DB2/maker"] = map[string]any{"A0.75": run(tr, A, asr75, replay)}
+
+	got["generated/OLTP-DB2/batches2"] = map[string]any{"R": run(gen, R, nil, with(opt, batches2))}
+	got["generated/MIX/batches2"] = map[string]any{"A": run(rnuca.FromWorkload(rnuca.MIX()), A, nil, with(opt, batches2))}
+	got["generated/OLTP-DB2/instr1"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 1 }))}
+	got["generated/OLTP-DB2/instr16"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 16 }))}
+	got["generated/OLTP-DB2/private4"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.PrivateClusterSize = 4 }))}
+	got["generated/OLTP-DB2/maker"] = map[string]any{"A0.75": run(gen, A, asr75, opt)}
+
+	src := rnuca.FromSource(func(b int) rnuca.RefSource {
+		ws := w
+		ws.Seed = w.Seed + uint64(b)*0x9E37
+		return workload.Source(ws)
+	}).ForWorkload(w)
+	srcRes, err := rnuca.Job{Input: src, Designs: rnuca.AllDesigns(), Options: with(opt, batches2)}.Compare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genRes, err := rnuca.Job{Input: gen, Designs: []rnuca.DesignID{rnuca.DesignPrivate, S, R, rnuca.DesignIdeal},
+		Options: with(opt, batches2)}.Compare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := map[string]any{}
+	for id, r := range srcRes {
+		cell[string(id)] = goldenEntry(t, r)
+		if id != A && !reflect.DeepEqual(cell[string(id)], goldenEntry(t, genRes[id])) {
+			t.Errorf("source/OLTP-DB2/batches2 %s: a source input differs from the same job on FromWorkload", id)
+		}
+	}
+	got["source/OLTP-DB2/batches2"] = cell
+}
+
 // TestResultsGolden recomputes every golden cell and compares it with
 // testdata/results-golden.json; -update rewrites the file. A link-queue
 // cell's Result must also equal the same cell run without a recorder.
 func TestResultsGolden(t *testing.T) {
 	got := map[string]map[string]any{}
-	for _, mk := range goldenWorkloads {
-		w := mk()
-		for _, topo := range []string{"torus", "mesh"} {
-			for _, model := range []string{"analytic", "linkqueue"} {
-				key := w.Name + "/" + topo + "/" + model
-				mesh, queues := topo == "mesh", model == "linkqueue"
-				recorded := goldenCompare(t, w, mesh, queues, &rnuca.TimelineConfig{Every: 2048})
-				var bare map[rnuca.DesignID]rnuca.Result
-				if queues {
-					bare = goldenCompare(t, w, mesh, queues, nil)
-				}
-				cell := map[string]any{}
-				for id, r := range recorded {
-					res := exactValue(reflect.ValueOf(r.Result))
-					if bare != nil && !reflect.DeepEqual(exactValue(reflect.ValueOf(bare[id].Result)), res) {
-						t.Errorf("%s %s: the flight recorder changed the Result", key, id)
+	for _, g := range []struct {
+		workloads     []func() rnuca.Workload
+		topos, models []string
+	}{
+		{goldenWorkloads, []string{"torus", "mesh"}, []string{"analytic", "linkqueue"}},
+		{goldenTorusWorkloads, []string{"torus"}, []string{"analytic"}},
+	} {
+		for _, mk := range g.workloads {
+			w := mk()
+			for _, topo := range g.topos {
+				for _, model := range g.models {
+					key := w.Name + "/" + topo + "/" + model
+					mesh, queues := topo == "mesh", model == "linkqueue"
+					recorded := goldenCompare(t, w, mesh, queues, goldenTimeline)
+					var bare map[rnuca.DesignID]rnuca.Result
+					if queues {
+						bare = goldenCompare(t, w, mesh, queues, nil)
 					}
-					tl, err := json.Marshal(r.Timeline)
-					if err != nil {
-						t.Fatal(err)
+					cell := map[string]any{}
+					for id, r := range recorded {
+						e := goldenEntry(t, r)
+						if bare != nil && !reflect.DeepEqual(goldenEntry(t, bare[id])["Result"], e["Result"]) {
+							t.Errorf("%s %s: the flight recorder changed the Result", key, id)
+						}
+						cell[string(id)] = e
 					}
-					cell[string(id)] = map[string]any{"Result": res, "Timeline": fmt.Sprintf("%x", sha256.Sum256(tl))}
+					got[key] = cell
 				}
-				got[key] = cell
 			}
 		}
 	}
+	goldenPathCells(t, got)
 	enc, err := json.MarshalIndent(got, "", " ")
 	if err != nil {
 		t.Fatal(err)

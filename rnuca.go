@@ -56,10 +56,10 @@
 // canceled run returns its partial Result with the context's error.
 //
 // Attach an observability trace (internal/obs) to the context and a
-// run records per-stage spans — replay setup, per-cell simulation,
-// result fold — into it; the trace's Stages aggregate them into a
-// per-stage breakdown, and rnuca-serve exposes the same spans per job
-// at GET /v1/jobs/{id}/trace.
+// run records per-stage spans — workload or replay setup, per-cell
+// simulation, result fold — into it; the trace's Stages aggregate them
+// into a per-stage breakdown, and rnuca-serve exposes the same spans
+// per job at GET /v1/jobs/{id}/trace.
 //
 // Externally captured traces enter through internal/ingest:
 // rnuca-trace convert turns Dinero/ChampSim-style/CSV address streams
@@ -77,7 +77,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"rnuca/internal/design"
 	"rnuca/internal/obs"
@@ -128,86 +127,26 @@ var (
 	Extended   = workload.Extended
 )
 
-// runOpts is the internal run description every execution helper
-// consumes: the job's RunOptions lowered together with the knobs that
-// live elsewhere in the public API (the input's window/shards, the
-// context-polling progress callback, the span-collecting context).
+// runOpts is the run path's view of a job's options: RunOptions with
+// defaults applied, plus what only the run machinery holds.
 type runOpts struct {
-	// Warm is the number of chip-wide references run before measurement
-	// (cache/TLB/page-table warmup, like the paper's checkpoint warming).
-	// 0 means the default.
-	Warm int
-	// Measure is the number of measured references. 0 means the default.
-	Measure int
-	// Batches > 1 runs that many independently-seeded measurements and
-	// reports mean CPI with a 95% confidence interval, mirroring the
-	// paper's sampling methodology. 0 or 1 means a single batch.
-	Batches int
-	// InstrClusterSize overrides R-NUCA's instruction cluster size
-	// (Figure 11 ablation). 0 means the configuration default (4).
-	InstrClusterSize int
-	// PrivateClusterSize > 1 enables the §4.4 extension: R-NUCA spills
-	// private data over fixed-center clusters of this many slices.
-	PrivateClusterSize int
-	// Config overrides the CMP configuration. Nil selects Config16 or
-	// Config8 to match the workload's core count, as the paper does.
-	Config *sim.Config
-	// Source, when non-nil, overrides the workload's statistical
-	// generator: batch b's references come from Source(b), demultiplexed
-	// per core by each ref's Core field; external ingesters can supply
-	// any RefSource. Finite sources loop per core once exhausted if they
-	// implement trace.Rewinder. With Source set, DesignASR runs its
-	// adaptive variant only (the best-of-six sweep would pull each
-	// batch's source six times); use Replay for trace-driven ASR
-	// best-of-six.
-	Source func(batch int) RefSource
-
-	// Progress, when non-nil, is called by each engine roughly every
-	// few thousand consumed references with the engine's running count
-	// and the run's per-engine total (Warm+Measure); returning false
-	// stops the run early, leaving a partial Result. Observation cannot
-	// perturb the deterministic timing model, so an observed run that
-	// completes is bit-identical to an unobserved one. With Batches > 1
-	// the engines run concurrently, so the callback must be safe for
-	// concurrent use. New code observes with RunOptions.Progress and
-	// cancels with a context instead.
-	Progress func(done, total int) bool
-
-	// Flight, when non-nil, attaches a flight recorder to batch 0's
-	// engine (one recorder per run helper invocation); like Progress it
-	// is pure observation and result-neutral.
-	Flight *flight.Config
-	// flightRec is the recorder instance a batch helper hands the one
-	// engine that drives it.
-	flightRec *flight.Recorder
-
-	// Shards, when > 1, fans each replay batch's trace decoding across
-	// that many parallel workers (replay only; requires a v2 indexed
-	// trace). The simulation itself stays sequential and consumes refs
-	// in exact file order, so a sharded replay's Result is bit-identical
-	// to a sequential one — only chunk decompression overlaps it.
-	Shards int
-	// WindowStart and WindowRefs restrict a replay to the trace records
-	// [WindowStart, WindowStart+WindowRefs), sampling a region of a long
-	// trace without scanning from the start (replay only; requires a v2
-	// indexed trace). WindowRefs 0 with WindowStart > 0 means "to the
-	// end of the trace". When a window is set and Warm/Measure are
-	// unset, Warm defaults to a fifth of the window and Measure to the
-	// remainder, instead of the recording run's split.
-	WindowStart, WindowRefs uint64
+	RunOptions
 
 	// ctx carries the run's cancellation and any obs.Trace collecting
 	// per-stage spans; helpers instrument against it unconditionally
 	// (spans no-op without a trace).
-	//rnuca:ctx-ok runOpts is the run's internal plumbing record, built per call by lower() and dead when the run returns
+	//rnuca:ctx-ok runOpts is the run's internal plumbing record, built per call by Job.lower and dead when the run returns
 	ctx context.Context
+	// poll, when non-nil, is every engine's progress hook: it feeds
+	// RunOptions.Progress and returns false once ctx is done, the one
+	// point through which cancellation reaches the engines.
+	poll func(done, total int) bool
+	// flightRec is the flight recorder batch 0's engine drives (nil for
+	// later batches and without RunOptions.Timeline).
+	flightRec *flight.Recorder
 }
 
-// windowed reports whether replay options restrict the trace to a
-// record window.
-func (o runOpts) windowed() bool { return o.WindowStart > 0 || o.WindowRefs > 0 }
-
-func (o runOpts) withDefaults(w Workload) runOpts {
+func (o RunOptions) withDefaults(w Workload) RunOptions {
 	if o.Warm == 0 {
 		o.Warm = 200_000
 	}
@@ -234,7 +173,7 @@ func (o runOpts) withDefaults(w Workload) runOpts {
 // NewChassis, NewEngine or the R-NUCA placement into errors: the
 // configuration itself (sim.Config.Validate), its core count against
 // the input's, and both R-NUCA cluster sizes.
-func checkChassis(opt runOpts, cores int) error {
+func checkChassis(opt RunOptions, cores int) error {
 	cfg := opt.Config
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("rnuca: job config: %w", err)
@@ -330,7 +269,7 @@ func NewDesign(id DesignID, ch *sim.Chassis) sim.Design {
 	case DesignPrivate:
 		return design.NewPrivate(ch)
 	case DesignASR:
-		return design.NewAdaptiveASR(ch, 0xA5A5)
+		return design.NewAdaptiveASR(ch, asrSeed)
 	case DesignShared:
 		return design.NewShared(ch)
 	case DesignRNUCA:
@@ -342,10 +281,12 @@ func NewDesign(id DesignID, ch *sim.Chassis) sim.Design {
 	}
 }
 
-// designMaker returns the design constructor Job.Run would use for id,
-// with ASR fixed to the adaptive variant (the best-of-six sweep is
-// handled by runASRBest, which generator-driven runs still go through).
-func designMaker(id DesignID, opt runOpts) func(*sim.Chassis) sim.Design {
+// asrSeed seeds the replication RNG of every ASR design a job builds.
+const asrSeed = 0xA5A5
+
+// designMaker returns the design constructor a job uses for id, with
+// ASR fixed to the adaptive variant (Job.runDesign sweeps the six).
+func designMaker(id DesignID, opt RunOptions) func(*sim.Chassis) sim.Design {
 	if id == DesignRNUCA && opt.PrivateClusterSize > 1 {
 		size := opt.PrivateClusterSize
 		return func(ch *sim.Chassis) sim.Design {
@@ -355,102 +296,103 @@ func designMaker(id DesignID, opt runOpts) func(*sim.Chassis) sim.Design {
 	return func(ch *sim.Chassis) sim.Design { return NewDesign(id, ch) }
 }
 
+// feed is a job input lowered for the batch loop.
+type feed struct {
+	// w names every cell and supplies its off-chip MLP.
+	w Workload
+	// open returns batch b's per-core streams and, when the batch holds
+	// a reader, done, which reports the reader's error and releases it.
+	open func(b int) (streams []trace.Stream, done func() error, err error)
+	// what names the input in the errors a bad stream becomes.
+	what string
+}
+
 // runOne executes a single simulation over the given per-core streams.
-func runOne(ws Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, streams []trace.Stream) sim.Result {
+func runOne(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, streams []trace.Stream) sim.Result {
 	sp := obs.StartSpan(opt.ctx, "sim.cell")
 	defer sp.End()
 	ch := sim.NewChassis(*opt.Config)
 	d := mk(ch)
 	sp.SetAttr("design", d.Name())
-	sp.SetAttr("workload", ws.Name)
+	sp.SetAttr("workload", w.Name)
 	eng := sim.NewEngine(ch, d, streams)
-	eng.OffChipMLP = ws.OffChipMLP
+	eng.OffChipMLP = w.OffChipMLP
 	eng.Flight = opt.flightRec
-	hookProgress(eng, opt)
-	res := eng.Run(opt.Warm, opt.Measure)
-	res.Workload = ws.Name
-	return res
-}
-
-// runOneSource is runOne fed by a multiplexed RefSource.
-func runOneSource(ws Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, src trace.RefSource) sim.Result {
-	sp := obs.StartSpan(opt.ctx, "sim.cell")
-	defer sp.End()
-	ch := sim.NewChassis(*opt.Config)
-	d := mk(ch)
-	sp.SetAttr("design", d.Name())
-	sp.SetAttr("workload", ws.Name)
-	eng := sim.NewEngineSource(ch, d, src)
-	eng.OffChipMLP = ws.OffChipMLP
-	eng.Flight = opt.flightRec
-	hookProgress(eng, opt)
-	res := eng.Run(opt.Warm, opt.Measure)
-	res.Workload = ws.Name
-	return res
-}
-
-// hookProgress attaches the options' progress observer to an engine.
-func hookProgress(eng *sim.Engine, opt runOpts) {
-	if opt.Progress == nil {
-		return
+	if poll := opt.poll; poll != nil {
+		total := opt.Warm + opt.Measure
+		eng.Progress = func(done int) bool { return poll(done, total) }
 	}
-	total := opt.Warm + opt.Measure
-	cb := opt.Progress
-	eng.Progress = func(done int) bool { return cb(done, total) }
+	res := eng.Run(opt.Warm, opt.Measure)
+	res.Workload = w.Name
+	return res
 }
 
-// runBatches executes opt.Batches independently-seeded runs and folds
-// the results with equal batch weight.
-func runBatches(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design) Result {
+// runBatches runs opt.Batches cells one after another, batch b over the
+// streams in.open(b) returns, and folds the results with equal batch
+// weight. A flight recorder, when the options ask for one, watches
+// batch 0.
+func runBatches(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result, error) {
 	results := make([]sim.Result, opt.Batches)
-	rec := newFlightRecorder(opt)
+	var rec *flight.Recorder
+	if opt.Timeline != nil {
+		rec = flight.NewRecorder(*opt.Timeline)
+	}
 	var cpi stats.Summary
-	for b := 0; b < opt.Batches; b++ {
-		ws := w
-		ws.Seed = w.Seed + uint64(b)*0x9E37
+	for b := range results {
 		bo := opt
 		if b == 0 {
 			bo.flightRec = rec
 		}
-		if opt.Source != nil {
-			results[b] = runOneSource(ws, bo, mk, opt.Source(b))
-		} else {
-			setup := obs.StartSpan(opt.ctx, "workload.setup")
-			setup.SetAttr("workload", ws.Name)
-			streams := workload.Streams(ws)
-			setup.End()
-			results[b] = runOne(ws, bo, mk, streams)
+		res, err := runBatch(in, bo, mk, b)
+		if err != nil {
+			return Result{}, err
 		}
-		cpi.Add(results[b].CPI())
+		results[b] = res
+		cpi.Add(res.CPI())
 	}
-	var out Result
-	out.Result = fold(opt, results)
-	out.CPIMean = cpi.Mean()
-	out.CPICI = cpi.CI95()
+	out := Result{Result: fold(opt, results), CPIMean: cpi.Mean(), CPICI: cpi.CI95()}
 	if rec != nil {
 		out.Timeline = rec.Timeline()
 	}
-	return out
+	return out, nil
 }
 
-// newFlightRecorder builds the run's flight recorder when the options
-// ask for one. Each batch-helper invocation gets its own recorder
-// (attached to batch 0's engine), so concurrent cells never share one.
-func newFlightRecorder(opt runOpts) *flight.Recorder {
-	if opt.Flight == nil {
-		return nil
+// runBatch runs batch b's cell. A bad stream surfaces as an error, not
+// a crash: a reader that failed mid-stream must not let the run pass
+// silently, and the demux's panics (a ref for a core outside the chip,
+// a finite source that cannot loop) are "trace:"-prefixed. Panics from
+// anywhere else (engine or design bugs) propagate.
+func runBatch(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design, b int) (res sim.Result, err error) {
+	streams, done, err := in.open(b)
+	if err != nil {
+		return res, err
 	}
-	return flight.NewRecorder(*opt.Flight)
+	defer func() {
+		p := recover()
+		if done != nil {
+			if derr := done(); derr != nil {
+				err = fmt.Errorf("rnuca: %s: %w", in.what, derr)
+				return
+			}
+		}
+		if p == nil {
+			return
+		}
+		if s, ok := p.(string); ok && strings.HasPrefix(s, "trace: ") {
+			err = fmt.Errorf("rnuca: %s: %s", in.what, s)
+			return
+		}
+		panic(p)
+	}()
+	return runOne(in.w, opt, mk, streams), nil
 }
 
 // replaySetup validates the trace header and resolves replay options
 // against it: for sharded or windowed replays the trace must carry a v2
 // chunk index, and a record window rescopes the default Warm/Measure
 // split from the recording run's to the window itself.
-func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
-	if opt.Source != nil {
-		return opt, Workload{}, fmt.Errorf("rnuca: Replay with Options.Source set; the trace is the source")
-	}
+func replaySetup(in Input, opt RunOptions) (RunOptions, Workload, error) {
+	path := in.path
 	f, err := tracefile.Open(path)
 	if err != nil {
 		return opt, Workload{}, err
@@ -468,7 +410,7 @@ func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
 	// set. Sharded and windowed replays read the exact total from the
 	// index footer, which is authoritative even for unpatched headers.
 	available := hdr.Refs
-	if opt.Shards > 1 || opt.windowed() {
+	if in.shards > 1 || in.windowed() {
 		ix, err := tracefile.OpenIndexed(path)
 		if err != nil {
 			return opt, Workload{}, fmt.Errorf("rnuca: replaying %s with shards/window: %w", path, err)
@@ -476,19 +418,19 @@ func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
 		available = ix.Refs()
 		ix.Close()
 	}
-	if opt.windowed() {
-		if opt.WindowStart >= available {
+	if in.windowed() {
+		start, win := in.windowStart, in.windowRefs
+		if start >= available {
 			return opt, Workload{}, fmt.Errorf("rnuca: trace %s window starts at record %d of %d",
-				path, opt.WindowStart, available)
+				path, start, available)
 		}
-		if opt.WindowRefs == 0 {
-			opt.WindowRefs = available - opt.WindowStart
+		if win == 0 {
+			win = available - start
 		}
-		if opt.WindowStart+opt.WindowRefs > available {
+		if start+win > available {
 			return opt, Workload{}, fmt.Errorf("rnuca: trace %s window [%d,%d) outside its %d records",
-				path, opt.WindowStart, opt.WindowStart+opt.WindowRefs, available)
+				path, start, start+win, available)
 		}
-		win := opt.WindowRefs
 		if win < 5 {
 			return opt, Workload{}, fmt.Errorf("rnuca: trace %s window of %d refs too small to replay", path, win)
 		}
@@ -541,125 +483,38 @@ func replaySetup(path string, opt runOpts) (runOpts, Workload, error) {
 
 // openReplaySource opens one batch's view of the trace: a plain
 // streaming reader by default, an indexed window cursor or parallel
-// sharded decoder when the options ask for one. The returned close
-// function is safe to call after exhaustion.
-func openReplaySource(path string, opt runOpts) (src interface {
-	trace.RefSource
-	Err() error
-}, closeSrc func(), err error) {
-	if opt.Shards <= 1 && !opt.windowed() {
-		f, err := tracefile.Open(path)
+// sharded decoder when the input asks for one. done reports the
+// reader's error and releases it; it is safe to call after exhaustion.
+func openReplaySource(in Input) (src trace.RefSource, done func() error, err error) {
+	if in.shards <= 1 && !in.windowed() {
+		f, err := tracefile.Open(in.path)
 		if err != nil {
 			return nil, nil, err
 		}
-		return f, func() { f.Close() }, nil
+		return f, func() error { defer f.Close(); return f.Err() }, nil
 	}
-	ix, err := tracefile.OpenIndexed(path)
+	ix, err := tracefile.OpenIndexed(in.path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("rnuca: replaying %s with shards/window: %w", path, err)
+		return nil, nil, fmt.Errorf("rnuca: replaying %s with shards/window: %w", in.path, err)
 	}
-	start, n := opt.WindowStart, opt.WindowRefs
+	start, n := in.windowStart, in.windowRefs
 	if n == 0 {
 		n = ix.Refs() - start
 	}
-	if opt.Shards > 1 {
-		p, err := ix.Parallel(opt.Shards, start, n)
+	if in.shards > 1 {
+		p, err := ix.Parallel(in.shards, start, n)
 		if err != nil {
 			ix.Close()
 			return nil, nil, err
 		}
-		return p, func() { p.Close(); ix.Close() }, nil
+		return p, func() error { defer ix.Close(); defer p.Close(); return p.Err() }, nil
 	}
 	c, err := ix.Window(start, n)
 	if err != nil {
 		ix.Close()
 		return nil, nil, err
 	}
-	return c, func() { ix.Close() }, nil
-}
-
-// replayBatches runs opt.Batches replay engines over one trace in
-// parallel and folds the results with equal batch weight. Each batch
-// opens its own view of the file — sequential, windowed, or sharded per
-// the options — so batches never contend on shared reader state.
-func replayBatches(path string, w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result, error) {
-	results := make([]sim.Result, opt.Batches)
-	errs := make([]error, opt.Batches)
-	rec := newFlightRecorder(opt)
-	var wg sync.WaitGroup
-	for b := 0; b < opt.Batches; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			// The recorder is single-goroutine: only batch 0 drives it.
-			bo := opt
-			if b == 0 {
-				bo.flightRec = rec
-			}
-			opt := bo
-			src, closeSrc, err := openReplaySource(path, opt)
-			if err != nil {
-				errs[b] = err
-				return
-			}
-			defer closeSrc()
-			// A corrupt or truncated trace surfaces as an error, not a
-			// crash: the demux's panics are "trace:"-prefixed, and a
-			// reader that failed mid-stream must not let the run pass
-			// silently. Panics from anywhere else (engine or design
-			// bugs) propagate.
-			defer func() {
-				p := recover()
-				if err := src.Err(); err != nil {
-					errs[b] = fmt.Errorf("rnuca: replaying %s: %w", path, err)
-					return
-				}
-				if p == nil {
-					return
-				}
-				if s, ok := p.(string); ok && strings.HasPrefix(s, "trace: ") {
-					errs[b] = fmt.Errorf("rnuca: replaying %s: %s", path, s)
-					return
-				}
-				panic(p)
-			}()
-			results[b] = runOneSource(w, opt, mk, src)
-		}(b)
-	}
-	wg.Wait()
-	var cpi stats.Summary
-	for b, res := range results {
-		if errs[b] != nil {
-			return Result{}, errs[b]
-		}
-		cpi.Add(res.CPI())
-	}
-	var out Result
-	out.Result = fold(opt, results)
-	out.CPIMean = cpi.Mean()
-	out.CPICI = cpi.CI95()
-	if rec != nil {
-		out.Timeline = rec.Timeline()
-	}
-	return out, nil
-}
-
-// replayASRBest mirrors runASRBest over a trace: six ASR variants replay
-// the same refs, the best CPI is reported.
-func replayASRBest(path string, w Workload, opt runOpts) (Result, error) {
-	best := Result{}
-	bestCPI := 0.0
-	for i, mk := range asrVariants() {
-		r, err := replayBatches(path, w, opt, mk)
-		if err != nil {
-			return Result{}, err
-		}
-		if i == 0 || r.CPI() < bestCPI {
-			best, bestCPI = r, r.CPI()
-		}
-	}
-	best.Design = "A"
-	return best, nil
+	return c, func() error { defer ix.Close(); return c.Err() }, nil
 }
 
 // TraceWorkload reconstructs the workload a trace file describes: the
@@ -740,33 +595,4 @@ func fold(opt runOpts, rs []sim.Result) sim.Result {
 		}
 	}
 	return out
-}
-
-// asrVariants returns the six ASR configurations of the paper's §5.1
-// methodology: five static replication probabilities plus the adaptive
-// controller.
-func asrVariants() []func(*sim.Chassis) sim.Design {
-	return []func(*sim.Chassis) sim.Design{
-		func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0, 0xA5A5) },
-		func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.25, 0xA5A5) },
-		func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.5, 0xA5A5) },
-		func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.75, 0xA5A5) },
-		func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 1, 0xA5A5) },
-		func(ch *sim.Chassis) sim.Design { return design.NewAdaptiveASR(ch, 0xA5A5) },
-	}
-}
-
-// runASRBest implements the paper's ASR methodology (§5.1): six variants
-// (adaptive plus five static probabilities), report the best-performing.
-func runASRBest(w Workload, opt runOpts) Result {
-	best := Result{}
-	bestCPI := 0.0
-	for i, mk := range asrVariants() {
-		r := runBatches(w, opt, mk)
-		if i == 0 || r.CPI() < bestCPI {
-			best, bestCPI = r, r.CPI()
-		}
-	}
-	best.Design = "A"
-	return best
 }
