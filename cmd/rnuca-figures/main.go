@@ -1,22 +1,27 @@
 // Command rnuca-figures regenerates every table and figure of the paper's
-// evaluation. By default it prints all of them at quick scale; select a
-// single experiment with -exp and the publication scale with -scale full.
+// evaluation. By default it prints all of them at quick scale; select
+// experiments with -exp and the publication scale with -scale full.
 //
 // Usage:
 //
 //	rnuca-figures [-exp all|table1|fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|classacc]
-//	              [-scale quick|full] [-csv] [-trace-out spans.json]
-//	              [-timeline FILE] [-epoch N]
+//	              [-scale quick|full] [-csv] [-workload NAME[,NAME]]
+//	              [-trace-out spans.json] [-timeline FILE] [-epoch N]
 //
-// -trace-out collects the campaign's per-stage span trace
-// (internal/obs) over every selected experiment and writes it as JSON.
-// -timeline attaches the flight recorder to every simulation cell the
-// campaign runs and writes every recorded timeline (per-core CPI
-// sparklines, bank-pressure heatmap, classification churn, hottest
-// links) to FILE as text, one section per workload/design cell, in
-// deterministic key order; "-" writes to stdout. -epoch sets the
-// epoch length in measured refs (default 64Ki). Recording never
-// changes the tables.
+// -workload runs the §3 characterization (Figures 2–5) over the named
+// catalog workloads instead of the catalog's figure sets, reading each
+// workload's -scale TraceRefs references; -exp then defaults to
+// fig2,fig3,fig4,fig5 and may name only those.
+//
+// -trace-out collects the campaign's span export (internal/obs) over
+// every selected experiment and writes it as JSON. -timeline attaches
+// the flight recorder to every simulation cell the campaign runs and
+// writes every recorded timeline (per-core CPI sparklines,
+// bank-pressure heatmap, classification churn, hottest links) to FILE:
+// text, one section per workload/design cell in sorted order, or a
+// JSON object keyed "workload/design" when FILE ends in .json; "-"
+// writes the text to stdout. -epoch sets the epoch length in measured
+// refs (default 64Ki). Recording never changes the tables.
 package main
 
 import (
@@ -24,22 +29,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"rnuca"
 	"rnuca/internal/experiments"
-	"rnuca/internal/obs"
 	"rnuca/internal/report"
+	"rnuca/internal/workload"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, table1, fig2..fig12, classacc, privclust, scaling, meshtorus, migration, memlat, traffic, nocmodel)")
 	scale := flag.String("scale", "quick", "quick (seconds) or full (minutes, CI batches, best-of-six ASR)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	traceOut := flag.String("trace-out", "", "write the campaign's per-stage span trace as JSON to this path")
-	timelineOut := flag.String("timeline", "", "record flight timelines for every cell and write them here (text; - for stdout)")
-	epoch := flag.Int("epoch", 0, "flight-recorder epoch length in measured refs (0 = default 64Ki)")
+	names := flag.String("workload", "", "comma-separated catalog workloads: run Figures 2-5 over these instead")
+	outputs := report.OutputFlags(flag.CommandLine)
 	flag.Parse()
 
 	var s experiments.Scale
@@ -53,14 +56,9 @@ func main() {
 		os.Exit(2)
 	}
 	c := experiments.NewCampaign(s)
-	var spans *obs.Trace
-	if *traceOut != "" {
-		spans = obs.NewTrace(0)
-		c.SetContext(obs.ContextWithTrace(context.Background(), spans))
-	}
-	if *timelineOut != "" {
-		c.SetTimeline(&rnuca.TimelineConfig{Every: *epoch})
-	}
+	ctx, timeline := outputs.Start(context.Background())
+	c.SetContext(ctx)
+	c.SetTimeline(timeline)
 
 	runners := map[string]func() []*report.Table{
 		"table1":    experiments.Table1,
@@ -86,6 +84,26 @@ func main() {
 	order := []string{"table1", "fig2", "fig3", "fig4", "fig5", "classacc",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"privclust", "scaling", "meshtorus", "migration", "memlat", "traffic", "nocmodel"}
+	if *names != "" {
+		var ws []rnuca.Workload
+		for _, name := range strings.Split(*names, ",") {
+			w, ok := workload.ByName(name)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown workload %q (see rnuca-sim -list)\n", name)
+				os.Exit(2)
+			}
+			ws = append(ws, w)
+		}
+		order = []string{"fig2", "fig3", "fig4", "fig5"}
+		runners = map[string]func() []*report.Table{}
+		for i, e := range order {
+			fig := i + 2
+			runners[e] = func() []*report.Table { return c.Section3(fig, ws) }
+		}
+		if *exp == "all" {
+			*exp = strings.Join(order, ",")
+		}
+	}
 
 	var selected []string
 	if *exp == "all" {
@@ -110,41 +128,8 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if spans != nil {
-		if err := obs.WriteTraceFile(*traceOut, spans); err != nil {
-			fmt.Fprintf(os.Stderr, "rnuca-figures: %v\n", err)
-			os.Exit(1)
-		}
+	if _, err := outputs.Finish(c.Timelines()); err != nil {
+		fmt.Fprintf(os.Stderr, "rnuca-figures: %v\n", err)
+		os.Exit(1)
 	}
-	if *timelineOut != "" {
-		if err := writeCampaignTimelines(*timelineOut, c.Timelines()); err != nil {
-			fmt.Fprintf(os.Stderr, "rnuca-figures: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeCampaignTimelines renders every recorded cell timeline, one
-// section per "workload/design" key in sorted order.
-func writeCampaignTimelines(path string, tls map[string]*rnuca.Timeline) error {
-	keys := make([]string, 0, len(tls))
-	for k := range tls {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			fmt.Fprintln(&buf)
-		}
-		report.RenderTimeline(&buf, k, tls[k])
-	}
-	if len(keys) == 0 {
-		fmt.Fprintln(&buf, "timeline: no epochs recorded")
-	}
-	if path == "-" {
-		_, err := os.Stdout.WriteString(buf.String())
-		return err
-	}
-	return os.WriteFile(path, []byte(buf.String()), 0o644)
 }

@@ -70,6 +70,7 @@ import (
 
 	"rnuca/internal/corpus"
 	"rnuca/internal/obs/log"
+	"rnuca/internal/report"
 	"rnuca/internal/serve"
 )
 
@@ -82,7 +83,7 @@ func main() {
 	cache := flag.Int("cache", 0, "result-cache entries (0 = default)")
 	history := flag.Int("history", 0, "finished jobs retained for /v1/jobs (0 = default 512)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM")
-	epoch := flag.Int("epoch", 0, "flight-recorder epoch length in measured refs (0 = default 64Ki)")
+	epoch := report.EpochFlag(flag.CommandLine)
 	slo := flag.Duration("slo", 0, "submit-to-terminal job-latency SLO target (0 = SLO accounting off)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (do not enable on publicly reachable addresses)")

@@ -10,17 +10,17 @@
 //
 // SIGINT (Ctrl-C) cancels the simulation cooperatively: the engine
 // stops at its next progress poll and the partial result measured so
-// far is printed before exit. -trace-out records the run's per-stage
-// span trace (internal/obs) as JSON and prints the timing breakdown;
+// far is printed before exit. -trace-out records the run's span export
+// (internal/obs) as JSON and prints the stage timing table;
 // -cpuprofile and -memprofile write runtime/pprof profiles for the
 // whole run.
 //
 // -timeline records a flight-recorder timeline (per-core CPI, bank
 // pressure, classification churn, link utilization per epoch of
-// -epoch measured refs) and writes it to FILE — rendered text, or the
-// raw timeline JSON when FILE ends in .json. "-" renders to stdout.
-// Recording is pure observation: the measured result is bit-identical
-// with or without it.
+// -epoch measured refs) and writes it to FILE — rendered text, or a
+// JSON object keyed "workload/design" when FILE ends in .json. "-"
+// renders to stdout. Recording is pure observation: the measured
+// result is bit-identical with or without it.
 package main
 
 import (
@@ -37,7 +37,6 @@ import (
 	"syscall"
 
 	"rnuca"
-	"rnuca/internal/obs"
 	"rnuca/internal/report"
 	"rnuca/internal/sim"
 	"rnuca/internal/workload"
@@ -58,9 +57,7 @@ func run() int {
 	batches := flag.Int("batches", 1, "independently seeded batches (CI when >1)")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
 	list := flag.Bool("list", false, "list workloads and exit")
-	traceOut := flag.String("trace-out", "", "write the run's per-stage span trace as JSON to this path")
-	timelineOut := flag.String("timeline", "", "record a flight timeline and write it here (text; .json for raw JSON; - for stdout)")
-	epoch := flag.Int("epoch", 0, "flight-recorder epoch length in measured refs (0 = default 64Ki)")
+	outputs := report.OutputFlags(flag.CommandLine)
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
@@ -111,12 +108,7 @@ func run() int {
 		}()
 	}
 
-	var spans *obs.Trace
-	if *traceOut != "" {
-		spans = obs.NewTrace(0)
-		ctx = obs.ContextWithTrace(ctx, spans)
-	}
-
+	ctx, timeline := outputs.Start(ctx)
 	var gauge rnuca.ProgressGauge
 	job := rnuca.Job{
 		Input:   rnuca.FromWorkload(w),
@@ -125,10 +117,8 @@ func run() int {
 			Warm: *warm, Measure: *measure, Batches: *batches,
 			InstrClusterSize: *clusters,
 			Progress:         gauge.Observe,
+			Timeline:         timeline,
 		},
-	}
-	if *timelineOut != "" {
-		job.Options.Timeline = &rnuca.TimelineConfig{Every: *epoch}
 	}
 	id := job.Designs[0]
 
@@ -138,20 +128,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", err)
 		return 2
 	}
-	var stages []obs.StageTiming
-	if spans != nil {
-		if werr := obs.WriteTraceFile(*traceOut, spans); werr != nil {
-			fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", werr)
-			return 1
-		}
-		stages = spans.Stages()
-	}
-	if *timelineOut != "" {
-		label := fmt.Sprintf("%s/%s", w.Name, id)
-		if werr := report.WriteTimelineFile(*timelineOut, label, r.Timeline); werr != nil {
-			fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", werr)
-			return 1
-		}
+	stages, werr := outputs.Finish(map[string]*rnuca.Timeline{fmt.Sprintf("%s/%s", w.Name, id): r.Timeline})
+	if werr != nil {
+		fmt.Fprintf(os.Stderr, "rnuca-sim: %v\n", werr)
+		return 1
 	}
 	if interrupted {
 		// The engine stopped at its progress poll; report how far it
@@ -224,10 +204,7 @@ func run() int {
 			100*float64(r.MixedPageAccesses)/float64(r.Refs))
 	}
 	if len(stages) > 0 {
-		fmt.Printf("  stage timing (%s):\n", *traceOut)
-		for _, st := range stages {
-			fmt.Printf("    %-16s %9.4fs x%d\n", st.Stage, st.Seconds, st.Count)
-		}
+		report.StageTable(stages).Render(os.Stdout)
 	}
 	if interrupted {
 		return 130

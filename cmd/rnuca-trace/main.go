@@ -17,7 +17,8 @@
 //	rnuca-trace index [-upgrade OUT] [-stats] trace.rnt
 //	rnuca-trace replay [-design R | -design P,A,S,R,I | -design all]
 //	            [-warm N] [-measure N] [-batches B] [-shards N]
-//	            [-window START:N] [-timeline FILE] [-epoch N] trace.rnt
+//	            [-window START:N] [-trace-out FILE] [-timeline FILE]
+//	            [-epoch N] trace.rnt
 //	rnuca-trace corpus add|ls|verify|rm|gc -dir STORE ...
 //
 // record runs a workload through a design once and tees the consumed
@@ -34,17 +35,16 @@
 // batches run one after another), skipping generation cost; a same-design replay reproduces the
 // recording run's numbers exactly. On indexed traces, -shards fans
 // chunk decoding across workers without changing results, and -window
-// replays only the records [START, START+N). corpus manages a
-// content-addressed corpus store (internal/corpus) — the store
+// replays only the records [START, START+N); -trace-out, -timeline and
+// -epoch work as in rnuca-sim, with one timeline per design. corpus
+// manages a content-addressed corpus store (internal/corpus) — the store
 // rnuca-serve answers jobs from: add validates and stores traces by
 // SHA-256 digest, ls lists manifests, verify re-checks content and
 // chunk structure, rm drops names, gc collects unreferenced objects.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -60,7 +60,6 @@ import (
 
 	"rnuca"
 	"rnuca/internal/ingest"
-	"rnuca/internal/obs"
 	"rnuca/internal/report"
 	"rnuca/internal/tracefile"
 	"rnuca/internal/workload"
@@ -97,7 +96,8 @@ func usage() {
               [-workload NAME] -o FILE INPUT...
   rnuca-trace info FILE
   rnuca-trace index [-upgrade OUT] [-stats] FILE
-  rnuca-trace replay [-design IDS|all] [-warm N] [-measure N] [-batches B] [-shards N] [-window START:N] [-timeline FILE] [-epoch N] FILE
+  rnuca-trace replay [-design IDS|all] [-warm N] [-measure N] [-batches B] [-shards N] [-window START:N]
+              [-trace-out FILE] [-timeline FILE] [-epoch N] FILE
   rnuca-trace corpus add -dir STORE [-name NAME] FILE...
   rnuca-trace corpus ls -dir STORE
   rnuca-trace corpus verify -dir STORE [REF...]
@@ -613,9 +613,7 @@ func replay(args []string) {
 	batches := fs.Int("batches", 1, "replay batches per design, run one after another")
 	shards := fs.Int("shards", 0, "parallel trace-decode workers per engine (0 = one per CPU, 1 = sequential; needs a v2 indexed trace)")
 	window := fs.String("window", "", "replay only records START:N of the trace (needs a v2 indexed trace)")
-	traceOut := fs.String("trace-out", "", "write the replay's per-stage span trace as JSON to this path")
-	timelineOut := fs.String("timeline", "", "record per-design flight timelines and write them here (text; .json for raw JSON; - for stdout)")
-	epoch := fs.Int("epoch", 0, "flight-recorder epoch length in measured refs (0 = default 64Ki)")
+	outputs := report.OutputFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
@@ -658,12 +656,7 @@ func replay(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var spans *obs.Trace
-	if *traceOut != "" {
-		spans = obs.NewTrace(0)
-		ctx = obs.ContextWithTrace(ctx, spans)
-	}
-
+	ctx, timeline := outputs.Start(ctx)
 	in := rnuca.FromTrace(path).Sharded(*shards)
 	if *window != "" {
 		start, n := parseWindow(*window)
@@ -676,10 +669,8 @@ func replay(args []string) {
 		Options: rnuca.RunOptions{
 			Warm: *warm, Measure: *measure, Batches: *batches,
 			Progress: gauge.Observe,
+			Timeline: timeline,
 		},
-	}
-	if *timelineOut != "" {
-		job.Options.Timeline = &rnuca.TimelineConfig{Every: *epoch}
 	}
 	results, err := job.Compare(ctx)
 	interrupted := errors.Is(err, context.Canceled)
@@ -707,52 +698,18 @@ func replay(args []string) {
 		fmt.Printf("  %-6s %-8.4f %-10d %-9d %+.1f%%\n",
 			id, r.CPI(), r.OffChipMisses, r.NetMessages, 100*r.Speedup(base.Result))
 	}
-	if spans != nil {
-		if err := obs.WriteTraceFile(*traceOut, spans); err != nil {
-			fatalf("replay: %v", err)
-		}
-		fmt.Printf("stage breakdown (%s):\n", *traceOut)
-		for _, st := range spans.Stages() {
-			fmt.Printf("  %-14s %9.4fs x%d\n", st.Stage, st.Seconds, st.Count)
-		}
+	timelines := make(map[string]*rnuca.Timeline, len(ids))
+	for _, id := range ids {
+		timelines[fmt.Sprintf("%s/%s", hdr.Workload, id)] = results[id].Timeline
 	}
-	if *timelineOut != "" {
-		if err := writeReplayTimelines(*timelineOut, hdr.Workload, ids, results); err != nil {
-			fatalf("replay: %v", err)
-		}
+	stages, err := outputs.Finish(timelines)
+	if err != nil {
+		fatalf("replay: %v", err)
+	}
+	if len(stages) > 0 {
+		report.StageTable(stages).Render(os.Stdout)
 	}
 	if interrupted {
 		os.Exit(130)
 	}
-}
-
-// writeReplayTimelines writes every replayed design's flight timeline:
-// rendered text (one section per design) by default, a design-keyed
-// JSON object when path ends in ".json", stdout when path is "-".
-func writeReplayTimelines(path, workload string, ids []rnuca.DesignID, results map[rnuca.DesignID]rnuca.Result) error {
-	if strings.HasSuffix(path, ".json") {
-		byID := make(map[string]*rnuca.Timeline, len(ids))
-		for _, id := range ids {
-			byID[string(id)] = results[id].Timeline
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(byID); err != nil {
-			return err
-		}
-		return os.WriteFile(path, buf.Bytes(), 0o644)
-	}
-	var buf bytes.Buffer
-	for i, id := range ids {
-		if i > 0 {
-			fmt.Fprintln(&buf)
-		}
-		report.RenderTimeline(&buf, fmt.Sprintf("%s/%s", workload, id), results[id].Timeline)
-	}
-	if path == "-" {
-		_, err := os.Stdout.Write(buf.Bytes())
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -7,7 +7,7 @@ import (
 	"rnuca/internal/sim"
 )
 
-// fold must weight every batch equally. The pre-v2 fold
+// The batch fold must weight every batch equally. The pre-v2 fold
 // averaged pairwise — ((a+b)/2+c)/2 — which weighted batch b of B by
 // 2^-(B-b): with three batches the first two carried 25% each and the
 // last 50%.
@@ -28,7 +28,14 @@ func TestFoldResultsEqualBatchWeight(t *testing.T) {
 		}
 		return r
 	}
-	got := fold(runOpts{}, []sim.Result{mk(1), mk(2), mk(4)})
+	fold := func(rs ...sim.Result) sim.Result {
+		var f batchFold
+		for _, r := range rs {
+			f.add(r)
+		}
+		return f.result(runOpts{}).Result
+	}
+	got := fold(mk(1), mk(2), mk(4))
 
 	want := 7.0 / 3 // equal weighting; the old pairwise fold gave 2.75
 	for i := range got.CPIStack {
@@ -53,7 +60,7 @@ func TestFoldResultsEqualBatchWeight(t *testing.T) {
 	}
 
 	// A single batch folds to itself, bit for bit.
-	if one := fold(runOpts{}, []sim.Result{mk(3)}); one != mk(3) {
+	if one := fold(mk(3)); one != mk(3) {
 		t.Fatal("single-batch fold must be the identity")
 	}
 }

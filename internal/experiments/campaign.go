@@ -54,6 +54,7 @@ type Campaign struct {
 	Shards   int
 	results  map[string]map[rnuca.DesignID]rnuca.Result
 	rnucaBy  map[string]map[int]rnuca.Result // cluster-size sweep cache
+	sec3     map[string]*sec3Rows            // §3 table rows, by workload
 	inputs   map[string]rnuca.Input          // workload name -> registered input
 	ingested map[string]rnuca.Workload       // ingested corpora, by name
 	rcache   *resultcache.Cache              // shared memoized results, optional
@@ -70,6 +71,7 @@ func NewCampaign(s Scale) *Campaign {
 		Scale:    s,
 		results:  map[string]map[rnuca.DesignID]rnuca.Result{},
 		rnucaBy:  map[string]map[int]rnuca.Result{},
+		sec3:     map[string]*sec3Rows{},
 		inputs:   map[string]rnuca.Input{},
 		ingested: map[string]rnuca.Workload{},
 	}
@@ -331,98 +333,88 @@ func (c *Campaign) checkCtx(what string) {
 const ctxCheckEvery = 1 << 13
 
 // analyze feeds TraceRefs references of a workload through a fresh
-// analyzer — from the registered input when one replays a trace
-// (re-reading it, or its registered window, as often as needed to
-// reach the count), from the generator otherwise. Windowed traces are
-// read through the chunk index, so sampling a region never scans the
-// file's front.
+// analyzer — from the registered input when one replays a trace (its
+// registered window, if any), from the generator otherwise. A trace
+// shorter than the count is rewound and read again. Windowed traces
+// are read through the chunk index, so sampling a region never scans
+// the file's front.
 func (c *Campaign) analyze(w rnuca.Workload) *trace.Analyzer {
 	sp := obs.StartSpan(c.ctx(), "classify.pass")
 	sp.SetAttr("workload", w.Name)
 	defer sp.End()
+	src, what, closeSrc := c.records(w)
+	defer closeSrc()
 	an := trace.NewAnalyzer(w.Cores)
-	in, ok := c.inputs[w.Name]
-	if !ok || !in.Replays() {
-		src := workload.Source(w)
-		for i := 0; i < c.Scale.TraceRefs; i++ {
-			if i%ctxCheckEvery == 0 {
-				c.checkCtx("analyzing " + w.Name)
+	for seen, pass := 0, 0; seen < c.Scale.TraceRefs; {
+		if seen%ctxCheckEvery == 0 {
+			c.checkCtx("analyzing " + what)
+		}
+		r, ok := src.Next()
+		if !ok {
+			// Only a trace ends; Rewind refuses after a read error.
+			if pass == 0 {
+				panic(fmt.Sprintf("experiments: trace %s holds no refs", what))
 			}
-			r, _ := src.Next()
-			an.Observe(r)
-		}
-		return an
-	}
-	path := in.TracePath()
-	if start, refs := in.WindowRange(); start > 0 || refs > 0 {
-		c.analyzeWindow(path, start, refs, an)
-		return an
-	}
-	for seen := 0; seen < c.Scale.TraceRefs; {
-		f, err := tracefile.Open(path)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
-		}
-		n := 0
-		for seen < c.Scale.TraceRefs {
-			if seen%ctxCheckEvery == 0 {
-				c.checkCtx("analyzing " + path)
+			if err := src.(trace.Rewinder).Rewind(); err != nil {
+				panic(fmt.Sprintf("experiments: analyzing %s: %v", what, err))
 			}
-			r, ok := f.Next()
-			if !ok {
-				break
-			}
-			an.Observe(r)
-			seen++
-			n++
+			pass = 0
+			continue
 		}
-		f.Close()
-		if err := f.Err(); err != nil {
-			panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
-		}
-		if n == 0 {
-			panic(fmt.Sprintf("experiments: trace %s holds no refs", path))
-		}
+		an.Observe(r)
+		seen++
+		pass++
 	}
 	return an
 }
 
-// analyzeWindow feeds TraceRefs references of a registered trace window
-// through the analyzer, looping the window's cursor as needed.
-func (c *Campaign) analyzeWindow(path string, start, refs uint64, an *trace.Analyzer) {
-	x, err := tracefile.OpenIndexed(path)
-	if err != nil {
+// records opens the reference stream analyze reads for a workload,
+// named for errors by what; closeSrc releases it.
+func (c *Campaign) records(w rnuca.Workload) (src trace.RefSource, what string, closeSrc func()) {
+	in, ok := c.inputs[w.Name]
+	if !ok || !in.Replays() {
+		return workload.Source(w), w.Name, func() {}
+	}
+	path := in.TracePath()
+	fail := func(err error) {
 		panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
 	}
-	defer x.Close()
+	start, refs := in.WindowRange()
+	if start == 0 && refs == 0 {
+		f, err := tracefile.Open(path)
+		if err != nil {
+			fail(err)
+		}
+		return f, path, func() { f.Close() }
+	}
+	x, err := tracefile.OpenIndexed(path)
+	if err != nil {
+		fail(err)
+	}
 	if refs == 0 {
 		refs = x.Refs() - start
 	}
 	cur, err := x.Window(start, refs)
 	if err != nil || refs == 0 {
+		x.Close()
 		panic(fmt.Sprintf("experiments: analyzing %s window [%d,+%d): %v", path, start, refs, err))
 	}
-	for seen := 0; seen < c.Scale.TraceRefs; {
-		if seen%ctxCheckEvery == 0 {
-			c.checkCtx("analyzing " + path)
-		}
-		r, ok := cur.Next()
-		if !ok {
-			if err := cur.Err(); err != nil {
-				panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
-			}
-			if err := cur.Rewind(); err != nil {
-				panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
-			}
-			continue
-		}
-		an.Observe(r)
-		seen++
-	}
+	return cur, path, func() { x.Close() }
 }
 
 // pct formats a fraction as a percentage.
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+
+// share formats k of total as a percentage, rounded half up in integer
+// arithmetic: an exact tie (an odd multiple of 0.05%) always rounds
+// the same way, which a float quotient does not promise.
+func share(k, total uint64) string {
+	if total == 0 {
+		return pct(0)
+	}
+	tenths := (2000*k + total) / (2 * total)
+	return fmt.Sprintf("%d.%d%%", tenths/10, tenths%10)
+}
 
 // kb formats bytes as KB.
 func kb(b float64) string {

@@ -54,96 +54,137 @@ func Table1() []*report.Table {
 	return []*report.Table{sys, apps}
 }
 
+// sec3Rows is one workload's rows for the four §3 tables, Figures 2
+// through 5 in order, each row led by the workload name.
+type sec3Rows [4][][]string
+
+// sec3Cols are the columns of the four §3 tables, Figures 2 through 5.
+var sec3Cols = [4][]string{
+	{"Workload", "Sharers", "Kind", "%RW blocks", "%L2 accesses", "Blocks"},
+	{"Workload", "Instructions", "Data-Private", "Data-Shared-RW", "Data-Shared-RO"},
+	{"Workload", "Class", "50%", "80%", "90%", "curve"},
+	reuseCols(),
+}
+
+func reuseCols() []string {
+	labels := trace.RunBucketLabels()
+	return append([]string{"Workload", "Kind"}, labels[:]...)
+}
+
 // Fig2 reproduces Figure 2: L2 reference clustering. Each row is one
 // bubble: blocks grouped by sharer count and instruction/data split, with
 // the read-write fraction (Y axis) and access share (bubble diameter).
 // Panel (a) covers server workloads including the extended set; panel (b)
 // covers scientific and multi-programmed workloads.
 func (c *Campaign) Fig2() []*report.Table {
-	var server, scimp []rnuca.Workload
-	for _, w := range append(rnuca.Primary(), rnuca.Extended()...) {
-		if w.Category == workload.Server {
-			server = append(server, w)
-		} else {
-			scimp = append(scimp, w)
-		}
-	}
-	panel := func(title string, ws []rnuca.Workload) *report.Table {
-		t := report.NewTable(title, "Workload", "Sharers", "Kind", "%RW blocks", "%L2 accesses", "Blocks")
-		for _, w := range ws {
-			an := c.analyze(w)
-			for _, b := range an.ReferenceClustering() {
-				if b.AccessShare < 0.001 {
-					continue
-				}
-				kind := "data"
-				if b.Instruction {
-					kind = "instr"
-				} else if b.Private {
-					kind = "data-priv"
-				}
-				t.AddRow(w.Name, fmt.Sprint(b.Sharers), kind, pct(b.RWFraction), pct(b.AccessShare), fmt.Sprint(b.Blocks))
-			}
-		}
-		return t
-	}
-	return []*report.Table{
-		panel("Figure 2(a): L2 reference clustering — server workloads", server),
-		panel("Figure 2(b): L2 reference clustering — scientific and multi-programmed", scimp),
-	}
+	return c.Section3(2, append(rnuca.Primary(), rnuca.Extended()...))
 }
 
 // Fig3 reproduces Figure 3: the distribution of L2 references by access
 // class for the primary workloads.
-func (c *Campaign) Fig3() *report.Table {
-	t := report.NewTable("Figure 3: L2 reference breakdown",
-		"Workload", "Instructions", "Data-Private", "Data-Shared-RW", "Data-Shared-RO")
-	for _, w := range rnuca.Primary() {
-		an := c.analyze(w)
-		b := an.ReferenceBreakdown()
-		t.AddRow(w.Name, pct(b.Instructions), pct(b.DataPrivate), pct(b.DataSharedRW), pct(b.DataSharedRO))
-	}
-	return t
-}
+func (c *Campaign) Fig3() *report.Table { return c.Section3(3, rnuca.Primary())[0] }
 
 // Fig4 reproduces Figure 4: per-class working-set CDFs. For each workload
 // and class it reports the footprint needed to capture 50/80/90 percent of
 // that class's L2 references, the quantile view of the paper's log-scale
-// CDF curves.
-func (c *Campaign) Fig4() *report.Table {
-	t := report.NewTable("Figure 4: L2 working set sizes (footprint at CDF quantiles)",
-		"Workload", "Class", "50%", "80%", "90%", "curve")
-	for _, w := range rnuca.Primary() {
-		an := c.analyze(w)
-		for _, class := range []cache.Class{cache.ClassPrivate, cache.ClassInstruction, cache.ClassShared} {
-			cdf := an.WorkingSetCDF(class)
-			if cdf.Samples() == 0 {
-				continue
+// CDF curves, and the curve itself as a sparkline.
+func (c *Campaign) Fig4() *report.Table { return c.Section3(4, rnuca.Primary())[0] }
+
+// Fig5 reproduces Figure 5: instruction and shared-data reuse. For
+// instructions: the distribution of same-core run positions. For shared
+// data: accesses by one core between writes by others.
+func (c *Campaign) Fig5() *report.Table { return c.Section3(5, rnuca.Primary())[0] }
+
+// Section3 renders §3 figure fig (2 through 5) over ws with the
+// catalog figure's titles: Figure 2's two category panels, leaving out
+// a panel none of ws falls in, or Figure 3, 4 or 5's one table.
+func (c *Campaign) Section3(fig int, ws []rnuca.Workload) []*report.Table {
+	switch fig {
+	case 2:
+		var server, scimp []rnuca.Workload
+		for _, w := range ws {
+			if w.Category == workload.Server {
+				server = append(server, w)
+			} else {
+				scimp = append(scimp, w)
 			}
-			_, fracs := cdf.Points()
-			spark := report.Sparkline(sample(fracs, 24))
-			t.AddRow(w.Name, class.String(),
-				kb(cdf.Quantile(0.5)*1024), kb(cdf.Quantile(0.8)*1024), kb(cdf.Quantile(0.9)*1024), spark)
+		}
+		var out []*report.Table
+		for _, p := range []struct {
+			title string
+			ws    []rnuca.Workload
+		}{
+			{"Figure 2(a): L2 reference clustering — server workloads", server},
+			{"Figure 2(b): L2 reference clustering — scientific and multi-programmed", scimp},
+		} {
+			if len(p.ws) > 0 {
+				out = append(out, c.sec3Table(0, p.title, p.ws))
+			}
+		}
+		return out
+	case 3:
+		return []*report.Table{c.sec3Table(1, "Figure 3: L2 reference breakdown", ws)}
+	case 4:
+		return []*report.Table{c.sec3Table(2, "Figure 4: L2 working set sizes (footprint at CDF quantiles)", ws)}
+	case 5:
+		return []*report.Table{c.sec3Table(3, "Figure 5: instruction and shared-data reuse", ws)}
+	}
+	panic(fmt.Sprintf("experiments: Section3: no §3 figure %d", fig))
+}
+
+// sec3Table assembles §3 table i (0 for Figure 2 through 3 for Figure
+// 5) from the rows of each workload in ws.
+func (c *Campaign) sec3Table(i int, title string, ws []rnuca.Workload) *report.Table {
+	t := report.NewTable(title, sec3Cols[i]...)
+	for _, w := range ws {
+		for _, row := range c.sec3Rows(w)[i] {
+			t.AddRow(row...)
 		}
 	}
 	return t
 }
 
-// Fig5 reproduces Figure 5: instruction and shared-data reuse. For
-// instructions: the distribution of same-core run positions. For shared
-// data: accesses by one core between writes by others.
-func (c *Campaign) Fig5() *report.Table {
-	labels := trace.RunBucketLabels()
-	t := report.NewTable("Figure 5: instruction and shared-data reuse",
-		"Workload", "Kind", labels[0], labels[1], labels[2], labels[3], labels[4])
-	for _, w := range rnuca.Primary() {
-		an := c.analyze(w)
-		ih := an.ReuseHistogram(true)
-		sh := an.ReuseHistogram(false)
-		t.AddRow(w.Name, "instructions", pct(ih[0]), pct(ih[1]), pct(ih[2]), pct(ih[3]), pct(ih[4]))
-		t.AddRow(w.Name, "shared data", pct(sh[0]), pct(sh[1]), pct(sh[2]), pct(sh[3]), pct(sh[4]))
+// sec3Rows returns a workload's rows for all four §3 tables, built
+// from one analysis of its reference stream on first use. The rows are
+// memoized per workload, as Results are; the analyzer is not, so a
+// figure build holds one block map at a time.
+func (c *Campaign) sec3Rows(w rnuca.Workload) *sec3Rows {
+	if rows := c.sec3[w.Name]; rows != nil {
+		return rows
 	}
-	return t
+	an := c.analyze(w)
+	rows := &sec3Rows{}
+	add := func(i int, cells ...string) { rows[i] = append(rows[i], append([]string{w.Name}, cells...)) }
+	for _, b := range an.ReferenceClustering() {
+		if b.AccessShare < 0.001 {
+			continue
+		}
+		kind := "data"
+		if b.Instruction {
+			kind = "instr"
+		} else if b.Private {
+			kind = "data-priv"
+		}
+		add(0, fmt.Sprint(b.Sharers), kind, pct(b.RWFraction), pct(b.AccessShare), fmt.Sprint(b.Blocks))
+	}
+	bd := an.ReferenceBreakdown()
+	add(1, share(bd.Instructions, bd.TotalAccesses), share(bd.DataPrivate, bd.TotalAccesses),
+		share(bd.DataSharedRW, bd.TotalAccesses), share(bd.DataSharedRO, bd.TotalAccesses))
+	for _, class := range []cache.Class{cache.ClassPrivate, cache.ClassInstruction, cache.ClassShared} {
+		cdf := an.WorkingSetCDF(class)
+		if cdf.Samples() == 0 {
+			continue
+		}
+		_, fracs := cdf.Points()
+		add(2, class.String(), kb(cdf.Quantile(0.5)*1024), kb(cdf.Quantile(0.8)*1024), kb(cdf.Quantile(0.9)*1024),
+			report.Sparkline(sample(fracs, 24)))
+	}
+	for _, kind := range []string{"instructions", "shared data"} {
+		h := an.ReuseHistogram(kind == "instructions")
+		add(3, kind, pct(h[0]), pct(h[1]), pct(h[2]), pct(h[3]), pct(h[4]))
+	}
+	c.sec3[w.Name] = rows
+	return rows
 }
 
 // sample downsamples a series to at most n points.

@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"rnuca"
-	"rnuca/internal/cache"
 	"rnuca/internal/report"
-	"rnuca/internal/trace"
 )
 
 // IngestedWorkloads returns the workloads registered through
@@ -25,53 +23,19 @@ func (c *Campaign) IngestedWorkloads() []rnuca.Workload {
 // 2–5 analyses) over every ingested corpus: reference clustering,
 // class breakdown, per-class working sets, and reuse histograms, all
 // fed from the converted trace exactly as the catalog workloads feed
-// from theirs. It returns nil when no corpus is registered.
+// from theirs, in the same rows. It returns nil when no corpus is
+// registered.
 func (c *Campaign) FigIngested() []*report.Table {
 	ws := c.IngestedWorkloads()
 	if len(ws) == 0 {
 		return nil
 	}
-	clustering := report.NewTable("Ingested corpora: L2 reference clustering (Figure 2 analysis)",
-		"Workload", "Sharers", "Kind", "%RW blocks", "%L2 accesses", "Blocks")
-	breakdown := report.NewTable("Ingested corpora: L2 reference breakdown (Figure 3 analysis)",
-		"Workload", "Instructions", "Data-Private", "Data-Shared-RW", "Data-Shared-RO")
-	working := report.NewTable("Ingested corpora: L2 working sets (Figure 4 analysis)",
-		"Workload", "Class", "50%", "80%", "90%")
-	labels := trace.RunBucketLabels()
-	reuse := report.NewTable("Ingested corpora: instruction and shared-data reuse (Figure 5 analysis)",
-		"Workload", "Kind", labels[0], labels[1], labels[2], labels[3], labels[4])
-	for _, w := range ws {
-		an := c.analyze(w)
-		for _, b := range an.ReferenceClustering() {
-			if b.AccessShare < 0.001 {
-				continue
-			}
-			kind := "data"
-			if b.Instruction {
-				kind = "instr"
-			} else if b.Private {
-				kind = "data-priv"
-			}
-			clustering.AddRow(w.Name, fmt.Sprint(b.Sharers), kind,
-				pct(b.RWFraction), pct(b.AccessShare), fmt.Sprint(b.Blocks))
-		}
-		bd := an.ReferenceBreakdown()
-		breakdown.AddRow(w.Name, pct(bd.Instructions), pct(bd.DataPrivate),
-			pct(bd.DataSharedRW), pct(bd.DataSharedRO))
-		for _, class := range []cache.Class{cache.ClassPrivate, cache.ClassInstruction, cache.ClassShared} {
-			cdf := an.WorkingSetCDF(class)
-			if cdf.Samples() == 0 {
-				continue
-			}
-			working.AddRow(w.Name, class.String(),
-				kb(cdf.Quantile(0.5)*1024), kb(cdf.Quantile(0.8)*1024), kb(cdf.Quantile(0.9)*1024))
-		}
-		ih := an.ReuseHistogram(true)
-		sh := an.ReuseHistogram(false)
-		reuse.AddRow(w.Name, "instructions", pct(ih[0]), pct(ih[1]), pct(ih[2]), pct(ih[3]), pct(ih[4]))
-		reuse.AddRow(w.Name, "shared data", pct(sh[0]), pct(sh[1]), pct(sh[2]), pct(sh[3]), pct(sh[4]))
+	return []*report.Table{
+		c.sec3Table(0, "Ingested corpora: L2 reference clustering (Figure 2 analysis)", ws),
+		c.sec3Table(1, "Ingested corpora: L2 reference breakdown (Figure 3 analysis)", ws),
+		c.sec3Table(2, "Ingested corpora: L2 working sets (Figure 4 analysis)", ws),
+		c.sec3Table(3, "Ingested corpora: instruction and shared-data reuse (Figure 5 analysis)", ws),
 	}
-	return []*report.Table{clustering, breakdown, working, reuse}
 }
 
 // CompareIngested replays every ingested corpus under the given designs

@@ -1,32 +1,16 @@
 package experiments
 
 import (
-	"path/filepath"
 	"testing"
 
 	"rnuca"
-	"rnuca/internal/ingest"
 )
 
 // An ingested corpus (converted from a checked-in foreign fixture) runs
 // through the campaign exactly like a recorded trace: design
 // comparisons replay it, and the Figure 2–5 analyses read it.
 func TestCampaignUseIngested(t *testing.T) {
-	fixture := filepath.Join("..", "ingest", "testdata", "tiny.din")
-	path := filepath.Join(t.TempDir(), "tiny.rnt")
-	sum, err := ingest.Convert([]string{fixture}, path, ingest.Options{
-		Interleave: ingest.InterleaveStride,
-		Cores:      4,
-		Stride:     16,
-		Workload:   "din-ingested",
-	})
-	if err != nil {
-		t.Fatalf("convert: %v", err)
-	}
-	if sum.Refs != 720 {
-		t.Fatalf("converted %d refs, want 720", sum.Refs)
-	}
-
+	path := convertTiny(t)
 	c := NewCampaign(Scale{Warm: 120, Measure: 480, TraceRefs: 1_000, Batches: 1})
 	w, err := c.SetInput(rnuca.FromTrace(path))
 	if err != nil {
@@ -58,7 +42,7 @@ func TestCampaignUseIngested(t *testing.T) {
 		t.Fatalf("analyzer observed %d refs, want 1000", an.Total())
 	}
 	bd := an.ReferenceBreakdown()
-	if bd.Instructions <= 0 || bd.Instructions >= 1 {
+	if bd.Instructions == 0 || bd.Instructions == bd.TotalAccesses {
 		t.Fatalf("ingested breakdown instruction share %v", bd.Instructions)
 	}
 }

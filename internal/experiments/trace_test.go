@@ -49,7 +49,7 @@ func TestCampaignUseTrace(t *testing.T) {
 		t.Fatalf("analyzer observed %d refs, want %d", an.Total(), scale.TraceRefs)
 	}
 	bd := an.ReferenceBreakdown()
-	if bd.Instructions <= 0 || bd.Instructions >= 1 {
+	if bd.Instructions == 0 || bd.Instructions == bd.TotalAccesses {
 		t.Fatalf("trace-backed breakdown instruction share %v", bd.Instructions)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"rnuca/internal/ospage"
 	"rnuca/internal/trace"
 	"rnuca/internal/tracefile"
 )
@@ -141,6 +142,9 @@ func Convert(inputs []string, out string, opt Options) (*Summary, error) {
 		return nil, fmt.Errorf("ingest: no inputs to convert")
 	}
 	opt = opt.withDefaults()
+	if err := ospage.CheckPageBytes(opt.PageBytes); err != nil {
+		return nil, err
+	}
 
 	var table *PageTable
 	if opt.Classify != ClassifyOff {

@@ -327,6 +327,13 @@ func TestConvertErrors(t *testing.T) {
 	if _, err := ingest.Convert(nil, out, ingest.Options{}); err == nil {
 		t.Fatal("empty input list accepted")
 	}
+	// A page size the classifier cannot shift by is an error, not a
+	// panic, and is refused before any pass reads an input.
+	if _, err := ingest.Convert([]string{fixture("tiny.din")}, out, ingest.Options{
+		PageBytes: 3,
+	}); err == nil || !strings.Contains(err.Error(), "page size 3") {
+		t.Fatalf("3-byte pages: %v", err)
+	}
 	// Keep mode without -cores auto-sizes from a pass-0 scan — but a
 	// ref-less input leaves nothing to size from.
 	emptyKeep := filepath.Join(dir, "empty-keep.csv")

@@ -65,9 +65,10 @@
 //	defer sp.End()
 //
 // Ended spans accumulate in the Trace's ring (oldest dropped past
-// capacity); Trace.Spans returns them for JSON export and
-// Trace.Stages aggregates them into a per-stage wall-clock
-// breakdown. The span names used across the
+// capacity); Trace.Spans returns them, and Trace.Export snapshots
+// them with their per-stage wall-clock breakdown as the TraceFile that
+// -trace-out files and serve's trace endpoint carry. The span names
+// used across the
 // pipeline are: job.queue, job.run, cache.lookup, replay.setup,
 // workload.setup, sim.cell, result.fold, classify.pass,
 // convert.ingest, and figure.build.

@@ -25,7 +25,7 @@ type SpanData struct {
 }
 
 // StageTiming aggregates every span of one name: one row of the
-// per-stage wall-clock breakdown Trace.Stages returns.
+// per-stage wall-clock breakdown in a TraceFile.
 //
 //rnuca:wire
 type StageTiming struct {
@@ -71,31 +71,36 @@ func (t *Trace) Spans() []SpanData {
 	return append([]SpanData(nil), t.spans...)
 }
 
-// Dropped returns how many spans the ring has discarded.
-func (t *Trace) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+// TraceFile is a trace's span export: the buffered spans in completion
+// order, their per-stage aggregation, and how many early spans the
+// bounded ring discarded. -trace-out files hold it, and serve's
+// /v1/jobs/{id}/trace payload embeds it.
+//
+//rnuca:wire
+type TraceFile struct {
+	Spans   []SpanData    `json:"spans"`
+	Stages  []StageTiming `json:"stages"`
+	Dropped uint64        `json:"dropped,omitempty"`
 }
 
-// Stages aggregates the buffered spans by name, ordered by each
-// stage's first completion.
-func (t *Trace) Stages() []StageTiming {
+// Export snapshots the trace. Stages aggregate the spans by name,
+// ordered by each stage's first completion.
+func (t *Trace) Export() TraceFile {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	index := map[string]int{}
-	var out []StageTiming
+	var stages []StageTiming
 	for _, s := range t.spans {
 		i, ok := index[s.Name]
 		if !ok {
-			i = len(out)
+			i = len(stages)
 			index[s.Name] = i
-			out = append(out, StageTiming{Stage: s.Name})
+			stages = append(stages, StageTiming{Stage: s.Name})
 		}
-		out[i].Seconds += s.Seconds
-		out[i].Count++
+		stages[i].Seconds += s.Seconds
+		stages[i].Count++
 	}
-	return out
+	return TraceFile{Spans: append([]SpanData(nil), t.spans...), Stages: stages, Dropped: t.dropped}
 }
 
 type traceKey struct{}

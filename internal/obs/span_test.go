@@ -54,8 +54,8 @@ func TestTraceRingDropsOldest(t *testing.T) {
 	if spans[0].Name != "c" || spans[2].Name != "e" {
 		t.Fatalf("ring kept %v %v", spans[0].Name, spans[2].Name)
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d", tr.Dropped())
+	if d := tr.Export().Dropped; d != 2 {
+		t.Fatalf("dropped = %d", d)
 	}
 }
 
@@ -67,9 +67,10 @@ func TestTraceRingAtAndPastCapacity(t *testing.T) {
 	for _, name := range []string{"a", "b", "c", "d"} {
 		tr.StartSpan(name).End()
 	}
-	spans := tr.Spans()
-	if len(spans) != 4 || tr.Dropped() != 0 {
-		t.Fatalf("at capacity: %d spans, %d dropped", len(spans), tr.Dropped())
+	ex := tr.Export()
+	spans := ex.Spans
+	if len(spans) != 4 || ex.Dropped != 0 {
+		t.Fatalf("at capacity: %d spans, %d dropped", len(spans), ex.Dropped)
 	}
 	for i, want := range []string{"a", "b", "c", "d"} {
 		if spans[i].Name != want {
@@ -78,9 +79,10 @@ func TestTraceRingAtAndPastCapacity(t *testing.T) {
 	}
 
 	tr.StartSpan("e").End()
-	spans = tr.Spans()
-	if len(spans) != 4 || tr.Dropped() != 1 {
-		t.Fatalf("past capacity: %d spans, %d dropped", len(spans), tr.Dropped())
+	ex = tr.Export()
+	spans = ex.Spans
+	if len(spans) != 4 || ex.Dropped != 1 {
+		t.Fatalf("past capacity: %d spans, %d dropped", len(spans), ex.Dropped)
 	}
 	for i, want := range []string{"b", "c", "d", "e"} {
 		if spans[i].Name != want {
@@ -89,7 +91,7 @@ func TestTraceRingAtAndPastCapacity(t *testing.T) {
 	}
 }
 
-// Stages aggregates only the spans still buffered: once the ring drops
+// Export's stages aggregate only the spans still buffered: once the ring drops
 // a stage's every span, that stage disappears from the breakdown, and
 // ordering follows the surviving spans' completion order.
 func TestStagesAfterRingDrops(t *testing.T) {
@@ -97,10 +99,11 @@ func TestStagesAfterRingDrops(t *testing.T) {
 	tr.add(SpanData{Name: "warmup", Seconds: 5})
 	tr.add(SpanData{Name: "sim.cell", Seconds: 1})
 	tr.add(SpanData{Name: "sim.cell", Seconds: 2}) // evicts warmup
-	if tr.Dropped() != 1 {
-		t.Fatalf("dropped = %d", tr.Dropped())
+	ex := tr.Export()
+	if ex.Dropped != 1 {
+		t.Fatalf("dropped = %d", ex.Dropped)
 	}
-	st := tr.Stages()
+	st := ex.Stages
 	if len(st) != 1 {
 		t.Fatalf("stages = %+v, want only sim.cell", st)
 	}
@@ -136,7 +139,7 @@ func TestStagesAggregatesByName(t *testing.T) {
 	tr.add(SpanData{Name: "sim.cell", Seconds: 1})
 	tr.add(SpanData{Name: "result.fold", Seconds: 0.25})
 	tr.add(SpanData{Name: "sim.cell", Seconds: 2})
-	st := tr.Stages()
+	st := tr.Export().Stages
 	if len(st) != 2 {
 		t.Fatalf("stages = %v", st)
 	}
@@ -161,12 +164,13 @@ func TestTraceConcurrentSpans(t *testing.T) {
 				sp.SetAttr("k", "v")
 				sp.End()
 				_ = tr.Spans()
-				_ = tr.Stages()
+				_ = tr.Export()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := tr.Dropped() + uint64(len(tr.Spans())); got != 800 {
+	ex := tr.Export()
+	if got := ex.Dropped + uint64(len(ex.Spans)); got != 800 {
 		t.Fatalf("recorded %d spans", got)
 	}
 }

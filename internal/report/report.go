@@ -1,6 +1,8 @@
 // Package report renders experiment results as aligned ASCII tables,
 // horizontal bar charts, and CSV, for the figure-regeneration harness
-// (cmd/rnuca-figures) and the examples.
+// (cmd/rnuca-figures) and the examples. It also owns the observation
+// flags the simulation CLIs share (-trace-out, -timeline, -epoch) and
+// the files they write.
 package report
 
 import (

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,25 +12,38 @@ import (
 	"rnuca/internal/obs/flight"
 )
 
-// WriteTimelineFile writes a timeline to path the way the CLIs share:
-// rendered text by default, the raw timeline JSON when path ends in
-// ".json", and rendered text to stdout when path is "-".
-func WriteTimelineFile(path, label string, t *flight.Timeline) error {
-	if path == "-" {
-		RenderTimeline(os.Stdout, label, t)
-		return nil
-	}
-	var buf strings.Builder
+// WriteTimelines writes labelled flight timelines to path: text
+// sections in sorted label order, one JSON object keyed by label when
+// path ends in ".json", and the text on stdout when path is "-".
+func WriteTimelines(path string, tls map[string]*flight.Timeline) error {
+	var buf bytes.Buffer
 	if strings.HasSuffix(path, ".json") {
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(t); err != nil {
-			return fmt.Errorf("report: encoding timeline: %w", err)
+		b, err := json.MarshalIndent(tls, "", "  ")
+		if err != nil {
+			return fmt.Errorf("report: encoding timelines: %w", err)
 		}
+		buf.Write(append(b, '\n'))
 	} else {
-		RenderTimeline(&buf, label, t)
+		labels := make([]string, 0, len(tls))
+		for l := range tls {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		for i, l := range labels {
+			if i > 0 {
+				buf.WriteByte('\n')
+			}
+			RenderTimeline(&buf, l, tls[l])
+		}
+		if len(labels) == 0 {
+			RenderTimeline(&buf, "", nil)
+		}
 	}
-	return os.WriteFile(path, []byte(buf.String()), 0o644)
+	if path == "-" {
+		_, err := os.Stdout.Write(buf.Bytes())
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // RenderTimeline renders a flight-recorder timeline as text: a header,

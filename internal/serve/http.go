@@ -326,12 +326,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id string) 
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, JobTrace{
-		Job:     id,
-		Spans:   j.trace.Spans(),
-		Stages:  j.trace.Stages(),
-		Dropped: j.trace.Dropped(),
-	})
+	writeJSON(w, http.StatusOK, JobTrace{Job: id, TraceFile: j.trace.Export()})
 }
 
 // handleTimeline serves GET /v1/jobs/{id}/timeline: the job's

@@ -17,6 +17,7 @@ import (
 	"rnuca/internal/ingest"
 	"rnuca/internal/obs"
 	"rnuca/internal/obs/flight"
+	"rnuca/internal/ospage"
 	"rnuca/internal/report"
 )
 
@@ -166,7 +167,8 @@ type ConvertSpec struct {
 	Name     string `json:"name,omitempty"`
 }
 
-// ingestOptions converts to converter options.
+// ingestOptions converts to converter options, refusing a page size
+// the converter would (zero takes its default).
 func (c *ConvertSpec) ingestOptions() (ingest.Options, error) {
 	opt := ingest.Options{
 		Format:     c.Format,
@@ -177,6 +179,11 @@ func (c *ConvertSpec) ingestOptions() (ingest.Options, error) {
 		Busy:       c.Busy,
 		OffChipMLP: c.OffChipMLP,
 		Workload:   c.Workload,
+	}
+	if c.PageBytes != 0 {
+		if err := ospage.CheckPageBytes(c.PageBytes); err != nil {
+			return opt, err
+		}
 	}
 	var err error
 	if c.Interleave != "" {
@@ -211,16 +218,13 @@ type JobResult struct {
 	Cache map[string]string `json:"cache,omitempty"`
 }
 
-// JobTrace is the GET /v1/jobs/{id}/trace payload: the job's buffered
-// spans in completion order, their per-stage aggregation, and how many
-// early spans the bounded ring discarded.
+// JobTrace is the GET /v1/jobs/{id}/trace payload: the job's span
+// export (spans, per-stage aggregation, dropped count) beside its ID.
 //
 //rnuca:wire
 type JobTrace struct {
-	Job     string            `json:"job"`
-	Spans   []obs.SpanData    `json:"spans"`
-	Stages  []obs.StageTiming `json:"stages"`
-	Dropped uint64            `json:"dropped,omitempty"`
+	Job string `json:"job"`
+	obs.TraceFile
 }
 
 // JobTimeline is the GET /v1/jobs/{id}/timeline payload: the job's

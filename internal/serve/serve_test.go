@@ -618,15 +618,21 @@ func TestConvertJobRootedInIngestDir(t *testing.T) {
 		t.Fatalf("converted corpus not in store: %v", err)
 	}
 
-	for _, bad := range []string{outside, filepath.Join(ingestDir, "..", "escape.din")} {
-		b, _ := json.Marshal(JobSpec{Kind: "convert", Convert: &ConvertSpec{Inputs: []string{bad}}})
+	for _, bad := range []*ConvertSpec{
+		{Inputs: []string{outside}},
+		{Inputs: []string{filepath.Join(ingestDir, "..", "escape.din")}},
+		// A page size the classifier cannot use is refused at submit;
+		// it must never reach the convert worker, where it panicked.
+		{Inputs: []string{din}, PageBytes: 3},
+	} {
+		b, _ := json.Marshal(JobSpec{Kind: "convert", Convert: bad})
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("input %q outside the ingest dir accepted: %s", bad, resp.Status)
+			t.Fatalf("convert spec %+v accepted: %s", *bad, resp.Status)
 		}
 	}
 }
@@ -684,6 +690,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"input":{"workload":"OLTP-DB2"},"designs":["R"],"options":{"instr_cluster_size":-1}}`,
 		`{"input":{"corpus":"oltp"},"designs":["R"],"options":{"batches":-2}}`,
 		`{"input":{"workload":"OLTP-DB2"},"designs":["R"],"options":{"warm":-1}}`,
+		// Batches above 2^31-1 would make the batch loop unbounded.
+		`{"input":{"workload":"OLTP-DB2"},"designs":["R"],"options":{"batches":1099511627776}}`,
 		`{"kind":"figure","figure":{"corpora":["oltp"],"scale":{"trace_refs":-5}}}`,
 		`{"kind":"figure","figure":{"corpora":["oltp"],"shards":-1}}`,
 		// Bad references, designs, and encodings.

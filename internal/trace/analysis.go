@@ -108,9 +108,6 @@ func RunBucketLabels() [5]string {
 // Total returns the number of observed references.
 func (a *Analyzer) Total() uint64 { return a.total }
 
-// Blocks returns the number of distinct blocks observed.
-func (a *Analyzer) Blocks() int { return len(a.blocks) }
-
 // Bubble is one point of Figure 2: all blocks with the same sharer count
 // and instruction/data classification, aggregated.
 type Bubble struct {
@@ -167,36 +164,33 @@ func (a *Analyzer) ReferenceClustering() []Bubble {
 	return out
 }
 
-// Breakdown is Figure 3: the distribution of L2 references over the four
-// access classes.
+// Breakdown is Figure 3: the L2 references to each of the four access
+// classes, counted, beside the total.
 type Breakdown struct {
-	Instructions  float64
-	DataPrivate   float64
-	DataSharedRW  float64
-	DataSharedRO  float64
+	Instructions  uint64
+	DataPrivate   uint64
+	DataSharedRW  uint64
+	DataSharedRO  uint64
 	TotalAccesses uint64
 }
 
 // ReferenceBreakdown computes Figure 3 from block-level classification:
 // instruction blocks, data blocks with one sharer (private), and data
-// blocks with multiple sharers split by read-write behavior.
+// blocks with multiple sharers split by read-write behavior. The counts
+// are exact, so the shares printed from them do not depend on the
+// block map's iteration order.
 func (a *Analyzer) ReferenceBreakdown() Breakdown {
-	var out Breakdown
-	out.TotalAccesses = a.total
-	if a.total == 0 {
-		return out
-	}
+	out := Breakdown{TotalAccesses: a.total}
 	for _, b := range a.blocks {
-		frac := float64(b.accesses) / float64(a.total)
 		switch {
 		case b.isInstr:
-			out.Instructions += frac
+			out.Instructions += b.accesses
 		case popcount(b.sharers) == 1:
-			out.DataPrivate += frac
+			out.DataPrivate += b.accesses
 		case b.written:
-			out.DataSharedRW += frac
+			out.DataSharedRW += b.accesses
 		default:
-			out.DataSharedRO += frac
+			out.DataSharedRO += b.accesses
 		}
 	}
 	return out

@@ -96,18 +96,8 @@ func TestBreakdown(t *testing.T) {
 	if b.TotalAccesses != 6 {
 		t.Fatalf("total %d", b.TotalAccesses)
 	}
-	approx := func(got, want float64) bool { return got > want-1e-9 && got < want+1e-9 }
-	if !approx(b.Instructions, 1.0/6) {
-		t.Fatalf("instr %v", b.Instructions)
-	}
-	if !approx(b.DataPrivate, 1.0/6) {
-		t.Fatalf("priv %v", b.DataPrivate)
-	}
-	if !approx(b.DataSharedRW, 2.0/6) {
-		t.Fatalf("sharedRW %v", b.DataSharedRW)
-	}
-	if !approx(b.DataSharedRO, 2.0/6) {
-		t.Fatalf("sharedRO %v", b.DataSharedRO)
+	if b.Instructions != 1 || b.DataPrivate != 1 || b.DataSharedRW != 2 || b.DataSharedRO != 2 {
+		t.Fatalf("breakdown %+v, want 1 instr, 1 private, 2 shared-RW, 2 shared-RO", b)
 	}
 }
 

@@ -152,13 +152,13 @@ func (j Job) Validate() error {
 	}
 	// Warm and Measure are capped so the engine's Warm+Measure loop
 	// bound cannot overflow; the replay path clamps a derived split the
-	// same way.
+	// same way. Batches takes the same cap.
 	for _, f := range []struct {
 		name   string
 		v, max int
 	}{
 		{"Warm", j.Options.Warm, math.MaxInt32}, {"Measure", j.Options.Measure, math.MaxInt32},
-		{"Batches", j.Options.Batches, math.MaxInt},
+		{"Batches", j.Options.Batches, math.MaxInt32},
 		{"InstrClusterSize", j.Options.InstrClusterSize, math.MaxInt},
 		{"PrivateClusterSize", j.Options.PrivateClusterSize, math.MaxInt},
 	} {

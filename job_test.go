@@ -171,7 +171,7 @@ func TestJobRunTracesWorkloadSetup(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		counts := map[string]int{}
-		for _, st := range tr.Stages() {
+		for _, st := range tr.Export().Stages {
 			counts[st.Stage] = st.Count
 		}
 		if !reflect.DeepEqual(counts, tc.want) {
@@ -247,6 +247,8 @@ func TestJobValidationErrors(t *testing.T) {
 			Options: rnuca.RunOptions{Warm: math.MaxInt, Measure: 1}}, "Warm is 9223372036854775807, above 2147483647"},
 		{"measure above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
 			Options: rnuca.RunOptions{Warm: 1, Measure: math.MaxInt}}, "Measure is 9223372036854775807, above 2147483647"},
+		{"batches above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
+			Options: rnuca.RunOptions{Warm: 10, Measure: 10, Batches: 1 << 40}}, "Batches is 1099511627776, above 2147483647"},
 		{"window on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Window(1, 2),
 			Designs: []rnuca.DesignID{"R"}}, "Window on a workload input"},
 		{"sharded on source", rnuca.Job{

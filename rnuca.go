@@ -57,8 +57,8 @@
 //
 // Attach an observability trace (internal/obs) to the context and a
 // run records per-stage spans — workload or replay setup, per-cell
-// simulation, result fold — into it; the trace's Stages aggregate them
-// into a per-stage breakdown, and rnuca-serve exposes the same spans
+// simulation, result fold — into it; the trace's Export aggregates them
+// into a per-stage breakdown, and rnuca-serve exposes the same export
 // per job at GET /v1/jobs/{id}/trace.
 //
 // Externally captured traces enter through internal/ingest:
@@ -328,17 +328,16 @@ func runOne(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, streams [
 }
 
 // runBatches runs opt.Batches cells one after another, batch b over the
-// streams in.open(b) returns, and folds the results with equal batch
-// weight. A flight recorder, when the options ask for one, watches
-// batch 0.
+// streams in.open(b) returns, and folds each result into a running
+// total as it finishes, with equal batch weight. A flight recorder,
+// when the options ask for one, watches batch 0.
 func runBatches(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result, error) {
-	results := make([]sim.Result, opt.Batches)
 	var rec *flight.Recorder
 	if opt.Timeline != nil {
 		rec = flight.NewRecorder(*opt.Timeline)
 	}
-	var cpi stats.Summary
-	for b := range results {
+	var f batchFold
+	for b := 0; b < opt.Batches; b++ {
 		bo := opt
 		if b == 0 {
 			bo.flightRec = rec
@@ -347,10 +346,9 @@ func runBatches(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result,
 		if err != nil {
 			return Result{}, err
 		}
-		results[b] = res
-		cpi.Add(res.CPI())
+		f.add(res)
 	}
-	out := Result{Result: fold(opt, results), CPIMean: cpi.Mean(), CPICI: cpi.CI95()}
+	out := f.result(opt)
 	if rec != nil {
 		out.Timeline = rec.Timeline()
 	}
@@ -555,36 +553,52 @@ func workloadFor(hdr tracefile.Header) Workload {
 	}
 }
 
-// fold folds independently-seeded batch results with equal weight:
-// event counters sum, while the CPI stack and per-class cycle
-// breakdowns — per-instruction rates — average over the batch count.
-// (The pre-v2 fold averaged pairwise, (a+b)/2 per step, which weighted
-// batch b of B by 2^-(B-b) for B > 2.)
-func fold(opt runOpts, rs []sim.Result) sim.Result {
-	sp := obs.StartSpan(opt.ctx, "result.fold")
-	defer sp.End()
-	out := rs[0]
-	for _, b := range rs[1:] {
-		out.Instructions += b.Instructions
-		out.Refs += b.Refs
-		out.Cycles += b.Cycles
-		out.OffChipMisses += b.OffChipMisses
-		out.MixedPageAccesses += b.MixedPageAccesses
-		out.MisclassifiedAccesses += b.MisclassifiedAccesses
-		out.ClassifiedAccesses += b.ClassifiedAccesses
-		out.NetMessages += b.NetMessages
-		out.NetFlitHops += b.NetFlitHops
-		out.NetWaitCycles += b.NetWaitCycles
-		for i := range out.CPIStack {
-			out.CPIStack[i] += b.CPIStack[i]
-		}
-		for c := range out.ClassCycles {
-			for i := range out.ClassCycles[c] {
-				out.ClassCycles[c][i] += b.ClassCycles[c][i]
-			}
+// batchFold folds independently-seeded batch results with equal
+// weight, one batch at a time: event counters sum, while the CPI stack
+// and per-class cycle breakdowns — per-instruction rates — average over
+// the batch count. (The pre-v2 fold averaged pairwise, (a+b)/2 per
+// step, which weighted batch b of B by 2^-(B-b) for B > 2.)
+type batchFold struct {
+	sum sim.Result
+	n   int
+	cpi stats.Summary
+}
+
+// add folds in the next batch's result.
+func (f *batchFold) add(b sim.Result) {
+	f.cpi.Add(b.CPI())
+	if f.n++; f.n == 1 {
+		f.sum = b
+		return
+	}
+	out := &f.sum
+	out.Instructions += b.Instructions
+	out.Refs += b.Refs
+	out.Cycles += b.Cycles
+	out.OffChipMisses += b.OffChipMisses
+	out.MixedPageAccesses += b.MixedPageAccesses
+	out.MisclassifiedAccesses += b.MisclassifiedAccesses
+	out.ClassifiedAccesses += b.ClassifiedAccesses
+	out.NetMessages += b.NetMessages
+	out.NetFlitHops += b.NetFlitHops
+	out.NetWaitCycles += b.NetWaitCycles
+	for i := range out.CPIStack {
+		out.CPIStack[i] += b.CPIStack[i]
+	}
+	for c := range out.ClassCycles {
+		for i := range out.ClassCycles[c] {
+			out.ClassCycles[c][i] += b.ClassCycles[c][i]
 		}
 	}
-	if n := float64(len(rs)); n > 1 {
+}
+
+// result averages the rates over the batches folded in and attaches
+// the batch CPI statistics.
+func (f *batchFold) result(opt runOpts) Result {
+	sp := obs.StartSpan(opt.ctx, "result.fold")
+	defer sp.End()
+	out := f.sum
+	if n := float64(f.n); n > 1 {
 		for i := range out.CPIStack {
 			out.CPIStack[i] /= n
 		}
@@ -594,5 +608,5 @@ func fold(opt runOpts, rs []sim.Result) sim.Result {
 			}
 		}
 	}
-	return out
+	return Result{Result: out, CPIMean: f.cpi.Mean(), CPICI: f.cpi.CI95()}
 }
