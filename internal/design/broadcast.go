@@ -50,21 +50,10 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 
 	l1 := ch.L1Service(core, r)
 
-	local := d.sl.l2[core]
-	if line, hit := local.Lookup(addr); hit {
-		cost.L2 = float64(ch.Cfg.L2HitCycles)
+	if line, extra := d.probe(tile, addr); line != nil {
+		cost.L2 = float64(ch.Cfg.L2HitCycles) + extra
 		if r.IsWrite() {
 			cost.L2Coh += d.broadcastUpgrade(core, addr, line)
-		}
-		return cost
-	}
-	if line, ok := d.sl.victim[core].Take(addr); ok {
-		local.Insert(addr, line.State, line.Class)
-		cost.L2 = float64(ch.Cfg.L2HitCycles) + 2
-		if r.IsWrite() {
-			if l, hit := local.Peek(addr); hit {
-				cost.L2Coh += d.broadcastUpgrade(core, addr, l)
-			}
 		}
 		return cost
 	}
@@ -77,10 +66,7 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 	var act coherence.Action
 	if r.IsWrite() {
 		act = d.dir.Write(addr, core, ch.HopsFrom(core))
-		for _, t := range act.Invalidated {
-			d.sl.l2[t].Invalidate(addr)
-			d.sl.victim[t].Take(addr)
-		}
+		d.drop(act.Invalidated, addr)
 	} else {
 		act = d.dir.Read(addr, core, ch.HopsFrom(core))
 	}
@@ -136,10 +122,7 @@ func (d *PrivateBroadcast) broadcastUpgrade(core int, addr cache.Addr, line *cac
 	}
 	tile := noc.TileID(core)
 	act := d.dir.Write(addr, core, d.ch.HopsFrom(core))
-	for _, t := range act.Invalidated {
-		d.sl.l2[t].Invalidate(addr)
-		d.sl.victim[t].Take(addr)
-	}
+	d.drop(act.Invalidated, addr)
 	if others == 0 {
 		return 0
 	}

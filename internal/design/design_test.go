@@ -531,7 +531,7 @@ func TestReactiveNoL2CoherenceInvariant(t *testing.T) {
 	// Count chip-wide locations of every resident non-instruction block.
 	locations := map[cache.Addr]int{}
 	for tl := 0; tl < 16; tl++ {
-		d.sl.l2[tl].ForEach(func(a cache.Addr, line *cache.Line) {
+		d.l2[tl].ForEach(func(a cache.Addr, line *cache.Line) {
 			if line.Class != cache.ClassInstruction {
 				locations[a]++
 			}

@@ -125,7 +125,7 @@ func TestPerThreadPrivatePurgeCoversCluster(t *testing.T) {
 	// Another thread shares the page: every cluster slice must be purged.
 	d.Access(load(9, page, cache.ClassShared))
 	for tl := 0; tl < 16; tl++ {
-		d.sl.l2[tl].ForEach(func(a cache.Addr, line *cache.Line) {
+		d.l2[tl].ForEach(func(a cache.Addr, line *cache.Line) {
 			if line.Class == cache.ClassPrivate && uint64(a) >= page && uint64(a) < page+8192 {
 				t.Fatalf("stale private block %#x at tile %d after purge", uint64(a), tl)
 			}

@@ -1,7 +1,6 @@
 package design
 
 import (
-	"rnuca/internal/cache"
 	"rnuca/internal/sim"
 	"rnuca/internal/trace"
 )
@@ -9,26 +8,24 @@ import (
 // Ideal is the upper bound the paper compares against (§5.4): "a shared
 // organization with direct on-chip network links from every core to every
 // L2 slice, where each slice is heavily multi-banked to eliminate
-// contention". It is therefore the shared design's address-interleaved
-// slices — identical contents and miss behavior — with every hit at the
-// local-slice latency, no network traversal, and no contention.
+// contention". It therefore shares the shared design's placement
+// (address-interleaved homes) and fill policy, with every hit at the
+// local-slice latency, no network traversal, and no contention. Its
+// contents and misses still differ from Shared's: the engine interleaves
+// cores by their clocks, which advance differently under the two
+// designs' latencies, and Shared's L1-to-L1 transfers install the home
+// copy without a probe.
 type Ideal struct {
-	ch *sim.Chassis
-	sl slices
-	k  uint
+	slices
 }
 
 // NewIdeal builds the ideal design.
 func NewIdeal(ch *sim.Chassis) *Ideal {
-	return &Ideal{ch: ch, sl: newSlices(ch.Cfg), k: ch.Cfg.InterleaveOffset()}
+	return &Ideal{slices: newSlices(ch)}
 }
 
 // Name implements sim.Design.
 func (d *Ideal) Name() string { return "I" }
-
-func (d *Ideal) home(addr cache.Addr) int {
-	return int((uint64(addr) >> d.k) % uint64(d.ch.Cfg.Cores))
-}
 
 // Access implements sim.Design.
 //
@@ -41,40 +38,19 @@ func (d *Ideal) Access(r trace.Ref) sim.Cost {
 
 	ch.L1Service(r.Core, r)
 
-	slice := d.sl.l2[home]
-	if _, hit := slice.Lookup(addr); hit {
-		cost.L2 = float64(ch.Cfg.L2HitCycles)
-	} else if line, ok := d.sl.victim[home].Take(addr); ok {
-		slice.Insert(addr, line.State, line.Class)
-		cost.L2 = float64(ch.Cfg.L2HitCycles) + 2
+	if line, extra := d.probe(home, addr); line != nil {
+		cost.L2 = float64(ch.Cfg.L2HitCycles) + extra
 	} else {
 		// Off-chip at raw DRAM latency: the ideal network adds nothing.
 		cost.OffChip = float64(ch.Cfg.L2HitCycles) + float64(ch.Cfg.MemAccessCycles)
 		cost.OffChipMiss = true
-		st := cache.Shared
-		if r.IsWrite() {
-			st = cache.Modified
-		}
-		if v := slice.Insert(addr, st, r.Class); v.Valid {
-			d.sl.victim[home].Put(v.Addr, v.Line)
-		}
+		d.fill(home, addr, stateFor(r), r.Class)
 	}
 	if r.IsWrite() {
-		if line, ok := slice.Peek(addr); ok {
-			line.State = cache.Modified
-		}
+		d.markModified(home, addr)
 	}
 	return cost
 }
 
-// Advance implements sim.Design.
-func (d *Ideal) Advance(uint64) {}
-
 // Reset implements sim.Design.
-func (d *Ideal) Reset() { d.sl = newSlices(d.ch.Cfg) }
-
-// SliceStats exposes per-slice statistics.
-func (d *Ideal) SliceStats(tile int) cache.Stats { return d.sl.l2[tile].Stats() }
-
-// BankAccesses implements sim.BankMeter.
-func (d *Ideal) BankAccesses() []uint64 { return d.sl.bankAccesses() }
+func (d *Ideal) Reset() { d.reset() }

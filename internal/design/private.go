@@ -14,29 +14,17 @@ import (
 // the paper optimistically does) and are serviced in three network
 // traversals: requestor -> directory home -> provider -> requestor.
 type Private struct {
-	ch  *sim.Chassis
-	sl  slices
+	slices
 	dir *coherence.Directory // tracks which tiles' private L2s hold blocks
-	k   uint
 }
 
 // NewPrivate builds the private design on a chassis.
 func NewPrivate(ch *sim.Chassis) *Private {
-	return &Private{
-		ch:  ch,
-		sl:  newSlices(ch.Cfg),
-		dir: coherence.NewDirectory(ch.Cfg.Cores),
-		k:   ch.Cfg.InterleaveOffset(),
-	}
+	return &Private{slices: newSlices(ch), dir: coherence.NewDirectory(ch.Cfg.Cores)}
 }
 
 // Name implements sim.Design.
 func (d *Private) Name() string { return "P" }
-
-// dirHome returns the directory home tile for an address.
-func (d *Private) dirHome(addr cache.Addr) noc.TileID {
-	return noc.TileID((uint64(addr) >> d.k) % uint64(d.ch.Cfg.Cores))
-}
 
 // Access implements sim.Design.
 //
@@ -58,36 +46,22 @@ func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 
 	l1 := ch.L1Service(core, r)
 
-	local := d.sl.l2[core]
-	if line, hit := local.Lookup(addr); hit {
-		cost.L2 = float64(ch.Cfg.L2HitCycles)
+	if line, extra := d.probe(tile, addr); line != nil {
+		cost.L2 = float64(ch.Cfg.L2HitCycles) + extra
 		if r.IsWrite() {
 			cost.L2Coh += d.writeUpgrade(core, addr, line)
 		}
 		return cost, coherence.SourceNone
 	}
-	if line, ok := d.sl.victim[core].Take(addr); ok {
-		local.Insert(addr, line.State, line.Class)
-		cost.L2 = float64(ch.Cfg.L2HitCycles) + 2
-		if r.IsWrite() {
-			if l, hit := local.Peek(addr); hit {
-				cost.L2Coh += d.writeUpgrade(core, addr, l)
-			}
-		}
-		return cost, coherence.SourceNone
-	}
 
 	// Local miss: local tag probe, then the distributed directory.
-	home := d.dirHome(addr)
+	home := d.home(addr)
 	lat := float64(ch.Cfg.L2HitCycles) + ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles)
 
 	var act coherence.Action
 	if r.IsWrite() {
 		act = d.dir.Write(addr, core, ch.HopsFrom(core))
-		for _, t := range act.Invalidated {
-			d.sl.l2[t].Invalidate(addr)
-			d.sl.victim[t].Take(addr)
-		}
+		d.drop(act.Invalidated, addr)
 		lat += ch.InvalFanout(home, act.Invalidated)
 	} else {
 		act = d.dir.Read(addr, core, ch.HopsFrom(core))
@@ -146,59 +120,35 @@ func (d *Private) writeUpgrade(core int, addr cache.Addr, line *cache.Line) floa
 		return 0
 	}
 	tile := noc.TileID(core)
-	home := d.dirHome(addr)
+	home := d.home(addr)
 	act := d.dir.Write(addr, core, ch.HopsFrom(core))
-	for _, t := range act.Invalidated {
-		d.sl.l2[t].Invalidate(addr)
-		d.sl.victim[t].Take(addr)
-	}
+	d.drop(act.Invalidated, addr)
 	return ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) + ch.InvalFanout(home, act.Invalidated)
 }
 
-// installLocal inserts the block into the requestor's private slice and
-// keeps directory state in sync with the eviction it may cause.
+// installLocal fills the block into the requestor's private slice. The
+// victim cache keeps the slice's evicted line on-tile; only a
+// displacement out of the victim cache truly leaves the tile, so
+// directory state follows the displaced block.
 func (d *Private) installLocal(core int, addr cache.Addr, r trace.Ref) {
-	st := cache.Shared
-	if r.IsWrite() {
-		st = cache.Modified
-	}
-	v := d.sl.l2[core].Insert(addr, st, r.Class)
-	if v.Valid {
-		// The victim cache keeps the block on-tile; only a displacement
-		// out of the victim cache truly leaves the tile, so directory
-		// state follows the displaced block.
-		if dAddr, dLine, displaced := d.sl.victim[core].Put(v.Addr, v.Line); displaced {
-			d.dir.Evict(dAddr, core, dLine.State.Dirty())
-		}
+	if dAddr, dLine, displaced := d.fill(noc.TileID(core), addr, stateFor(r), r.Class); displaced {
+		d.dir.Evict(dAddr, core, dLine.State.Dirty())
 	}
 }
 
 // dropLocal removes a block from a tile's slice and directory (used by ASR
 // when it declines to allocate).
 func (d *Private) dropLocal(core int, addr cache.Addr) {
-	if _, ok := d.sl.l2[core].Invalidate(addr); ok {
+	if _, ok := d.l2[core].Invalidate(addr); ok {
 		d.dir.Evict(addr, core, false)
 	}
 }
 
-// Advance implements sim.Design.
-func (d *Private) Advance(uint64) {}
-
 // Reset implements sim.Design.
 func (d *Private) Reset() {
-	d.sl = newSlices(d.ch.Cfg)
+	d.reset()
 	d.dir.Reset()
 }
 
 // Directory exposes the L2 directory for invariant audits in tests.
 func (d *Private) Directory() *coherence.Directory { return d.dir }
-
-// SliceOccupancy exposes per-slice line counts.
-func (d *Private) SliceOccupancy(tile noc.TileID) int { return d.sl.l2[tile].Lines() }
-
-// SliceStats exposes per-slice statistics.
-func (d *Private) SliceStats(tile noc.TileID) cache.Stats { return d.sl.l2[tile].Stats() }
-
-// BankAccesses implements sim.BankMeter. ASR and PrivateBroadcast
-// inherit it by embedding.
-func (d *Private) BankAccesses() []uint64 { return d.sl.bankAccesses() }

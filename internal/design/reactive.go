@@ -26,22 +26,17 @@ import (
 //     instruction de-replication) purge the stale copies and are charged
 //     to the Re-classification CPI bucket.
 type Reactive struct {
-	ch    *sim.Chassis
-	sl    slices
+	slices
 	os    *ospage.System
 	place *placement.Placement
 
-	// privSizes optionally gives each core its own private-cluster size
-	// (§4.4: "a fixed-center cluster of appropriate size"); nil means
-	// every core uses place's configured size. privPlaces caches one
-	// placement engine per distinct size.
-	privSizes  []int
-	privPlaces map[int]*placement.Placement
+	// privPlace is the placement engine for each core's private data:
+	// place, unless NewReactivePerThreadPrivate gave the core its own
+	// private-cluster size (§4.4: "a fixed-center cluster of appropriate
+	// size").
+	privPlace []*placement.Placement
 
-	lastClass cache.Class
-
-	// counters
-	purgedBlocks uint64
+	lastClass    cache.Class
 	reclassCount uint64
 }
 
@@ -60,12 +55,16 @@ func NewReactiveWithPrivateClusters(ch *sim.Chassis, privClusterSize int) *React
 	if err != nil {
 		panic(err)
 	}
-	return &Reactive{
-		ch:    ch,
-		sl:    newSlices(ch.Cfg),
-		os:    ospage.NewSystem(ch.Cfg.PageBytes, ch.Cfg.TLBEntries, ch.Cfg.Cores),
-		place: p,
+	d := &Reactive{
+		slices:    newSlices(ch),
+		os:        ospage.NewSystem(ch.Cfg.PageBytes, ch.Cfg.TLBEntries, ch.Cfg.Cores),
+		place:     p,
+		privPlace: make([]*placement.Placement, ch.Cfg.Cores),
 	}
+	for core := range d.privPlace {
+		d.privPlace[core] = p
+	}
+	return d
 }
 
 // NewReactivePerThreadPrivate builds R-NUCA where each core's thread gets
@@ -77,32 +76,15 @@ func NewReactivePerThreadPrivate(ch *sim.Chassis, sizes []int) *Reactive {
 		panic(fmt.Sprintf("design: %d private sizes for %d cores", len(sizes), ch.Cfg.Cores))
 	}
 	d := NewReactive(ch)
-	d.privSizes = append([]int(nil), sizes...)
-	d.privPlaces = map[int]*placement.Placement{}
-	for _, s := range sizes {
-		if _, ok := d.privPlaces[s]; ok {
-			continue
-		}
+	for core, size := range sizes {
 		p, err := placement.NewPlacementWithPrivateClusters(
-			ch.Topo, ch.Cfg.InstrClusterSize, s, ch.Cfg.InterleaveOffset(), 0)
+			ch.Topo, ch.Cfg.InstrClusterSize, size, ch.Cfg.InterleaveOffset(), 0)
 		if err != nil {
 			panic(err)
 		}
-		d.privPlaces[s] = p
+		d.privPlace[core] = p
 	}
 	return d
-}
-
-// privPlacement returns the placement engine governing a core's private
-// data.
-//
-//rnuca:hotpath
-func (d *Reactive) privPlacement(core int) *placement.Placement {
-	if d.privSizes == nil {
-		return d.place
-	}
-	//rnuca:alloc-ok only the per-thread private-cluster ablation takes this path; the map holds at most a handful of distinct sizes and never grows mid-run
-	return d.privPlaces[d.privSizes[core]]
 }
 
 // Name implements sim.Design.
@@ -139,7 +121,7 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 		cost.Reclass += float64(ch.Cfg.PoisonCycles)
 	}
 	if res.Reclass != ospage.ReclassNone {
-		cost.Reclass += d.purge(r, res)
+		cost.Reclass += d.shootdown(r, res)
 	}
 
 	switch res.Class {
@@ -149,43 +131,19 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 		// Larger private clusters (§4.4) interleave over the owner's
 		// neighborhood, at most one extra hop, still coherence-free
 		// because each block has exactly one location.
-		slice := d.privPlacement(core).PrivateSliceFor(tile, uint64(addr))
-		req := ch.CtrlLatency(tile, slice) + float64(ch.Cfg.L2HitCycles)
-		local := d.sl.l2[slice]
-		if _, hit := local.Lookup(addr); hit {
-			cost.L2 = req + ch.DataLatency(slice, tile)
-		} else if line, ok := d.sl.victim[slice].Take(addr); ok {
-			local.Insert(addr, line.State, line.Class)
-			cost.L2 = req + 2 + ch.DataLatency(slice, tile)
-		} else {
-			cost.OffChip = req + ch.Mem.Access(ch.Net, slice, uint64(addr)) + ch.DataLatency(slice, tile)
-			cost.OffChipMiss = true
-			d.insert(int(slice), addr, stateFor(r), cache.ClassPrivate)
-		}
+		slice := d.privPlace[core].PrivateSliceFor(tile, uint64(addr))
+		d.serveAt(&cost, tile, slice, addr, stateFor(r), cache.ClassPrivate)
 		if r.IsWrite() {
-			if line, ok := local.Peek(addr); ok {
-				line.State = cache.Modified
-			}
+			d.markModified(slice, addr)
 		}
 
 	case ospage.Instruction:
 		d.lastClass = cache.ClassInstruction
 		// Rotational-interleaved lookup: exactly one probe, at most one
-		// hop for size-4 clusters.
+		// hop for size-4 clusters. A per-cluster compulsory miss fetches
+		// from memory rather than from another cluster's replica (§4.2).
 		slice := d.place.InstructionSlice(tile, uint64(addr))
-		req := ch.CtrlLatency(tile, slice) + float64(ch.Cfg.L2HitCycles)
-		if _, hit := d.sl.l2[slice].Lookup(addr); hit {
-			cost.L2 = req + ch.DataLatency(slice, tile)
-		} else if line, ok := d.sl.victim[slice].Take(addr); ok {
-			d.sl.l2[slice].Insert(addr, line.State, line.Class)
-			cost.L2 = req + 2 + ch.DataLatency(slice, tile)
-		} else {
-			// Per-cluster compulsory miss: R-NUCA fetches from memory
-			// rather than from another cluster's replica (§4.2).
-			cost.OffChip = req + ch.Mem.Access(ch.Net, slice, uint64(addr)) + ch.DataLatency(slice, tile)
-			cost.OffChipMiss = true
-			d.insert(int(slice), addr, cache.Shared, cache.ClassInstruction)
-		}
+		d.serveAt(&cost, tile, slice, addr, cache.Shared, cache.ClassInstruction)
 
 	default: // shared data
 		d.lastClass = cache.ClassShared
@@ -195,34 +153,22 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 			cost.L1toL1 = ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) +
 				ch.CtrlLatency(home, owner) + float64(ch.Cfg.L1HitCycles) +
 				ch.DataLatency(owner, tile)
-			d.ensure(int(home), addr, cache.Modified, cache.ClassShared)
+			d.ensure(home, addr, cache.Modified, cache.ClassShared)
 		} else {
-			req := ch.CtrlLatency(tile, home) + float64(ch.Cfg.L2HitCycles)
-			if _, hit := d.sl.l2[home].Lookup(addr); hit {
-				cost.L2 = req + ch.DataLatency(home, tile)
-			} else if line, ok := d.sl.victim[home].Take(addr); ok {
-				d.sl.l2[home].Insert(addr, line.State, line.Class)
-				cost.L2 = req + 2 + ch.DataLatency(home, tile)
-			} else {
-				cost.OffChip = req + ch.Mem.Access(ch.Net, home, uint64(addr)) + ch.DataLatency(home, tile)
-				cost.OffChipMiss = true
-				d.insert(int(home), addr, stateFor(r), cache.ClassShared)
-			}
+			d.serveAt(&cost, tile, home, addr, stateFor(r), cache.ClassShared)
 		}
 		if r.IsWrite() {
-			if line, ok := d.sl.l2[home].Peek(addr); ok {
-				line.State = cache.Modified
-			}
+			d.markModified(home, addr)
 			cost.L2Coh += ch.InvalFanout(home, l1.Invalidated)
 		}
 	}
 	return cost
 }
 
-// purge implements the re-classification shootdown: invalidate the page's
+// shootdown implements a page re-classification: invalidate the page's
 // blocks at the slices that may hold stale copies, charging per-block
 // purge cost plus the poison round.
-func (d *Reactive) purge(r trace.Ref, res ospage.Result) float64 {
+func (d *Reactive) shootdown(r trace.Ref, res ospage.Result) float64 {
 	ch := d.ch
 	d.reclassCount++
 	pageBytes := uint64(ch.Cfg.PageBytes)
@@ -235,8 +181,8 @@ func (d *Reactive) purge(r trace.Ref, res ospage.Result) float64 {
 		if res.PrevOwner >= 0 {
 			// The page's blocks may sit anywhere in the previous owner's
 			// private cluster (one slice for size-1 clusters).
-			for _, t := range d.privPlacement(res.PrevOwner).PrivateClusterTiles(noc.TileID(res.PrevOwner)) {
-				purged += d.sl.l2[t].InvalidateRange(lo, hi, nil)
+			for _, t := range d.privPlace[res.PrevOwner].PrivateClusterTiles(noc.TileID(res.PrevOwner)) {
+				purged += d.purge(t, lo, hi)
 			}
 			purged += ch.L1PurgeRange(res.PrevOwner, lo, hi)
 		}
@@ -244,52 +190,19 @@ func (d *Reactive) purge(r trace.Ref, res ospage.Result) float64 {
 		// Replicas may exist at any slice that serves the page's blocks;
 		// purge chip-wide.
 		for t := 0; t < ch.Cfg.Cores; t++ {
-			purged += d.sl.l2[t].InvalidateRange(lo, hi, nil)
+			purged += d.purge(noc.TileID(t), lo, hi)
 			purged += ch.L1PurgeRange(t, lo, hi)
 		}
 	}
-	d.purgedBlocks += uint64(purged)
 	return float64(ch.Cfg.PoisonCycles) + float64(purged)*float64(ch.Cfg.PurgePerBlockCycles)
 }
 
-func stateFor(r trace.Ref) cache.State {
-	if r.IsWrite() {
-		return cache.Modified
-	}
-	return cache.Shared
-}
-
-func (d *Reactive) ensure(tile int, addr cache.Addr, st cache.State, class cache.Class) {
-	if _, ok := d.sl.l2[tile].Peek(addr); !ok {
-		d.insert(tile, addr, st, class)
-	}
-}
-
-func (d *Reactive) insert(tile int, addr cache.Addr, st cache.State, class cache.Class) {
-	v := d.sl.l2[tile].Insert(addr, st, class)
-	if v.Valid {
-		d.sl.victim[tile].Put(v.Addr, v.Line)
-	}
-}
-
-// Advance implements sim.Design.
-func (d *Reactive) Advance(uint64) {}
-
 // Reset implements sim.Design.
 func (d *Reactive) Reset() {
-	d.sl = newSlices(d.ch.Cfg)
+	d.reset()
 	d.os = ospage.NewSystem(d.ch.Cfg.PageBytes, d.ch.Cfg.TLBEntries, d.ch.Cfg.Cores)
-	d.purgedBlocks, d.reclassCount = 0, 0
+	d.reclassCount = 0
 }
-
-// SliceOccupancy exposes per-slice line counts.
-func (d *Reactive) SliceOccupancy(tile noc.TileID) int { return d.sl.l2[tile].Lines() }
-
-// SliceStats exposes per-slice statistics.
-func (d *Reactive) SliceStats(tile noc.TileID) cache.Stats { return d.sl.l2[tile].Stats() }
-
-// BankAccesses implements sim.BankMeter.
-func (d *Reactive) BankAccesses() []uint64 { return d.sl.bankAccesses() }
 
 // OSTransitions implements sim.TransitionMeter: cumulative OS-page
 // classification counters, flattened for the flight recorder.
@@ -298,7 +211,7 @@ func (d *Reactive) OSTransitions() ospage.Transitions { return d.os.Table.Transi
 // ForEachLine visits every resident line of one slice, reporting its block
 // address and class — the hook the end-to-end placement audits use.
 func (d *Reactive) ForEachLine(tile int, fn func(addr uint64, class cache.Class)) {
-	d.sl.l2[tile].ForEach(func(a cache.Addr, line *cache.Line) { fn(uint64(a), line.Class) })
+	d.l2[tile].ForEach(func(a cache.Addr, line *cache.Line) { fn(uint64(a), line.Class) })
 }
 
 // OccupancyByClass returns chip-wide line counts per class, used by the
@@ -306,7 +219,7 @@ func (d *Reactive) ForEachLine(tile int, fn func(addr uint64, class cache.Class)
 // ReplicationDegree x working set).
 func (d *Reactive) OccupancyByClass(class cache.Class) int {
 	n := 0
-	for _, s := range d.sl.l2 {
+	for _, s := range d.l2 {
 		n += s.Occupancy(class)
 	}
 	return n

@@ -154,6 +154,57 @@ func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	got["source/OLTP-DB2/batches2"] = cell
 }
 
+// goldenPressureCells runs goldenWorkloads on the torus under both
+// contention models with 16-set L2 slices and 8-entry victim caches. At
+// Table 1's sizes these runs never evict a slice line or hit a victim
+// cache; here every design does both, so the cells pin the swap-back,
+// spill and displaced-block paths. Besides the five designs each cell
+// holds Maker cells for the broadcast private design, R-NUCA with
+// per-core private clusters of sizes 1, 2 and 4 in turn, and static ASR.
+func goldenPressureCells(t *testing.T, got map[string]map[string]any) {
+	ctx := context.Background()
+	for _, mkw := range goldenWorkloads {
+		w := mkw()
+		for _, model := range []string{"analytic", "linkqueue"} {
+			cfg := rnuca.ConfigFor(w)
+			cfg.LinkQueues = model == "linkqueue"
+			cfg.L2SliceBytes = cfg.L2Ways * cfg.BlockBytes * 16
+			cfg.VictimEntries = 8
+			job := rnuca.Job{
+				Input:   rnuca.FromWorkload(w),
+				Designs: rnuca.AllDesigns(),
+				Options: rnuca.RunOptions{Warm: 5000, Measure: 15000, Config: &cfg, Timeline: goldenTimeline},
+			}
+			res, err := job.Compare(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := map[string]any{}
+			for id, r := range res {
+				cell[string(id)] = goldenEntry(t, r)
+			}
+			sizes := make([]int, cfg.Cores)
+			for i := range sizes {
+				sizes[i] = 1 << (i % 3)
+			}
+			for name, mk := range map[string]func(*sim.Chassis) sim.Design{
+				"Pb":           func(ch *sim.Chassis) sim.Design { return design.NewPrivateBroadcast(ch) },
+				"R/private124": func(ch *sim.Chassis) sim.Design { return design.NewReactivePerThreadPrivate(ch, sizes) },
+				"A0.25":        func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.25, 0xA5A5) },
+			} {
+				mj := job
+				mj.Designs, mj.Maker = nil, mk
+				r, err := mj.Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell[name] = goldenEntry(t, r)
+			}
+			got["pressure/"+w.Name+"/torus/"+model] = cell
+		}
+	}
+}
+
 // TestResultsGolden recomputes every golden cell and compares it with
 // testdata/results-golden.json; -update rewrites the file. A link-queue
 // cell's Result must also equal the same cell run without a recorder.
@@ -191,6 +242,7 @@ func TestResultsGolden(t *testing.T) {
 		}
 	}
 	goldenPathCells(t, got)
+	goldenPressureCells(t, got)
 	enc, err := json.MarshalIndent(got, "", " ")
 	if err != nil {
 		t.Fatal(err)
