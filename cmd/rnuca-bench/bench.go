@@ -25,11 +25,44 @@ type BenchResult struct {
 }
 
 // BenchFile is the on-disk trajectory: one record per benchmark,
-// sorted by name, stamped with the writing toolchain.
+// sorted by name, stamped with the writing toolchain and the machine
+// that ran it. Files written before the host stamp carry none.
 type BenchFile struct {
-	Schema int           `json:"schema"`
-	Go     string        `json:"go"`
-	Bench  []BenchResult `json:"bench"`
+	Schema     int           `json:"schema"`
+	Go         string        `json:"go"`
+	Host       string        `json:"host,omitempty"`
+	CPU        string        `json:"cpu,omitempty"`
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
+	Bench      []BenchResult `json:"bench"`
+}
+
+// machine names the host that recorded a file.
+func (f BenchFile) machine() string {
+	if f.Host == "" && f.CPU == "" {
+		return "an unrecorded host"
+	}
+	return fmt.Sprintf("%s (%s, GOMAXPROCS %d)", f.Host, f.CPU, f.GOMAXPROCS)
+}
+
+// HostWarning returns a warning naming both machines when two files
+// were recorded on different ones, whose ns/op then differ by the
+// hardware as well as the code; "" when the machines match.
+func HostWarning(old, cur BenchFile) string {
+	if old.Host == cur.Host && old.CPU == cur.CPU && old.GOMAXPROCS == cur.GOMAXPROCS {
+		return ""
+	}
+	return fmt.Sprintf("warning: comparing runs from different hosts: %s vs %s", old.machine(), cur.machine())
+}
+
+// cpuModel returns the first "model name" of cpuinfo, or "" if it has
+// none.
+func cpuModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // Delta is one benchmark whose ns/op grew beyond the threshold.

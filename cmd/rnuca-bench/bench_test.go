@@ -93,7 +93,7 @@ func TestCompareNoRegression(t *testing.T) {
 func TestBenchFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH.json")
-	in := BenchFile{Schema: benchSchema, Go: "go1.24.0", Bench: []BenchResult{
+	in := BenchFile{Schema: benchSchema, Go: "go1.24.0", Host: "h1", CPU: "Example CPU @ 2.00GHz", GOMAXPROCS: 2, Bench: []BenchResult{
 		{Name: "BenchmarkB", NsPerOp: 2},
 		{Name: "BenchmarkA", NsPerOp: 1, BytesPerOp: 3, AllocsPerOp: 4, MBPerS: 5},
 	}}
@@ -107,7 +107,7 @@ func TestBenchFileRoundTrip(t *testing.T) {
 	if len(got.Bench) != 2 || got.Bench[0].Name != "BenchmarkA" {
 		t.Fatalf("round trip not sorted: %+v", got.Bench)
 	}
-	if got.Bench[0].MBPerS != 5 || got.Go != "go1.24.0" {
+	if got.Bench[0].MBPerS != 5 || got.Go != "go1.24.0" || got.Host != "h1" || got.CPU != in.CPU || got.GOMAXPROCS != 2 {
 		t.Fatalf("round trip dropped fields: %+v", got)
 	}
 
@@ -116,6 +116,30 @@ func TestBenchFileRoundTrip(t *testing.T) {
 	}
 	if _, err := loadBenchFile(path); err == nil {
 		t.Fatal("foreign schema must be rejected")
+	}
+}
+
+// Files recorded before the host stamp still load, and a comparison
+// across machines warns, naming both.
+func TestHostWarning(t *testing.T) {
+	old, err := loadBenchFile(filepath.Join("..", "..", "BENCH_14.json"))
+	if err != nil {
+		t.Fatalf("unstamped file: %v", err)
+	}
+	a := BenchFile{Host: "ci-1", CPU: "cpu A", GOMAXPROCS: 4}
+	if w := HostWarning(a, a); w != "" {
+		t.Fatalf("same host warned: %q", w)
+	}
+	b := a
+	b.Host, b.CPU = "laptop", "cpu B"
+	if w := HostWarning(a, b); !strings.Contains(w, "ci-1 (cpu A, GOMAXPROCS 4)") || !strings.Contains(w, "laptop (cpu B, GOMAXPROCS 4)") {
+		t.Fatalf("host mismatch warning %q", w)
+	}
+	if w := HostWarning(old, a); !strings.Contains(w, "an unrecorded host vs ci-1") {
+		t.Fatalf("unstamped baseline warning %q", w)
+	}
+	if m := cpuModel("processor\t: 0\nmodel name\t: Example CPU @ 2.00GHz\nflags\t: fpu\n"); m != "Example CPU @ 2.00GHz" {
+		t.Fatalf("cpuModel = %q", m)
 	}
 }
 

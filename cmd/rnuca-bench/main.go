@@ -23,6 +23,10 @@
 // into the full delta table — every benchmark in either file, with
 // ns/op and allocs/op on both sides and the relative change;
 // informational only, always exit 0.
+//
+// Each file records the host name, CPU model (from /proc/cpuinfo, else
+// GOARCH) and GOMAXPROCS of the run; -compare and the -baseline gate
+// print a warning naming both machines when they differ.
 package main
 
 import (
@@ -62,6 +66,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("%s (%s) vs %s (%s)\n", flag.Arg(0), old.Go, flag.Arg(1), cur.Go)
+		if w := HostWarning(old, cur); w != "" {
+			fmt.Println(w)
+		}
 		RenderDeltas(os.Stdout, CompareAll(old.Bench, cur.Bench))
 		return
 	}
@@ -85,7 +92,14 @@ func main() {
 		if len(results) == 0 {
 			fatalf("no benchmarks matched %q in %s", *bench, *pkg)
 		}
-		cur = BenchFile{Schema: benchSchema, Go: runtime.Version(), Bench: results}
+		cur = BenchFile{Schema: benchSchema, Go: runtime.Version(), CPU: runtime.GOARCH,
+			GOMAXPROCS: runtime.GOMAXPROCS(0), Bench: results}
+		cur.Host, _ = os.Hostname()
+		if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+			if m := cpuModel(string(b)); m != "" {
+				cur.CPU = m
+			}
+		}
 	}
 
 	var prev BenchFile
@@ -110,6 +124,9 @@ func main() {
 
 	if !havePrev {
 		return
+	}
+	if w := HostWarning(prev, cur); w != "" {
+		fmt.Println(w)
 	}
 	deltas := Compare(prev.Bench, cur.Bench, *threshold, gateRe)
 	failed := false

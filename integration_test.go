@@ -102,7 +102,7 @@ func TestIntegrationMigration(t *testing.T) {
 	// Private pages must remain private (owned by migrated threads), not
 	// degrade to shared: private placements should still dominate.
 	counts := d.OS().Table.CountByClass()
-	if counts[2] /* SharedData */ > counts[1] /* Private */ {
+	if counts[cache.ClassShared] > counts[cache.ClassPrivate] {
 		t.Fatalf("migration demoted pages to shared: %v", counts)
 	}
 }

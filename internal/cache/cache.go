@@ -86,12 +86,24 @@ func (g Geometry) Sets() int {
 	return g.SizeBytes / denom
 }
 
+// Caps on a cache's geometry: 64 times the largest Table 1 value (the
+// 8-core chip's 3 MB slice, 16 ways, 64-byte blocks).
+const (
+	MaxSizeBytes  = 64 * (3 << 20)
+	MaxWays       = 64 * 16
+	MaxBlockBytes = 64 * 64
+)
+
 // Validate checks that the geometry is internally consistent: positive
-// sizes, power-of-two block size and set count (required for bit-sliced
-// indexing).
+// sizes within the caps, power-of-two block size and set count (required
+// for bit-sliced indexing).
 func (g Geometry) Validate() error {
 	if g.SizeBytes <= 0 || g.Ways <= 0 || g.BlockBytes <= 0 {
 		return fmt.Errorf("cache: non-positive geometry %+v", g)
+	}
+	if g.SizeBytes > MaxSizeBytes || g.Ways > MaxWays || g.BlockBytes > MaxBlockBytes {
+		return fmt.Errorf("cache: geometry %+v above the caps of %d bytes, %d ways, %d-byte blocks",
+			g, MaxSizeBytes, MaxWays, MaxBlockBytes)
 	}
 	if g.SizeBytes%(g.Ways*g.BlockBytes) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by ways*block %d", g.SizeBytes, g.Ways*g.BlockBytes)

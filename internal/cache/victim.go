@@ -15,10 +15,17 @@ type VictimCache struct {
 	misses  uint64
 }
 
-// CheckVictimEntries reports a negative victim-cache size.
+// MaxVictimEntries caps a victim cache at 64 times Table 1's 16 entries.
+const MaxVictimEntries = 64 * 16
+
+// CheckVictimEntries reports a negative victim-cache size or one above
+// MaxVictimEntries.
 func CheckVictimEntries(entries int) error {
 	if entries < 0 {
 		return fmt.Errorf("cache: negative victim cache size %d", entries)
+	}
+	if entries > MaxVictimEntries {
+		return fmt.Errorf("cache: victim cache size %d above %d", entries, MaxVictimEntries)
 	}
 	return nil
 }

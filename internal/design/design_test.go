@@ -5,7 +5,6 @@ import (
 
 	"rnuca/internal/cache"
 	"rnuca/internal/noc"
-	"rnuca/internal/ospage"
 	"rnuca/internal/sim"
 	"rnuca/internal/trace"
 )
@@ -551,13 +550,13 @@ func TestReactiveOSIntegration(t *testing.T) {
 	d := NewReactive(ch)
 	page := uint64(0x8000000)
 	d.Access(load(1, page, cache.ClassPrivate))
-	e := d.OS().Table.Lookup(d.OS().Table.PageOf(page))
-	if e == nil || e.Class != ospage.Private || e.OwnerCID != 1 {
+	e, ok := d.OS().Table.Lookup(d.OS().Table.PageOf(page))
+	if !ok || e.Class != cache.ClassPrivate || e.OwnerCID != 1 {
 		t.Fatalf("page entry after first touch: %+v", e)
 	}
 	d.Access(load(2, page, cache.ClassShared))
-	e = d.OS().Table.Lookup(d.OS().Table.PageOf(page))
-	if e.Class != ospage.SharedData {
+	e, _ = d.OS().Table.Lookup(d.OS().Table.PageOf(page))
+	if e.Class != cache.ClassShared {
 		t.Fatalf("page should be shared after second thread: %+v", e)
 	}
 }

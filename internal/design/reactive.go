@@ -117,16 +117,13 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 	l1 := ch.L1Service(core, r)
 
 	res := d.os.Translate(r.Addr, core, r.Thread, r.IsWrite(), r.Kind == trace.IFetch)
-	if res.PoisonWait {
-		cost.Reclass += float64(ch.Cfg.PoisonCycles)
-	}
 	if res.Reclass != ospage.ReclassNone {
 		cost.Reclass += d.shootdown(r, res)
 	}
 
+	d.lastClass = res.Class
 	switch res.Class {
-	case ospage.Private:
-		d.lastClass = cache.ClassPrivate
+	case cache.ClassPrivate:
 		// Size-1 clusters: the local slice, no network, no coherence.
 		// Larger private clusters (§4.4) interleave over the owner's
 		// neighborhood, at most one extra hop, still coherence-free
@@ -137,8 +134,7 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 			d.markModified(slice, addr)
 		}
 
-	case ospage.Instruction:
-		d.lastClass = cache.ClassInstruction
+	case cache.ClassInstruction:
 		// Rotational-interleaved lookup: exactly one probe, at most one
 		// hop for size-4 clusters. A per-cluster compulsory miss fetches
 		// from memory rather than from another cluster's replica (§4.2).
@@ -146,7 +142,6 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 		d.serveAt(&cost, tile, slice, addr, cache.Shared, cache.ClassInstruction)
 
 	default: // shared data
-		d.lastClass = cache.ClassShared
 		home := d.place.SharedSlice(uint64(addr))
 		if l1.RemoteOwner >= 0 {
 			owner := noc.TileID(l1.RemoteOwner)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rnuca/internal/cache"
+	"rnuca/internal/ospage"
 	"rnuca/internal/trace"
 )
 
@@ -14,8 +15,8 @@ type ClassifyMode int
 // Classification modes.
 const (
 	// ClassifyStream assigns each ref the class its page holds at the
-	// moment of the access, exactly as the OS would at TLB-miss time
-	// (§4.3 first-touch semantics): single pass, online.
+	// moment of the access, walking the OS page table (§4.3 first-touch
+	// semantics) on every access: single pass, online.
 	ClassifyStream ClassifyMode = iota
 	// ClassifyTwoPass decodes the inputs twice: the first pass settles
 	// every page's final classification, the second labels each ref with
@@ -53,96 +54,64 @@ func ParseClassifyMode(s string) (ClassifyMode, error) {
 	return 0, fmt.Errorf("ingest: unknown classify mode %q (stream, twopass, off)", s)
 }
 
-// ClassifyStats counts the classifier's page activity, mirroring the
-// ospage.Table counters so converted corpora can be sanity-checked
-// against the paper's §5.2 numbers.
+// ClassifyStats counts the classifier's page activity: the ospage.Table
+// counters, so converted corpora can be sanity-checked against the
+// paper's §5.2 numbers, plus the bounded table's size and evictions.
 type ClassifyStats struct {
 	// Pages is the number of pages currently tracked; Evictions counts
 	// pages dropped by the bounded-memory table (0 when unbounded).
 	Pages, Evictions uint64
-	// FirstTouches counts first accesses to a page.
-	FirstTouches uint64
-	// The §4.3 re-classification transitions.
-	PrivateToShared, PrivateToInstr, InstrToShared, Migrations uint64
+	ospage.Transitions
 }
 
-// pageEntry is one classified page. Owner fields are meaningful only
-// while the class is private.
-type pageEntry struct {
-	class        cache.Class
-	core, thread int32
-}
-
-// PageTable replicates R-NUCA's OS-level page-grain classification
-// (§4.3 of the paper, mirroring internal/ospage) over a reference
-// stream that carries no ground truth:
+// PageTable classifies a reference stream that carries no ground truth
+// with R-NUCA's OS page table (§4.3): it calls ospage.Table's
+// transitions instead of mirroring them. Unlike the simulated OS, which
+// walks the table only on a TLB miss, Observe walks it on every access,
+// so it can re-classify a page earlier than the simulator does (for
+// instance, a load and then a fetch by one core make the page
+// instruction here, while the simulator's fetch hits the TLB entry the
+// load filled and the page stays private).
 //
-//   - first touch by a data access classifies the page private to the
-//     accessing core; first touch by an instruction fetch classifies it
-//     instruction;
-//   - a data access by a second core re-classifies a private page
-//     shared — unless the access comes from the owning thread (the
-//     thread migrated, so the page stays private and is re-owned);
-//   - a store to an instruction page re-classifies it shared (read-only
-//     replicas would otherwise break coherence), and an instruction
-//     fetch from a private page re-classifies it instruction;
-//   - shared is terminal: accesses of any kind leave a shared page
-//     shared (instruction fetches from it are the paper's <0.75%
-//     misclassified accesses).
-//
-// Unlike ospage.Table, which models the machine under simulation, this
-// table runs at ingest time over arbitrarily large foreign traces, so
-// its memory can be bounded: with maxPages > 0 the oldest page is
+// The table runs at ingest time over arbitrarily large foreign traces,
+// so its memory can be bounded: with maxPages > 0 the oldest page is
 // evicted (FIFO, deterministic) once the bound is reached, and a later
 // touch of an evicted page re-runs first-touch classification.
 type PageTable struct {
-	pageBits uint
-	maxPages int
-	pages    map[uint64]*pageEntry
-	fifo     []uint64 // insertion order for bounded eviction
-	head     int
-	stats    ClassifyStats
+	*ospage.Table
+	maxPages  int
+	fifo      []ospage.PageID // insertion order, kept only when bounded
+	head      int
+	evictions uint64
 }
 
-// NewPageTable builds a classifier page table. pageBytes must be a
-// power of two (the paper's OS uses 8KB pages); maxPages bounds the
-// table's memory, 0 meaning unbounded.
+// NewPageTable builds a classifier page table. pageBytes must pass
+// ospage.CheckPageBytes (the paper's OS uses 8KB pages); maxPages bounds
+// the table's memory, 0 meaning unbounded.
 func NewPageTable(pageBytes, maxPages int) *PageTable {
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic(fmt.Sprintf("ingest: page size %d not a power of two", pageBytes))
-	}
-	bits := uint(0)
-	for b := pageBytes; b > 1; b >>= 1 {
-		bits++
-	}
-	return &PageTable{pageBits: bits, maxPages: maxPages, pages: map[uint64]*pageEntry{}}
+	return &PageTable{Table: ospage.NewTable(pageBytes), maxPages: maxPages}
 }
-
-// PageOf returns the page holding an address.
-func (t *PageTable) PageOf(addr uint64) uint64 { return addr >> t.pageBits }
 
 // Stats returns the counters, with Pages refreshed to the current size.
 func (t *PageTable) Stats() ClassifyStats {
-	s := t.stats
-	s.Pages = uint64(len(t.pages))
-	return s
+	return ClassifyStats{Pages: uint64(t.Pages()), Evictions: t.evictions, Transitions: t.Transitions()}
 }
 
-// insert adds a fresh entry for page p, evicting the oldest tracked
-// page first when the table is bounded and full.
-func (t *PageTable) insert(p uint64, e *pageEntry) {
-	if t.maxPages > 0 && len(t.pages) >= t.maxPages {
-		for len(t.pages) >= t.maxPages && t.head < len(t.fifo) {
-			delete(t.pages, t.fifo[t.head])
-			t.head++
-			t.stats.Evictions++
-		}
-		if t.head > len(t.fifo)/2 {
-			t.fifo = append([]uint64(nil), t.fifo[t.head:]...)
-			t.head = 0
-		}
+// track records a page about to be first touched in a bounded table,
+// evicting the oldest tracked pages first when the table is full.
+func (t *PageTable) track(p ospage.PageID) {
+	if t.maxPages <= 0 {
+		return
 	}
-	t.pages[p] = e
+	for t.Pages() >= t.maxPages && t.head < len(t.fifo) {
+		t.Delete(t.fifo[t.head])
+		t.head++
+		t.evictions++
+	}
+	if t.head > len(t.fifo)/2 {
+		t.fifo = append([]ospage.PageID(nil), t.fifo[t.head:]...)
+		t.head = 0
+	}
 	t.fifo = append(t.fifo, p)
 }
 
@@ -151,59 +120,10 @@ func (t *PageTable) insert(p uint64, e *pageEntry) {
 // had the OS classified this stream at run time.
 func (t *PageTable) Observe(r trace.Ref) cache.Class {
 	p := t.PageOf(r.Addr)
-	e := t.pages[p]
-	if e == nil {
-		t.stats.FirstTouches++
-		e = &pageEntry{class: cache.ClassPrivate, core: int32(r.Core), thread: int32(r.Thread)}
-		if r.Kind == trace.IFetch {
-			e.class, e.core, e.thread = cache.ClassInstruction, -1, -1
-		}
-		t.insert(p, e)
-		return e.class
+	if _, ok := t.Lookup(p); !ok {
+		t.track(p)
 	}
-	if r.Kind == trace.IFetch {
-		switch e.class {
-		case cache.ClassInstruction:
-			return cache.ClassInstruction
-		case cache.ClassPrivate:
-			// Code on a data-classified page: re-classify so it can
-			// replicate (ospage's private->instr transition).
-			e.class, e.core, e.thread = cache.ClassInstruction, -1, -1
-			t.stats.PrivateToInstr++
-			return cache.ClassInstruction
-		default:
-			// Fetching code from a shared page: served at its shared
-			// location; no transition (the safe superset).
-			return cache.ClassShared
-		}
-	}
-	switch e.class {
-	case cache.ClassPrivate:
-		if int(e.core) == r.Core {
-			return cache.ClassPrivate
-		}
-		if int(e.thread) == r.Thread {
-			// The owning thread moved cores: a migration, not sharing;
-			// the page stays private and is re-owned (§4.3).
-			e.core = int32(r.Core)
-			t.stats.Migrations++
-			return cache.ClassPrivate
-		}
-		e.class = cache.ClassShared
-		t.stats.PrivateToShared++
-		return cache.ClassShared
-	case cache.ClassInstruction:
-		if !r.IsWrite() {
-			// Data read of an instruction page: placement follows the
-			// page class (counted misclassification, like ospage).
-			return cache.ClassInstruction
-		}
-		e.class = cache.ClassShared
-		t.stats.InstrToShared++
-		return cache.ClassShared
-	default:
-		return cache.ClassShared
-	}
+	return t.Access(p, r.Kind, r.Core, r.Thread).Class
 }
 
 // Final returns the settled class for one reference after a full
@@ -211,8 +131,8 @@ func (t *PageTable) Observe(r trace.Ref) cache.Class {
 // default (instruction for fetches, private for data) when the page was
 // never tracked or was evicted by the bounded table.
 func (t *PageTable) Final(r trace.Ref) cache.Class {
-	if e := t.pages[t.PageOf(r.Addr)]; e != nil {
-		return e.class
+	if e, ok := t.Lookup(t.PageOf(r.Addr)); ok {
+		return e.Class
 	}
 	if r.Kind == trace.IFetch {
 		return cache.ClassInstruction

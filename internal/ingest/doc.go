@@ -10,8 +10,8 @@
 //     inflation and strict error reporting (every parse error carries
 //     the file, 1-based line, and byte offset);
 //   - a Classifier (PageTable) that assigns cache.Class at OS-page
-//     granularity when the source carries no ground truth, replicating
-//     the paper's §4.3 classification;
+//     granularity when the source carries no ground truth, by running
+//     the paper's §4.3 classification in internal/ospage;
 //   - an Interleaver that maps single-threaded captures onto N cores,
 //     so one public trace becomes a 16-tile workload.
 //
@@ -69,9 +69,9 @@
 // # Page-grain class inference
 //
 // Foreign traces carry no access classes, but R-NUCA's placement is
-// driven by them, so the converter rediscovers classes exactly the way
-// the paper's OS does (§4.3), at page (8KB) granularity over a page
-// table:
+// driven by them, so the converter rediscovers classes with the
+// simulator's own OS page table (ospage.Table, §4.3), at page (8KB)
+// granularity; ingest calls it rather than mirroring its rules:
 //
 //   - instruction fetches classify a page instruction;
 //   - data pages touched by a single core are private to it;
@@ -83,13 +83,16 @@
 //
 // Two modes trade fidelity against passes over the input:
 // ClassifyStream labels each ref with its page's class at the moment of
-// access (one pass, first-touch semantics — what the machine under
-// simulation would have seen), while ClassifyTwoPass settles every
-// page's final class first and labels all refs with it (two decode
-// passes — the retrospective view the paper's characterization figures
-// take). The table's memory can be bounded (Options.MaxPages) for
-// arbitrarily large inputs; evicted pages re-run first-touch
-// classification if touched again.
+// access (one pass, first-touch semantics). It walks the table on every
+// access, where the simulated OS walks it only on a TLB miss, so it can
+// classify a page earlier than the simulator does: a load and then a
+// fetch by one core make the page instruction here, while in the
+// simulator the fetch hits the load's TLB entry and the page stays
+// private. ClassifyTwoPass settles every page's final class first and
+// labels all refs with it (two decode passes — the retrospective view
+// the paper's characterization figures take). The table's memory can be
+// bounded (Options.MaxPages) for arbitrarily large inputs; evicted pages
+// re-run first-touch classification if touched again.
 //
 // # Worked example: convert, replay, figures
 //

@@ -33,7 +33,6 @@ type Transitions struct {
 	Migrations      uint64 `json:"migrations,omitempty"`
 	InstrToShared   uint64 `json:"instr_to_shared,omitempty"`
 	PrivateToInstr  uint64 `json:"private_to_instr,omitempty"`
-	PoisonWaits     uint64 `json:"poison_waits,omitempty"`
 	TLBShootdowns   uint64 `json:"tlb_shootdowns,omitempty"`
 }
 
@@ -44,7 +43,6 @@ func (t Transitions) sub(prev Transitions) Transitions {
 		Migrations:      t.Migrations - prev.Migrations,
 		InstrToShared:   t.InstrToShared - prev.InstrToShared,
 		PrivateToInstr:  t.PrivateToInstr - prev.PrivateToInstr,
-		PoisonWaits:     t.PoisonWaits - prev.PoisonWaits,
 		TLBShootdowns:   t.TLBShootdowns - prev.TLBShootdowns,
 	}
 }
@@ -56,7 +54,6 @@ func (t Transitions) add(o Transitions) Transitions {
 		Migrations:      t.Migrations + o.Migrations,
 		InstrToShared:   t.InstrToShared + o.InstrToShared,
 		PrivateToInstr:  t.PrivateToInstr + o.PrivateToInstr,
-		PoisonWaits:     t.PoisonWaits + o.PoisonWaits,
 		TLBShootdowns:   t.TLBShootdowns + o.TLBShootdowns,
 	}
 }

@@ -3,88 +3,91 @@ package ospage
 import (
 	"testing"
 	"testing/quick"
+
+	"rnuca/internal/cache"
+	"rnuca/internal/trace"
 )
 
 func TestFirstTouchIsPrivate(t *testing.T) {
 	tab := NewTable(8192)
-	out := tab.AccessData(5, 2, 2, false)
-	if out.Class != Private || out.Owner != 2 || out.Reclass != ReclassNone {
+	out := tab.Access(5, trace.Load, 2, 2)
+	if out.Class != cache.ClassPrivate || out.Owner != 2 || out.Reclass != ReclassNone {
 		t.Fatalf("first touch: %+v", out)
 	}
-	if tab.Stats().FirstTouches != 1 {
+	if tab.Transitions().FirstTouches != 1 {
 		t.Fatal("first touch not counted")
 	}
 	// Same core again: still private, no transition.
-	out = tab.AccessData(5, 2, 2, true)
-	if out.Class != Private || out.Reclass != ReclassNone {
+	out = tab.Access(5, trace.Store, 2, 2)
+	if out.Class != cache.ClassPrivate || out.Reclass != ReclassNone {
 		t.Fatalf("repeat access: %+v", out)
 	}
 }
 
 func TestPrivateToSharedOnSecondThread(t *testing.T) {
 	tab := NewTable(8192)
-	tab.AccessData(7, 0, 0, false)
-	out := tab.AccessData(7, 3, 3, false) // different core, different thread
-	if out.Class != SharedData || out.Reclass != ReclassPrivateToShared {
+	tab.Access(7, trace.Load, 0, 0)
+	out := tab.Access(7, trace.Load, 3, 3) // different core, different thread
+	if out.Class != cache.ClassShared || out.Reclass != ReclassPrivateToShared {
 		t.Fatalf("sharing transition: %+v", out)
 	}
 	if out.PrevOwner != 0 {
 		t.Fatalf("previous owner = %d, want 0", out.PrevOwner)
 	}
 	// Monotone: never goes back to private.
-	out = tab.AccessData(7, 5, 5, false)
-	if out.Class != SharedData || out.Reclass != ReclassNone {
+	out = tab.Access(7, trace.Load, 5, 5)
+	if out.Class != cache.ClassShared || out.Reclass != ReclassNone {
 		t.Fatalf("shared page transitioned again: %+v", out)
 	}
 }
 
 func TestThreadMigrationKeepsPrivate(t *testing.T) {
 	tab := NewTable(8192)
-	tab.AccessData(9, 1, 42, false)
+	tab.Access(9, trace.Load, 1, 42)
 	// Same thread 42 now on core 6: migration, not sharing.
-	out := tab.AccessData(9, 6, 42, false)
-	if out.Class != Private || out.Reclass != ReclassMigration {
+	out := tab.Access(9, trace.Load, 6, 42)
+	if out.Class != cache.ClassPrivate || out.Reclass != ReclassMigration {
 		t.Fatalf("migration: %+v", out)
 	}
 	if out.Owner != 6 || out.PrevOwner != 1 {
 		t.Fatalf("owners: %+v", out)
 	}
 	// Subsequent access from the new core is a plain private access.
-	out = tab.AccessData(9, 6, 42, true)
-	if out.Reclass != ReclassNone || out.Class != Private {
+	out = tab.Access(9, trace.Store, 6, 42)
+	if out.Reclass != ReclassNone || out.Class != cache.ClassPrivate {
 		t.Fatalf("post-migration: %+v", out)
 	}
 }
 
 func TestInstructionClassification(t *testing.T) {
 	tab := NewTable(8192)
-	out := tab.AccessInstr(11, 4)
-	if out.Class != Instruction {
+	out := tab.Access(11, trace.IFetch, 4, 4)
+	if out.Class != cache.ClassInstruction {
 		t.Fatalf("ifetch first touch: %+v", out)
 	}
 	// Any core fetching: still instruction, no transitions.
-	out = tab.AccessInstr(11, 9)
-	if out.Class != Instruction || out.Reclass != ReclassNone {
+	out = tab.Access(11, trace.IFetch, 9, 9)
+	if out.Class != cache.ClassInstruction || out.Reclass != ReclassNone {
 		t.Fatalf("second ifetch: %+v", out)
 	}
 	// A data *read* of an instruction page is served by the instruction
 	// placement (misclassified access, no transition).
-	out = tab.AccessData(11, 2, 2, false)
-	if out.Class != Instruction || out.Reclass != ReclassNone {
+	out = tab.Access(11, trace.Load, 2, 2)
+	if out.Class != cache.ClassInstruction || out.Reclass != ReclassNone {
 		t.Fatalf("data read of instr page: %+v", out)
 	}
 	// A *store* forces de-replication to shared.
-	out = tab.AccessData(11, 2, 2, true)
-	if out.Class != SharedData || out.Reclass != ReclassInstrToShared {
+	out = tab.Access(11, trace.Store, 2, 2)
+	if out.Class != cache.ClassShared || out.Reclass != ReclassInstrToShared {
 		t.Fatalf("store to instr page: %+v", out)
 	}
 }
 
 func TestPrivateToInstruction(t *testing.T) {
 	tab := NewTable(8192)
-	tab.AccessData(13, 3, 3, false)
-	out := tab.AccessInstr(13, 8)
-	if out.Class != Instruction || out.Reclass != ReclassPrivateToInstr || out.PrevOwner != 3 {
+	tab.Access(13, trace.Load, 3, 3)
+	out := tab.Access(13, trace.IFetch, 8, 8)
+	if out.Class != cache.ClassInstruction || out.Reclass != ReclassPrivateToInstr || out.PrevOwner != 3 {
 		t.Fatalf("private->instr: %+v", out)
 	}
 }
@@ -94,19 +97,19 @@ func TestPageOf(t *testing.T) {
 	if tab.PageOf(0) != 0 || tab.PageOf(8191) != 0 || tab.PageOf(8192) != 1 {
 		t.Fatal("PageOf boundaries wrong")
 	}
-	if tab.PageBits() != 13 {
-		t.Fatalf("PageBits = %d, want 13", tab.PageBits())
+	if tab.pageBits != 13 {
+		t.Fatalf("pageBits = %d, want 13", tab.pageBits)
 	}
 }
 
 func TestCountByClass(t *testing.T) {
 	tab := NewTable(8192)
-	tab.AccessData(1, 0, 0, false)
-	tab.AccessData(2, 0, 0, false)
-	tab.AccessData(2, 1, 1, false) // becomes shared
-	tab.AccessInstr(3, 0)
+	tab.Access(1, trace.Load, 0, 0)
+	tab.Access(2, trace.Load, 0, 0)
+	tab.Access(2, trace.Load, 1, 1) // becomes shared
+	tab.Access(3, trace.IFetch, 0, 0)
 	got := tab.CountByClass()
-	if got[Private] != 1 || got[SharedData] != 1 || got[Instruction] != 1 {
+	if got[cache.ClassPrivate] != 1 || got[cache.ClassShared] != 1 || got[cache.ClassInstruction] != 1 {
 		t.Fatalf("counts: %v", got)
 	}
 	if tab.Pages() != 3 {
@@ -119,13 +122,16 @@ func TestCountByClass(t *testing.T) {
 func TestQuickSharedIsTerminalForData(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tab := NewTable(8192)
-		tab.AccessData(1, 0, 0, false)
-		tab.AccessData(1, 1, 1, false) // force shared
+		tab.Access(1, trace.Load, 0, 0)
+		tab.Access(1, trace.Load, 1, 1) // force shared
 		for _, op := range ops {
 			cid := int(op % 16)
-			write := op&0x100 != 0
-			out := tab.AccessData(1, cid, cid, write)
-			if out.Class != SharedData {
+			kind := trace.Load
+			if op&0x100 != 0 {
+				kind = trace.Store
+			}
+			out := tab.Access(1, kind, cid, cid)
+			if out.Class != cache.ClassShared {
 				return false
 			}
 		}
@@ -141,14 +147,14 @@ func TestTLBBasics(t *testing.T) {
 	if _, _, ok := tlb.Lookup(1); ok {
 		t.Fatal("empty TLB hit")
 	}
-	tlb.Fill(1, Private, 3)
+	tlb.Fill(1, cache.ClassPrivate, 3)
 	class, owner, ok := tlb.Lookup(1)
-	if !ok || class != Private || owner != 3 {
+	if !ok || class != cache.ClassPrivate || owner != 3 {
 		t.Fatalf("lookup: %v %v %v", class, owner, ok)
 	}
-	tlb.Fill(2, SharedData, -1)
+	tlb.Fill(2, cache.ClassShared, -1)
 	tlb.Lookup(1) // make 1 MRU
-	tlb.Fill(3, Instruction, -1)
+	tlb.Fill(3, cache.ClassInstruction, -1)
 	if _, _, ok := tlb.Lookup(2); ok {
 		t.Fatal("LRU entry 2 should have been evicted")
 	}
@@ -162,7 +168,7 @@ func TestTLBBasics(t *testing.T) {
 
 func TestTLBShootdown(t *testing.T) {
 	tlb := NewTLB(4)
-	tlb.Fill(1, Private, 0)
+	tlb.Fill(1, cache.ClassPrivate, 0)
 	if !tlb.Shootdown(1) {
 		t.Fatal("shootdown missed present entry")
 	}
@@ -178,7 +184,7 @@ func TestSystemTranslationFlow(t *testing.T) {
 	s := NewSystem(8192, 64, 4)
 	// Core 0 touches a page: TLB miss, classified private.
 	r := s.Translate(0x4000, 0, 0, false, false)
-	if !r.TLBMiss || r.Class != Private {
+	if !r.TLBMiss || r.Class != cache.ClassPrivate {
 		t.Fatalf("first translate: %+v", r)
 	}
 	// Second access: TLB hit, no walk.
@@ -194,7 +200,7 @@ func TestSystemTranslationFlow(t *testing.T) {
 	// Core 0's stale TLB entry must be gone: next access misses and sees
 	// the shared classification.
 	r = s.Translate(0x4000, 0, 0, false, false)
-	if !r.TLBMiss || r.Class != SharedData {
+	if !r.TLBMiss || r.Class != cache.ClassShared {
 		t.Fatalf("post-shootdown translate: %+v", r)
 	}
 }
@@ -205,12 +211,12 @@ func TestSystemInstructionStoreTrap(t *testing.T) {
 	s.Translate(0x2000, 1, 1, false, true) // other core caches translation
 	// Store via a TLB-resident instruction entry must trap and demote.
 	r := s.Translate(0x2000, 0, 0, true, false)
-	if r.Class != SharedData || r.Reclass != ReclassInstrToShared {
+	if r.Class != cache.ClassShared || r.Reclass != ReclassInstrToShared {
 		t.Fatalf("store to instr page: %+v", r)
 	}
 	// The other core's translation must have been shot down.
 	r = s.Translate(0x2040, 1, 1, false, false)
-	if !r.TLBMiss || r.Class != SharedData {
+	if !r.TLBMiss || r.Class != cache.ClassShared {
 		t.Fatalf("stale remote translation survived: %+v", r)
 	}
 }
@@ -220,8 +226,10 @@ func TestForceClassifiers(t *testing.T) {
 	tab.ForcePrivate(1, 2, 2)
 	tab.ForceShared(2)
 	tab.ForceInstruction(3)
-	if tab.Lookup(1).Class != Private || tab.Lookup(2).Class != SharedData || tab.Lookup(3).Class != Instruction {
-		t.Fatal("force classifiers failed")
+	for p, want := range map[PageID]cache.Class{1: cache.ClassPrivate, 2: cache.ClassShared, 3: cache.ClassInstruction} {
+		if e, ok := tab.Lookup(p); !ok || e.Class != want {
+			t.Fatalf("page %d: %+v, %v; want %v", p, e, ok, want)
+		}
 	}
 }
 

@@ -3,6 +3,9 @@ package ospage
 import (
 	"testing"
 	"testing/quick"
+
+	"rnuca/internal/cache"
+	"rnuca/internal/trace"
 )
 
 // TLB capacity invariant: never more resident entries than capacity, and
@@ -14,7 +17,7 @@ func TestQuickTLBCapacityAndMRU(t *testing.T) {
 		for _, p := range pages {
 			id := PageID(p % 32)
 			if _, _, ok := tlb.Lookup(id); !ok {
-				tlb.Fill(id, Private, 0)
+				tlb.Fill(id, cache.ClassPrivate, 0)
 			}
 			last = id
 			if tlb.Len() > 8 {
@@ -45,12 +48,8 @@ func TestQuickSystemTLBTableAgreement(t *testing.T) {
 			ifetch := op&0x800 != 0 && !write
 			res := s.Translate(addr, cid, cid, write, ifetch)
 			// The returned class must match the table's record.
-			e := s.Table.Lookup(s.Table.PageOf(addr))
-			if e == nil || e.Class != res.Class {
-				return false
-			}
-			// No page may ever be poisoned after a Translate returns.
-			if e.Poisoned {
+			e, ok := s.Table.Lookup(s.Table.PageOf(addr))
+			if !ok || e.Class != res.Class {
 				return false
 			}
 		}
@@ -68,19 +67,21 @@ func TestQuickOwnershipConsistency(t *testing.T) {
 		for _, op := range ops {
 			p := PageID(op % 32)
 			cid := int(op>>5) % 8
+			kind := trace.Load
 			if op&0x2000 != 0 {
-				tab.AccessInstr(p, cid)
-			} else {
-				tab.AccessData(p, cid, cid, op&0x1000 != 0)
+				kind = trace.IFetch
+			} else if op&0x1000 != 0 {
+				kind = trace.Store
 			}
-			e := tab.Lookup(p)
+			tab.Access(p, kind, cid, cid)
+			e, _ := tab.Lookup(p)
 			switch e.Class {
-			case Private:
+			case cache.ClassPrivate:
 				if e.OwnerCID < 0 {
 					return false
 				}
-			case Instruction, SharedData:
-				if e.Class == Instruction && e.OwnerCID >= 0 {
+			case cache.ClassInstruction, cache.ClassShared:
+				if e.Class == cache.ClassInstruction && e.OwnerCID >= 0 {
 					return false
 				}
 			}

@@ -2,53 +2,43 @@
 // paper): classification of memory accesses at page granularity, performed
 // at TLB-miss time and communicated to the cores through the TLB.
 //
-// The OS extends each page-table entry with a Private bit, the core ID
-// (CID) of the last accessor, and a Poisoned bit used to serialize
-// re-classification:
+// The OS extends each page-table entry with a class and, for private
+// pages, the core ID (CID) and software thread of the owner. One pure
+// transition function, step, holds every rule:
 //
-//   - first touch        -> page classified private, accessor recorded;
-//   - instruction fetch  -> page classified instruction;
-//   - TLB miss by a different core on a private page -> either the owning
-//     thread migrated (page stays private, re-owned, old copies
-//     invalidated) or the page is actively shared (page poisoned, TLB
-//     entries shot down, blocks invalidated at the previous accessor,
-//     page re-classified shared);
-//   - store to an instruction-classified page -> re-classified shared
-//     (replicated read-only copies would otherwise break coherence).
+//   - first touch        -> a fetch classifies the page instruction, a
+//     load or store classifies it private to the accessor;
+//   - an access by the owning core leaves a private page as it is;
+//   - a load or store by another core on a private page -> either the
+//     owning thread migrated (page stays private, re-owned, old copies
+//     invalidated) or the page is actively shared (blocks invalidated at
+//     the previous owner, page re-classified shared);
+//   - instruction fetch from a private page -> re-classified instruction;
+//   - store to an instruction page -> re-classified shared (replicated
+//     read-only copies would otherwise break coherence);
+//   - shared is terminal.
 //
 // Because the OS knows thread scheduling, migration vs. sharing is decided
-// exactly, not heuristically.
+// exactly, not heuristically. Each re-classification counts one TLB
+// shootdown, the poison round the simulator charges once per
+// re-classification; no page is ever left poisoned between accesses.
+//
+// System applies the rules only on a miss in the core's one unified TLB
+// (plus the trap of a store through an instruction translation). So a
+// load and then a fetch by the same core keep the page private: the fetch
+// hits the TLB entry the load filled. internal/ingest, which walks the
+// table on every access, re-classifies that page instruction.
 package ospage
 
-import "fmt"
+import (
+	"fmt"
+
+	"rnuca/internal/cache"
+	"rnuca/internal/trace"
+)
 
 // PageID identifies a page: physical address >> log2(page size).
 type PageID uint64
-
-// Class is the OS-visible page classification.
-type Class uint8
-
-// Page classifications.
-const (
-	Unclassified Class = iota
-	Private
-	SharedData
-	Instruction
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case Private:
-		return "private"
-	case SharedData:
-		return "shared"
-	case Instruction:
-		return "instruction"
-	default:
-		return "unclassified"
-	}
-}
 
 // ReclassKind distinguishes the page transitions that carry a cost.
 type ReclassKind uint8
@@ -67,56 +57,136 @@ const (
 	// ReclassPrivateToInstr: an instruction fetch hit a page previously
 	// classified private (e.g. JIT code or loader-touched pages).
 	ReclassPrivateToInstr
-
-	numReclassKinds
 )
 
-// String implements fmt.Stringer.
-func (k ReclassKind) String() string {
-	switch k {
-	case ReclassPrivateToShared:
-		return "private->shared"
-	case ReclassMigration:
-		return "migration"
-	case ReclassInstrToShared:
-		return "instr->shared"
-	case ReclassPrivateToInstr:
-		return "private->instr"
+// Entry is a page-table entry with the R-NUCA extensions. The zero
+// Entry (class cache.ClassUnknown) is an untouched page. The owner
+// fields name the owning core and thread of a private page and are -1
+// for instruction and shared pages.
+type Entry struct {
+	Class    cache.Class
+	OwnerCID int
+	OwnerTID int
+}
+
+// Outcome reports what a page access did, so the cache designs can charge
+// the appropriate latency and purge the right blocks.
+type Outcome struct {
+	// Class is the page's classification after this access; placement
+	// uses it directly.
+	Class cache.Class
+	// Owner is the page's current owner CID (private pages), else -1.
+	Owner int
+	// Reclass is the transition performed by this access, if any.
+	Reclass ReclassKind
+	// PrevOwner is the core whose cached blocks must be invalidated on a
+	// reclassification (valid when Reclass != ReclassNone; -1 when the
+	// transition has no unique previous owner).
+	PrevOwner int
+}
+
+// step is §4.3 in one place: the entry a page holds after an access of
+// the given kind by core cid running thread tid, and what the access saw.
+//
+//rnuca:hotpath
+func step(e Entry, kind trace.Kind, cid, tid int) (Entry, Outcome) {
+	instr := Entry{Class: cache.ClassInstruction, OwnerCID: -1, OwnerTID: -1}
+	shared := Entry{Class: cache.ClassShared, OwnerCID: -1, OwnerTID: -1}
+	switch e.Class {
+	case cache.ClassUnknown:
+		// First touch: trap to the OS, which classifies the page.
+		if kind == trace.IFetch {
+			return instr, Outcome{Class: cache.ClassInstruction, Owner: -1}
+		}
+		return Entry{Class: cache.ClassPrivate, OwnerCID: cid, OwnerTID: tid},
+			Outcome{Class: cache.ClassPrivate, Owner: cid}
+	case cache.ClassPrivate:
+		prev := e.OwnerCID
+		switch {
+		case kind == trace.IFetch:
+			// Code on a data-classified page: purge the owner's copies
+			// and re-classify instruction so it can replicate.
+			return instr, Outcome{Class: cache.ClassInstruction, Owner: -1, Reclass: ReclassPrivateToInstr, PrevOwner: prev}
+		case prev == cid:
+			return e, Outcome{Class: cache.ClassPrivate, Owner: cid}
+		case e.OwnerTID == tid:
+			// The owning thread moved cores: invalidate at the previous
+			// core, the page stays private with the new owner.
+			e.OwnerCID = cid
+			return e, Outcome{Class: cache.ClassPrivate, Owner: cid, Reclass: ReclassMigration, PrevOwner: prev}
+		default:
+			// A second thread: invalidate at the previous owner,
+			// re-classify shared.
+			return shared, Outcome{Class: cache.ClassShared, Owner: -1, Reclass: ReclassPrivateToShared, PrevOwner: prev}
+		}
+	case cache.ClassInstruction:
+		if kind != trace.Store {
+			// A data read of an instruction page follows the page class
+			// (the paper's <0.75% misclassification; reads of read-only
+			// replicas are safe).
+			return e, Outcome{Class: cache.ClassInstruction, Owner: -1}
+		}
+		// A store to a replicated read-only page: purge every replica,
+		// re-classify shared.
+		return shared, Outcome{Class: cache.ClassShared, Owner: -1, Reclass: ReclassInstrToShared, PrevOwner: -1}
 	default:
-		return "none"
+		// Shared is the safe superset: fetches from it are served at the
+		// interleaved home (counted as misclassified), never re-classified.
+		return e, Outcome{Class: cache.ClassShared, Owner: -1}
 	}
 }
 
-// Entry is a page-table entry with the R-NUCA extensions.
-type Entry struct {
-	Class    Class
-	OwnerCID int // last accessor, meaningful for private pages
-	OwnerTID int // owning software thread, used to detect migration
-	Poisoned bool
+// Transitions counts classification activity, one field per transition.
+// TLBShootdowns counts one chip-wide shootdown per re-classification.
+type Transitions struct {
+	FirstTouches    uint64
+	PrivateToShared uint64
+	Migrations      uint64
+	InstrToShared   uint64
+	PrivateToInstr  uint64
+	TLBShootdowns   uint64
 }
 
-// Stats counts classification activity.
-type Stats struct {
-	FirstTouches uint64
-	// Reclassifications counts transitions, indexed by ReclassKind.
-	Reclassifications [numReclassKinds]uint64
-	PoisonWaits       uint64
-	TLBShootdowns     uint64
+// count records one applied access: whether it was the page's first
+// touch, and the re-classification it performed.
+func (c *Transitions) count(first bool, k ReclassKind) {
+	if first {
+		c.FirstTouches++
+	}
+	switch k {
+	case ReclassNone:
+		return
+	case ReclassPrivateToShared:
+		c.PrivateToShared++
+	case ReclassMigration:
+		c.Migrations++
+	case ReclassInstrToShared:
+		c.InstrToShared++
+	case ReclassPrivateToInstr:
+		c.PrivateToInstr++
+	}
+	c.TLBShootdowns++
 }
 
 // Table is the OS page table for one simulated machine.
 type Table struct {
 	pageBits uint
-	entries  map[PageID]*Entry
-	stats    Stats
+	entries  map[PageID]Entry
+	trans    Transitions
 }
 
+// MaxPageBytes caps the page size at 64 times Table 1's 8 KB page.
+const MaxPageBytes = 64 * (8 << 10)
+
 // CheckPageBytes reports a page size that is not a positive power of
-// two, the one page-size rule of the page table and the memory
-// controllers' interleaving.
+// two or exceeds MaxPageBytes, the one page-size rule of the page table
+// and the memory controllers' interleaving.
 func CheckPageBytes(pageBytes int) error {
 	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		return fmt.Errorf("ospage: page size %d not a positive power of two", pageBytes)
+	}
+	if pageBytes > MaxPageBytes {
+		return fmt.Errorf("ospage: page size %d above %d", pageBytes, MaxPageBytes)
 	}
 	return nil
 }
@@ -130,189 +200,58 @@ func NewTable(pageBytes int) *Table {
 	for b := pageBytes; b > 1; b >>= 1 {
 		bits++
 	}
-	return &Table{pageBits: bits, entries: map[PageID]*Entry{}}
+	return &Table{pageBits: bits, entries: map[PageID]Entry{}}
 }
-
-// PageBits returns log2 of the page size.
-func (t *Table) PageBits() uint { return t.pageBits }
 
 // PageOf returns the page containing a physical address.
 func (t *Table) PageOf(addr uint64) PageID { return PageID(addr >> t.pageBits) }
 
-// Lookup returns the entry for a page, or nil if untouched.
-func (t *Table) Lookup(p PageID) *Entry { return t.entries[p] }
-
-// Stats returns a copy of the counters.
-func (t *Table) Stats() Stats { return t.stats }
-
-// Transitions is a flat snapshot of the classification counters with
-// one named field per transition, the form the flight recorder
-// delta-encodes between consecutive snapshots.
-type Transitions struct {
-	FirstTouches    uint64
-	PrivateToShared uint64
-	Migrations      uint64
-	InstrToShared   uint64
-	PrivateToInstr  uint64
-	PoisonWaits     uint64
-	TLBShootdowns   uint64
+// Lookup returns the entry for a page and whether the page was touched.
+func (t *Table) Lookup(p PageID) (Entry, bool) {
+	e, ok := t.entries[p]
+	return e, ok
 }
 
-// Transitions returns the cumulative classification counters in flat form.
-func (t *Table) Transitions() Transitions {
-	return Transitions{
-		FirstTouches:    t.stats.FirstTouches,
-		PrivateToShared: t.stats.Reclassifications[ReclassPrivateToShared],
-		Migrations:      t.stats.Reclassifications[ReclassMigration],
-		InstrToShared:   t.stats.Reclassifications[ReclassInstrToShared],
-		PrivateToInstr:  t.stats.Reclassifications[ReclassPrivateToInstr],
-		PoisonWaits:     t.stats.PoisonWaits,
-		TLBShootdowns:   t.stats.TLBShootdowns,
-	}
-}
+// Transitions returns the cumulative classification counters.
+func (t *Table) Transitions() Transitions { return t.trans }
 
-// Outcome reports what a page access did, so the cache designs can charge
-// the appropriate latency and purge the right blocks.
-type Outcome struct {
-	// Class is the page's classification after this access; placement
-	// uses it directly.
-	Class Class
-	// Owner is the page's current owner CID (private pages).
-	Owner int
-	// Reclass is the transition performed by this access, if any.
-	Reclass ReclassKind
-	// PrevOwner is the core whose cached blocks must be invalidated on a
-	// reclassification (valid when Reclass != ReclassNone and the
-	// transition has a unique previous owner).
-	PrevOwner int
-	// PoisonWait is true when this access found the page poisoned and had
-	// to wait for an in-flight re-classification (charged as a delay).
-	PoisonWait bool
-}
-
-// AccessData classifies a data access (load or store) by core cid running
-// software thread tid. write marks stores, which force instruction pages to
-// be re-classified.
-func (t *Table) AccessData(p PageID, cid, tid int, write bool) Outcome {
-	e := t.entries[p]
-	if e == nil {
-		// First touch: trap to OS, classify private, record accessor.
-		t.stats.FirstTouches++
-		e = &Entry{Class: Private, OwnerCID: cid, OwnerTID: tid}
+// Access classifies one access of the given kind to page p by core cid
+// running software thread tid, the OS's page walk on a TLB miss.
+func (t *Table) Access(p PageID, kind trace.Kind, cid, tid int) Outcome {
+	old := t.entries[p]
+	e, out := step(old, kind, cid, tid)
+	if e != old {
 		t.entries[p] = e
-		return Outcome{Class: Private, Owner: cid}
 	}
-	switch e.Class {
-	case Private:
-		if e.OwnerCID == cid {
-			return Outcome{Class: Private, Owner: cid}
-		}
-		// Different core. The OS knows scheduling: same thread on a new
-		// core is a migration; a different thread means real sharing.
-		out := Outcome{PoisonWait: e.Poisoned, PrevOwner: e.OwnerCID}
-		if e.Poisoned {
-			t.stats.PoisonWaits++
-		}
-		if e.OwnerTID == tid {
-			// Thread migration: invalidate at previous accessor, page
-			// stays private with the new owner (§4.3, last paragraph).
-			t.poisonCycle(e)
-			e.OwnerCID = cid
-			t.stats.Reclassifications[ReclassMigration]++
-			out.Class, out.Owner, out.Reclass = Private, cid, ReclassMigration
-			return out
-		}
-		// Active sharing: poison, shoot down, invalidate at previous
-		// accessor, re-classify shared.
-		t.poisonCycle(e)
-		e.Class = SharedData
-		t.stats.Reclassifications[ReclassPrivateToShared]++
-		out.Class, out.Owner, out.Reclass = SharedData, -1, ReclassPrivateToShared
-		return out
-	case SharedData:
-		return Outcome{Class: SharedData, Owner: -1, PoisonWait: e.Poisoned}
-	case Instruction:
-		if !write {
-			// Read of an instruction page: placement follows the page
-			// class (this is the <0.75% misclassification the paper
-			// measures; reads of read-only replicas are safe).
-			return Outcome{Class: Instruction, Owner: -1}
-		}
-		// A store to a replicated read-only page cannot be allowed:
-		// poison, purge every replica, re-classify shared.
-		t.poisonCycle(e)
-		e.Class = SharedData
-		t.stats.Reclassifications[ReclassInstrToShared]++
-		return Outcome{Class: SharedData, Owner: -1, Reclass: ReclassInstrToShared, PrevOwner: -1}
-	default:
-		panic("ospage: unclassified entry present in table")
-	}
+	t.trans.count(old.Class == cache.ClassUnknown, out.Reclass)
+	return out
 }
 
-// AccessInstr classifies an instruction fetch by core cid.
-func (t *Table) AccessInstr(p PageID, cid int) Outcome {
-	e := t.entries[p]
-	if e == nil {
-		t.stats.FirstTouches++
-		e = &Entry{Class: Instruction, OwnerCID: -1, OwnerTID: -1}
-		t.entries[p] = e
-		return Outcome{Class: Instruction, Owner: -1}
-	}
-	switch e.Class {
-	case Instruction:
-		return Outcome{Class: Instruction, Owner: -1, PoisonWait: e.Poisoned}
-	case Private:
-		// Code on a previously data-classified page: purge the owner's
-		// copies and re-classify as instruction so it can replicate.
-		prev := e.OwnerCID
-		t.poisonCycle(e)
-		e.Class = Instruction
-		e.OwnerCID, e.OwnerTID = -1, -1
-		t.stats.Reclassifications[ReclassPrivateToInstr]++
-		return Outcome{Class: Instruction, Owner: -1, Reclass: ReclassPrivateToInstr, PrevOwner: prev}
-	case SharedData:
-		// Fetching code from a shared-data page: serve it at its
-		// address-interleaved location (misclassified access, counted by
-		// the accuracy experiment; no transition, shared is the safe
-		// superset).
-		return Outcome{Class: SharedData, Owner: -1, PoisonWait: e.Poisoned}
-	default:
-		panic("ospage: unclassified entry present in table")
-	}
-}
-
-// poisonCycle models the poison/shootdown protocol: set Poisoned, shoot
-// down TLB entries, then clear. In the timing model the sequence is
-// instantaneous but counted; the simulator charges its latency from the
-// counters.
-func (t *Table) poisonCycle(e *Entry) {
-	e.Poisoned = true
-	t.stats.TLBShootdowns++
-	e.Poisoned = false
-}
+// Delete forgets a page; its next access is a first touch again.
+func (t *Table) Delete(p PageID) { delete(t.entries, p) }
 
 // ForcePrivate pre-classifies a page as private to a core, used to warm
 // tables from checkpoints like the paper's methodology (§5.1).
 func (t *Table) ForcePrivate(p PageID, cid, tid int) {
-	t.entries[p] = &Entry{Class: Private, OwnerCID: cid, OwnerTID: tid}
+	t.entries[p] = Entry{Class: cache.ClassPrivate, OwnerCID: cid, OwnerTID: tid}
 }
 
 // ForceShared pre-classifies a page as shared data.
 func (t *Table) ForceShared(p PageID) {
-	t.entries[p] = &Entry{Class: SharedData, OwnerCID: -1, OwnerTID: -1}
+	t.entries[p] = Entry{Class: cache.ClassShared, OwnerCID: -1, OwnerTID: -1}
 }
 
 // ForceInstruction pre-classifies a page as instruction.
 func (t *Table) ForceInstruction(p PageID) {
-	t.entries[p] = &Entry{Class: Instruction, OwnerCID: -1, OwnerTID: -1}
+	t.entries[p] = Entry{Class: cache.ClassInstruction, OwnerCID: -1, OwnerTID: -1}
 }
 
 // Pages returns the number of classified pages.
 func (t *Table) Pages() int { return len(t.entries) }
 
 // CountByClass returns how many pages currently hold each classification.
-func (t *Table) CountByClass() map[Class]int {
-	out := map[Class]int{}
+func (t *Table) CountByClass() map[cache.Class]int {
+	out := map[cache.Class]int{}
 	for _, e := range t.entries {
 		out[e.Class]++
 	}

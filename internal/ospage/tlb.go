@@ -1,6 +1,11 @@
 package ospage
 
-import "fmt"
+import (
+	"fmt"
+
+	"rnuca/internal/cache"
+	"rnuca/internal/trace"
+)
 
 // TLB is a per-core translation lookaside buffer caching page
 // classifications. R-NUCA communicates placement information through the
@@ -36,7 +41,7 @@ type TLB struct {
 type tlbLine struct {
 	page       PageID
 	owner      int32
-	class      Class
+	class      cache.Class
 	prev, next int32
 }
 
@@ -46,10 +51,13 @@ const noLine = -1
 // NewTLB returns a TLB with the given entry count.
 func NewTLB(entries int) *TLB { return newTLBs(entries, 1)[0] }
 
-// CheckTLBEntries reports a TLB entry count outside 1..2^28.
+// MaxTLBEntries caps a core's TLB at 64 times Table 1's 64 entries.
+const MaxTLBEntries = 64 * 64
+
+// CheckTLBEntries reports a TLB entry count outside 1..MaxTLBEntries.
 func CheckTLBEntries(entries int) error {
-	if entries <= 0 || entries > 1<<28 {
-		return fmt.Errorf("ospage: %d TLB entries outside 1..2^28", entries)
+	if entries <= 0 || entries > MaxTLBEntries {
+		return fmt.Errorf("ospage: %d TLB entries outside 1..%d", entries, MaxTLBEntries)
 	}
 	return nil
 }
@@ -104,11 +112,11 @@ func (t *TLB) home(p PageID) uint64 { return uint64(p) * 0x9E3779B97F4A7C15 >> t
 // Lookup returns the cached classification for a page.
 //
 //rnuca:hotpath
-func (t *TLB) Lookup(p PageID) (Class, int, bool) {
+func (t *TLB) Lookup(p PageID) (cache.Class, int, bool) {
 	_, i := t.find(p)
 	if i < 0 {
 		t.misses++
-		return Unclassified, -1, false
+		return cache.ClassUnknown, -1, false
 	}
 	t.hits++
 	t.touch(i)
@@ -118,7 +126,7 @@ func (t *TLB) Lookup(p PageID) (Class, int, bool) {
 // Fill installs a translation after a page walk, evicting LRU if full.
 //
 //rnuca:hotpath
-func (t *TLB) Fill(p PageID, class Class, owner int) {
+func (t *TLB) Fill(p PageID, class cache.Class, owner int) {
 	pos, i := t.find(p)
 	if i >= 0 {
 		t.lines[i].class, t.lines[i].owner = class, int32(owner)
@@ -243,6 +251,13 @@ type Result struct {
 //
 //rnuca:hotpath
 func (s *System) Translate(addr uint64, cid, tid int, write, ifetch bool) Result {
+	kind := trace.Load
+	switch {
+	case ifetch:
+		kind = trace.IFetch
+	case write:
+		kind = trace.Store
+	}
 	p := s.Table.PageOf(addr)
 	tlb := s.TLBs[cid]
 	if class, owner, ok := tlb.Lookup(p); ok {
@@ -251,17 +266,12 @@ func (s *System) Translate(addr uint64, cid, tid int, write, ifetch bool) Result
 		// the time of a TLB miss"), with one exception mirroring the
 		// hardware: a store through a TLB entry marked instruction traps
 		// so the OS can de-replicate the page.
-		if !write || class != Instruction {
+		if kind != trace.Store || class != cache.ClassInstruction {
 			return Result{Outcome: Outcome{Class: class, Owner: owner}}
 		}
 		tlb.Shootdown(p)
 	}
-	var out Outcome
-	if ifetch {
-		out = s.Table.AccessInstr(p, cid)
-	} else {
-		out = s.Table.AccessData(p, cid, tid, write)
-	}
+	out := s.Table.Access(p, kind, cid, tid)
 	if out.Reclass != ReclassNone {
 		// Shoot down stale translations chip-wide; the entry at the
 		// previous accessor is the one that must go, but the protocol

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"rnuca/internal/cache"
 )
 
 // refTLB is the straightforward fully associative true-LRU TLB: a map
@@ -18,7 +20,7 @@ type refTLB struct {
 }
 
 type refLine struct {
-	class Class
+	class cache.Class
 	owner int
 	lru   uint64
 }
@@ -27,11 +29,11 @@ func newRefTLB(entries int) *refTLB {
 	return &refTLB{entries: entries, lines: map[PageID]*refLine{}}
 }
 
-func (t *refTLB) lookup(p PageID) (Class, int, bool) {
+func (t *refTLB) lookup(p PageID) (cache.Class, int, bool) {
 	l, ok := t.lines[p]
 	if !ok {
 		t.misses++
-		return Unclassified, -1, false
+		return cache.ClassUnknown, -1, false
 	}
 	t.hits++
 	t.tick++
@@ -39,7 +41,7 @@ func (t *refTLB) lookup(p PageID) (Class, int, bool) {
 	return l.class, l.owner, true
 }
 
-func (t *refTLB) fill(p PageID, class Class, owner int) {
+func (t *refTLB) fill(p PageID, class cache.Class, owner int) {
 	t.tick++
 	if l, ok := t.lines[p]; ok {
 		l.class, l.owner, l.lru = class, owner, t.tick
@@ -125,7 +127,7 @@ func runAgainstReference(t *testing.T, entries int, pageSpace uint64, ops []byte
 				t.Fatalf("Lookup(%d) = %v %d %v, reference %v %d %v", p, c1, o1, ok1, c2, o2, ok2)
 			}
 		case 2:
-			class, owner := Class(w>>4%4), int(w>>6%16)-1
+			class, owner := cache.Class(w>>4%4), int(w>>6%16)-1
 			tlb.Fill(p, class, owner)
 			ref.fill(p, class, owner)
 		case 3:
@@ -186,7 +188,7 @@ func TestTLBCollidingPagesStayReachable(t *testing.T) {
 		}
 	}
 	for _, p := range pages {
-		tlb.Fill(p, Private, int(p%16))
+		tlb.Fill(p, cache.ClassPrivate, int(p%16))
 	}
 	checkStructure(t, tlb)
 	for _, victim := range []int{0, 3, 7} {
@@ -207,14 +209,14 @@ func TestTLBCollidingPagesStayReachable(t *testing.T) {
 func TestTLBDoesNotAllocate(t *testing.T) {
 	tlb := NewTLB(64)
 	for p := PageID(0); p < 64; p++ {
-		tlb.Fill(p, Private, 0)
+		tlb.Fill(p, cache.ClassPrivate, 0)
 	}
 	next := PageID(64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tlb.Lookup(next - 10)
-		tlb.Fill(next, SharedData, -1)
+		tlb.Fill(next, cache.ClassShared, -1)
 		tlb.Shootdown(next - 5)
-		tlb.Fill(next-5, Instruction, -1)
+		tlb.Fill(next-5, cache.ClassInstruction, -1)
 		next++
 	})
 	if allocs != 0 {

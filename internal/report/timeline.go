@@ -140,11 +140,11 @@ func renderBankHeatmap(w io.Writer, t *flight.Timeline) {
 // runs readable.
 func renderChurnTable(w io.Writer, t *flight.Timeline) {
 	tbl := NewTable("classification churn",
-		"epoch", "refs", "priv>shared", "migrations", "instr>shared", "priv>instr", "poison", "shootdowns")
+		"epoch", "refs", "priv>shared", "migrations", "instr>shared", "priv>instr", "shootdowns")
 	quiet := 0
 	for _, e := range t.Epochs {
 		tr := e.Transitions
-		if tr.Total() == 0 && tr.PoisonWaits == 0 && tr.TLBShootdowns == 0 {
+		if tr.Total() == 0 && tr.TLBShootdowns == 0 {
 			quiet++
 			continue
 		}
@@ -155,7 +155,6 @@ func renderChurnTable(w io.Writer, t *flight.Timeline) {
 			fmt.Sprintf("%d", tr.Migrations),
 			fmt.Sprintf("%d", tr.InstrToShared),
 			fmt.Sprintf("%d", tr.PrivateToInstr),
-			fmt.Sprintf("%d", tr.PoisonWaits),
 			fmt.Sprintf("%d", tr.TLBShootdowns),
 		)
 	}

@@ -32,7 +32,7 @@ func fixtureTimeline() *flight.Timeline {
 				CoreCycles: []float64{300, 150}, CoreInstrs: []uint64{100, 100},
 				ClassAccesses: [4]uint64{50, 30, 0, 20}, ClassMisses: [4]uint64{5, 2, 0, 2},
 				Transitions: flight.Transitions{
-					PrivateToShared: 2, Migrations: 1, PoisonWaits: 1, TLBShootdowns: 3,
+					PrivateToShared: 2, Migrations: 1, TLBShootdowns: 3,
 				},
 				BankAccesses: []uint64{20, 40},
 				LinkFlits:    []uint64{10, 30},

@@ -107,9 +107,6 @@ func NewPlacementWithPrivateClusters(topo noc.Topology, instrClusterSize, privCl
 	return p, nil
 }
 
-// PrivClusterSize returns the private-data cluster size (1 by default).
-func (p *Placement) PrivClusterSize() int { return p.privSize }
-
 // PrivateSliceFor returns the slice holding a private block owned by the
 // thread running at owner. With size-1 clusters this is the owner's local
 // slice; larger clusters interleave the thread's data over the owner's
@@ -147,23 +144,6 @@ func (p *Placement) PrivateClusterTiles(owner noc.TileID) []noc.TileID {
 		return all
 	}
 }
-
-// Topology returns the tile topology.
-func (p *Placement) Topology() noc.Topology { return p.topo }
-
-// InstrClusterSize returns the configured instruction cluster size.
-func (p *Placement) InstrClusterSize() int { return p.instrSize }
-
-// Rotational reports whether instruction lookup uses rotational
-// interleaving (single-probe nearest-neighbor indexing) rather than the
-// fixed-center standard fallback.
-func (p *Placement) Rotational() bool { return p.rid != nil }
-
-// InterleaveOffset returns the bit offset k of the interleaving field.
-func (p *Placement) InterleaveOffset() uint { return p.k }
-
-// PrivateSlice returns the slice for core-private data: the local slice.
-func (p *Placement) PrivateSlice(req noc.TileID) noc.TileID { return req }
 
 // SharedSlice returns the slice for shared data: standard address
 // interleaving over all tiles (the size-16 cluster of the paper's

@@ -11,8 +11,8 @@ func TestPrivateClustersDefaultSizeOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PrivClusterSize() != 1 {
-		t.Fatalf("default private cluster size = %d", p.PrivClusterSize())
+	if p.privSize != 1 {
+		t.Fatalf("default private cluster size = %d", p.privSize)
 	}
 	for owner := 0; owner < 16; owner++ {
 		for a := uint64(0); a < 8; a++ {

@@ -149,7 +149,7 @@ func TestSize8FallsBackToStandardInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Rotational() {
+	if p.rid != nil {
 		t.Fatal("size-8 clusters must use the fixed-center standard fallback on a 4x4 torus")
 	}
 	// Every lookup must land within the 8 nearest tiles of the requestor.
@@ -213,7 +213,7 @@ func TestPlacementByClass(t *testing.T) {
 	}
 	// Private data goes to the local slice.
 	for req := 0; req < 16; req++ {
-		if got := p.PrivateSlice(noc.TileID(req)); got != noc.TileID(req) {
+		if got := p.PrivateSliceFor(noc.TileID(req), uint64(req)<<16); got != noc.TileID(req) {
 			t.Fatalf("private slice for %d = %d", req, got)
 		}
 	}
@@ -228,7 +228,7 @@ func TestPlacementByClass(t *testing.T) {
 		t.Fatalf("shared interleaving uses %d slices, want 16", len(used))
 	}
 	// Instructions stay within one hop with size-4 clusters.
-	topo := p.Topology()
+	topo := p.topo
 	for req := 0; req < 16; req++ {
 		for a := uint64(0); a < 64; a++ {
 			s := p.InstructionSlice(noc.TileID(req), a<<6)

@@ -727,9 +727,11 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 		return w
 	}
 	cfg8 := sim.Config8()
-	threeWays, noTLB := sim.Config16(), sim.Config16()
-	threeWays.L2Ways = 3
-	noTLB.TLBEntries = 0
+	withCfg := func(edit func(*sim.Config)) rnuca.Job {
+		c := sim.Config16()
+		edit(&c)
+		return rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()), Options: rnuca.RunOptions{Config: &c}}
+	}
 	cases := []struct {
 		name string
 		job  rnuca.Job
@@ -741,10 +743,18 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 			Options: rnuca.RunOptions{Config: &cfg8}}, "16-core input on a 8-core config"},
 		{"instr cluster 3", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
 			Options: rnuca.RunOptions{InstrClusterSize: 3}}, "not a power of two"},
-		{"L2Ways 3", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
-			Options: rnuca.RunOptions{Config: &threeWays}}, "not divisible by ways*block 192"},
-		{"TLBEntries 0", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
-			Options: rnuca.RunOptions{Config: &noTLB}}, "0 TLB entries outside 1..2^28"},
+		{"L2Ways 3", withCfg(func(c *sim.Config) { c.L2Ways = 3 }), "not divisible by ways*block 192"},
+		{"TLBEntries 0", withCfg(func(c *sim.Config) { c.TLBEntries = 0 }), "0 TLB entries outside 1..4096"},
+		{"1 TB L1", withCfg(func(c *sim.Config) { c.L1Bytes = 1 << 40 }), "above the caps"},
+		{"1 TB L2 slice", withCfg(func(c *sim.Config) { c.L2SliceBytes = 1 << 40 }), "above the caps"},
+		{"TLBEntries 2^28", withCfg(func(c *sim.Config) { c.TLBEntries = 1 << 28 }), "268435456 TLB entries outside 1..4096"},
+		{"PageBytes 2^40", withCfg(func(c *sim.Config) { c.PageBytes = 1 << 40 }), "page size 1099511627776 above 524288"},
+		{"VictimEntries 2^40", withCfg(func(c *sim.Config) { c.VictimEntries = 1 << 40 }), "victim cache size 1099511627776 above 1024"},
+		{"1 GB blocks", withCfg(func(c *sim.Config) { c.BlockBytes = 1 << 30 }), "above the caps"},
+		{"16 KB block on 8 KB page", withCfg(func(c *sim.Config) { c.BlockBytes = 16 << 10 }), "above the caps"},
+		{"4 KB block on 1 KB page", withCfg(func(c *sim.Config) { c.BlockBytes, c.PageBytes = 4<<10, 1<<10 }),
+			"4096-byte blocks exceed 1024-byte pages"},
+		{"WindowCycles 2^63", withCfg(func(c *sim.Config) { c.WindowCycles = 1 << 63 }), "window of 9223372036854775808 cycles above 3200000"},
 		{"Warm above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()),
 			Options: rnuca.RunOptions{Warm: math.MaxInt, Measure: 1}}, "Warm is 9223372036854775807, above 2147483647"},
 	}

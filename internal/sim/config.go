@@ -48,7 +48,7 @@ type Config struct {
 	// PurgePerBlockCycles is charged per block invalidated during an
 	// R-NUCA page re-classification (the OS shootdown kernel thread).
 	PurgePerBlockCycles int `json:"PurgePerBlockCycles"`
-	// PoisonCycles is charged when an access hits a poisoned page.
+	// PoisonCycles is charged once per page re-classification.
 	PoisonCycles int `json:"PoisonCycles"`
 
 	// Memory.
@@ -113,6 +113,10 @@ func Config8() Config {
 // sets are 64-bit masks.
 const MaxCores = 64
 
+// MaxWindowCycles caps the contention-model window at 64 times Table 1's
+// 50,000 cycles.
+const MaxWindowCycles = 64 * 50000
+
 // Validate reports configuration errors: every rule a constructor of
 // the chassis or a design would panic on, checked by the same function
 // the constructor calls.
@@ -135,11 +139,17 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	if c.BlockBytes > c.PageBytes {
+		return fmt.Errorf("sim: %d-byte blocks exceed %d-byte pages", c.BlockBytes, c.PageBytes)
+	}
 	if c.InstrClusterSize < 1 {
 		return fmt.Errorf("sim: instruction cluster size %d", c.InstrClusterSize)
 	}
 	if c.WindowCycles == 0 {
 		return fmt.Errorf("sim: zero window")
+	}
+	if c.WindowCycles > MaxWindowCycles {
+		return fmt.Errorf("sim: window of %d cycles above %d", c.WindowCycles, MaxWindowCycles)
 	}
 	return nil
 }

@@ -389,16 +389,7 @@ func (f *flightState) sample(e *Engine) flight.Sample {
 		s.BankAccesses = f.banks.BankAccesses()
 	}
 	if f.trans != nil {
-		t := f.trans.OSTransitions()
-		s.Transitions = flight.Transitions{
-			FirstTouches:    t.FirstTouches,
-			PrivateToShared: t.PrivateToShared,
-			Migrations:      t.Migrations,
-			InstrToShared:   t.InstrToShared,
-			PrivateToInstr:  t.PrivateToInstr,
-			PoisonWaits:     t.PoisonWaits,
-			TLBShootdowns:   t.TLBShootdowns,
-		}
+		s.Transitions = flight.Transitions(f.trans.OSTransitions())
 	}
 	_, s.LinkFlits = e.ch.Net.LinkTraffic()
 	return s

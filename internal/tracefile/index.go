@@ -244,7 +244,6 @@ type Cursor struct {
 	chunk        int    // chunk the decoder currently holds, -1 before the first
 	eof          bool
 	dec          chunkDecoder
-	frame        [frameSize]byte
 }
 
 // Err returns the first error encountered, or nil after a clean end.
@@ -277,7 +276,7 @@ func (c *Cursor) Next() (trace.Ref, bool) {
 		if c.chunk >= 0 && !c.dec.checkComplete() {
 			return trace.Ref{}, false
 		}
-		if c.chunk >= 0 && !c.checkSnapshot(c.chunk) {
+		if c.chunk >= 0 && !c.dec.checkSnapshot(c.chunk, c.x.idx[c.chunk].LastAddr) {
 			return trace.Ref{}, false
 		}
 		next := c.chunk + 1
@@ -295,17 +294,16 @@ func (c *Cursor) Next() (trace.Ref, bool) {
 	return r, ok
 }
 
-// checkSnapshot verifies a fully-decoded chunk's final delta state
+// checkSnapshot verifies a fully-decoded chunk i's final delta state
 // against the index's per-core snapshot — cheap end-to-end integrity
 // for random access, where the terminator's running total is out of
 // reach. Chunks entered mid-way (a seek skips records by decoding from
 // the chunk start, so state is complete regardless) always qualify.
-func (c *Cursor) checkSnapshot(i int) bool {
-	e := &c.x.idx[i]
-	for core, want := range e.LastAddr {
-		if core < len(c.dec.lastAddr) && c.dec.lastAddr[core] != want {
-			c.dec.fail(corruptf("chunk %d core %d ends at %#x, index snapshot %#x",
-				i, core, c.dec.lastAddr[core], want))
+func (d *chunkDecoder) checkSnapshot(i int, snapshot []uint64) bool {
+	for core, want := range snapshot {
+		if core < len(d.lastAddr) && d.lastAddr[core] != want {
+			d.fail(corruptf("chunk %d core %d ends at %#x, index snapshot %#x",
+				i, core, d.lastAddr[core], want))
 			return false
 		}
 	}
@@ -319,35 +317,12 @@ func (c *Cursor) loadChunk(i int) bool {
 		c.dec.fail(corruptf("record %d beyond the indexed chunks", c.next))
 		return false
 	}
-	e := &c.x.idx[i]
-	if _, err := c.x.ra.ReadAt(c.frame[:], int64(e.Offset)); err != nil {
-		c.dec.fail(corruptf("chunk %d frame: %v", i, err))
-		return false
-	}
-	compLen := binary.LittleEndian.Uint32(c.frame[0:])
-	rawLen := binary.LittleEndian.Uint32(c.frame[4:])
-	count := binary.LittleEndian.Uint32(c.frame[8:])
-	if count != e.Count {
-		c.dec.fail(corruptf("chunk %d declares %d records, index %d", i, count, e.Count))
-		return false
-	}
-	if compLen == 0 || compLen > maxChunkBytes || rawLen == 0 || rawLen > maxChunkBytes {
-		c.dec.fail(corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count))
-		return false
-	}
-	if cap(c.dec.comp) < int(compLen) {
-		c.dec.comp = make([]byte, compLen)
-	}
-	c.dec.comp = c.dec.comp[:compLen]
-	if _, err := c.x.ra.ReadAt(c.dec.comp, int64(e.Offset)+frameSize); err != nil {
-		c.dec.fail(corruptf("chunk %d payload: %v", i, err))
-		return false
-	}
-	if !c.dec.load(rawLen, count) {
+	if err := c.x.readChunk(&c.dec, i); err != nil {
+		c.dec.fail(err)
 		return false
 	}
 	c.chunk = i
-	for skip := c.next - e.FirstRecord; skip > 0; skip-- {
+	for skip := c.next - c.x.idx[i].FirstRecord; skip > 0; skip-- {
 		if _, ok := c.dec.decode(); !ok {
 			return false
 		}
@@ -414,26 +389,25 @@ func (x *IndexedReader) Parallel(workers int, start, n uint64) (*ParallelSource,
 	return p, nil
 }
 
-// decodeChunk decompresses chunk i in full and verifies it against the
-// index (record count and per-core snapshot). The records are appended
-// to dst[:0], so callers can recycle batch backing arrays.
+// readChunk reads chunk i's frame and compressed payload, checks the
+// frame's record count against the index and bounds its lengths, and
+// loads the payload into dec, ready to decode from the chunk start.
 //
 //rnuca:hotpath
-func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) ([]trace.Ref, error) {
+func (x *IndexedReader) readChunk(dec *chunkDecoder, i int) error {
 	e := &x.idx[i]
-	var frame [frameSize]byte
 	//rnuca:alloc-ok ReaderAt is the random-access seam (os.File or section reader); one dispatch per chunk, not per record
-	if _, err := x.ra.ReadAt(frame[:], int64(e.Offset)); err != nil {
-		return nil, corruptf("chunk %d frame: %v", i, err)
+	if _, err := x.ra.ReadAt(dec.frame[:], int64(e.Offset)); err != nil {
+		return corruptf("chunk %d frame: %v", i, err)
 	}
-	compLen := binary.LittleEndian.Uint32(frame[0:])
-	rawLen := binary.LittleEndian.Uint32(frame[4:])
-	count := binary.LittleEndian.Uint32(frame[8:])
+	compLen := binary.LittleEndian.Uint32(dec.frame[0:])
+	rawLen := binary.LittleEndian.Uint32(dec.frame[4:])
+	count := binary.LittleEndian.Uint32(dec.frame[8:])
 	if count != e.Count {
-		return nil, corruptf("chunk %d declares %d records, index %d", i, count, e.Count)
+		return corruptf("chunk %d declares %d records, index %d", i, count, e.Count)
 	}
 	if compLen == 0 || compLen > maxChunkBytes || rawLen == 0 || rawLen > maxChunkBytes {
-		return nil, corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count)
+		return corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count)
 	}
 	if cap(dec.comp) < int(compLen) {
 		//rnuca:alloc-ok decompress buffer grows to the chunk high-water mark once, then is recycled across chunks
@@ -442,11 +416,24 @@ func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) (
 	dec.comp = dec.comp[:compLen]
 	//rnuca:alloc-ok ReaderAt is the random-access seam; one dispatch per chunk, not per record
 	if _, err := x.ra.ReadAt(dec.comp, int64(e.Offset)+frameSize); err != nil {
-		return nil, corruptf("chunk %d payload: %v", i, err)
+		return corruptf("chunk %d payload: %v", i, err)
 	}
 	if !dec.load(rawLen, count) {
-		return nil, dec.err
+		return dec.err
 	}
+	return nil
+}
+
+// decodeChunk decompresses chunk i in full and verifies it against the
+// index (record count and per-core snapshot). The records are appended
+// to dst[:0], so callers can recycle batch backing arrays.
+//
+//rnuca:hotpath
+func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) ([]trace.Ref, error) {
+	if err := x.readChunk(dec, i); err != nil {
+		return nil, err
+	}
+	count := x.idx[i].Count
 	refs := dst[:0]
 	if cap(refs) < int(count) {
 		//rnuca:alloc-ok batch buffers come from batchPool and grow to chunk-size capacity once, then recycle
@@ -460,14 +447,8 @@ func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) (
 		//rnuca:alloc-ok capacity is preallocated to the chunk record count above; this append never grows
 		refs = append(refs, r)
 	}
-	if !dec.checkComplete() {
+	if !dec.checkComplete() || !dec.checkSnapshot(i, x.idx[i].LastAddr) {
 		return nil, dec.err
-	}
-	for core, want := range e.LastAddr {
-		if core < len(dec.lastAddr) && dec.lastAddr[core] != want {
-			return nil, corruptf("chunk %d core %d ends at %#x, index snapshot %#x",
-				i, core, dec.lastAddr[core], want)
-		}
 	}
 	return refs, nil
 }

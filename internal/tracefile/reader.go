@@ -14,10 +14,11 @@ import (
 )
 
 // chunkDecoder decodes records out of one chunk. It owns the reusable
-// decompression buffers and the per-core delta state, so the streaming
-// Reader and the indexed cursors share a single decode implementation;
-// errors latch in err. After the setup allocations, loading and decoding
-// chunks is allocation-free (buffers are reused across chunks).
+// frame and decompression buffers and the per-core delta state, so the
+// streaming Reader and the indexed cursors share a single decode
+// implementation; errors latch in err. After the setup allocations,
+// loading and decoding chunks is allocation-free (buffers are reused
+// across chunks).
 type chunkDecoder struct {
 	raw      []byte // decompressed payload of the current chunk
 	pos      int
@@ -29,6 +30,7 @@ type chunkDecoder struct {
 	gz     *gzip.Reader
 	compRd bytes.Reader
 	comp   []byte
+	frame  [frameSize]byte
 }
 
 // fail latches the first error.
@@ -185,8 +187,7 @@ type Reader struct {
 	chunks    uint32
 	seenIndex bool
 
-	dec   chunkDecoder
-	frame [frameSize]byte
+	dec chunkDecoder
 }
 
 // NewReader parses the preamble from r and returns a streaming Reader
@@ -269,13 +270,13 @@ func (r *Reader) nextChunk() bool {
 		return false
 	}
 	for {
-		if _, err := io.ReadFull(r.br, r.frame[:]); err != nil {
+		if _, err := io.ReadFull(r.br, r.dec.frame[:]); err != nil {
 			r.dec.fail(corruptf("short chunk frame: %v", err))
 			return false
 		}
-		compLen := binary.LittleEndian.Uint32(r.frame[0:])
-		rawLen := binary.LittleEndian.Uint32(r.frame[4:])
-		count := binary.LittleEndian.Uint32(r.frame[8:])
+		compLen := binary.LittleEndian.Uint32(r.dec.frame[0:])
+		rawLen := binary.LittleEndian.Uint32(r.dec.frame[4:])
+		count := binary.LittleEndian.Uint32(r.dec.frame[8:])
 		if compLen == 0 {
 			// Terminator: the count field carries the low bits of the total.
 			if rawLen != 0 || count != uint32(r.total) {

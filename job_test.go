@@ -317,7 +317,17 @@ func TestJobValidateChassis(t *testing.T) {
 		{"BlockBytes 0", withCfg(func(c *sim.Config) { c.BlockBytes = 0 }), "non-positive geometry"},
 		{"VictimEntries -1", withCfg(func(c *sim.Config) { c.VictimEntries = -1 }), "negative victim cache size -1"},
 		{"PageBytes 3", withCfg(func(c *sim.Config) { c.PageBytes = 3 }), "page size 3 not a positive power of two"},
-		{"TLBEntries 0", withCfg(func(c *sim.Config) { c.TLBEntries = 0 }), "0 TLB entries outside 1..2^28"},
+		{"TLBEntries 0", withCfg(func(c *sim.Config) { c.TLBEntries = 0 }), "0 TLB entries outside 1..4096"},
+		{"1 TB L1", withCfg(func(c *sim.Config) { c.L1Bytes = 1 << 40 }), "above the caps"},
+		{"1 TB L2 slice", withCfg(func(c *sim.Config) { c.L2SliceBytes = 1 << 40 }), "above the caps"},
+		{"TLBEntries 2^28", withCfg(func(c *sim.Config) { c.TLBEntries = 1 << 28 }), "268435456 TLB entries outside 1..4096"},
+		{"PageBytes 2^40", withCfg(func(c *sim.Config) { c.PageBytes = 1 << 40 }), "page size 1099511627776 above 524288"},
+		{"VictimEntries 2^40", withCfg(func(c *sim.Config) { c.VictimEntries = 1 << 40 }), "victim cache size 1099511627776 above 1024"},
+		{"1 GB blocks", withCfg(func(c *sim.Config) { c.BlockBytes = 1 << 30 }), "above the caps"},
+		{"16 KB block on 8 KB page", withCfg(func(c *sim.Config) { c.BlockBytes = 16 << 10 }), "above the caps"},
+		{"4 KB block on 1 KB page", withCfg(func(c *sim.Config) { c.BlockBytes, c.PageBytes = 4<<10, 1<<10 }),
+			"4096-byte blocks exceed 1024-byte pages"},
+		{"WindowCycles 2^63", withCfg(func(c *sim.Config) { c.WindowCycles = 1 << 63 }), "window of 9223372036854775808 cycles above 3200000"},
 		{"MemAccessCycles 0", withCfg(func(c *sim.Config) { c.MemAccessCycles = 0 }), "non-positive access latency 0"},
 		{"instr cluster 3", job(db2, rnuca.RunOptions{InstrClusterSize: 3}), "instruction cluster size 3 not a power of two"},
 		{"instr cluster 32", job(db2, rnuca.RunOptions{InstrClusterSize: 32}), "instruction cluster size 32 exceeds 16 tiles"},
