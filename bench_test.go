@@ -208,6 +208,27 @@ func BenchmarkJobRunCold(b *testing.B) {
 	}
 }
 
+// BenchmarkJobCompareMIX is the end-to-end row for a comparison: one
+// Job.Compare of all five designs on MIX, ten cells since ASR runs its
+// best-of-six, at the figure benchmarks' reference counts. Each
+// iteration uses a fresh workload seed.
+func BenchmarkJobCompareMIX(b *testing.B) {
+	b.ReportAllocs()
+	s := benchScale()
+	for i := 0; i < b.N; i++ {
+		w := rnuca.MIX()
+		w.Seed += uint64(i) + 1
+		job := rnuca.Job{
+			Input:   rnuca.FromWorkload(w),
+			Designs: rnuca.AllDesigns(),
+			Options: rnuca.RunOptions{Warm: s.Warm, Measure: s.Measure},
+		}
+		if _, err := job.Compare(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- Microbenchmarks of the core mechanisms ----
 
 func BenchmarkRotationalLookup(b *testing.B) {

@@ -31,9 +31,9 @@
 // index prints the v2 chunk index (with -stats, per-chunk compressed
 // sizes and a lastAddr drift summary; with -upgrade, rewrites any
 // readable trace as an indexed v2 file). replay re-runs any of the five
-// designs over the saved trace, in parallel across designs (a design's
-// batches run one after another), skipping generation cost; a same-design replay reproduces the
-// recording run's numbers exactly. On indexed traces, -shards fans
+// designs over the saved trace, every batch of every design in parallel
+// on the process-wide cell pool, skipping generation cost; a
+// same-design replay reproduces the recording run's numbers exactly. On indexed traces, -shards fans
 // chunk decoding across workers without changing results, and -window
 // replays only the records [START, START+N); -trace-out, -timeline and
 // -epoch work as in rnuca-sim, with one timeline per design. corpus
@@ -610,7 +610,7 @@ func replay(args []string) {
 	ds := fs.String("design", "", "designs to replay: comma-separated P,A,S,R,I or \"all\" (default: the recording design)")
 	warm := fs.Int("warm", 0, "warmup references (0 = recorded split)")
 	measure := fs.Int("measure", 0, "measured references (0 = recorded split)")
-	batches := fs.Int("batches", 1, "replay batches per design, run one after another")
+	batches := fs.Int("batches", 1, "replay batches per design")
 	shards := fs.Int("shards", 0, "parallel trace-decode workers per engine (0 = one per CPU, 1 = sequential; needs a v2 indexed trace)")
 	window := fs.String("window", "", "replay only records START:N of the trace (needs a v2 indexed trace)")
 	outputs := report.OutputFlags(fs)
@@ -694,9 +694,19 @@ func replay(args []string) {
 	base := results[ids[0]]
 	fmt.Printf("  %-6s %-8s %-10s %-9s %s\n", "design", "CPI", "off-chip", "net-msgs", "speedup vs "+string(ids[0]))
 	for _, id := range ids {
+		// An interrupt can land before a design's cells measured
+		// anything (or got a slot at all).
 		r := results[id]
-		fmt.Printf("  %-6s %-8.4f %-10d %-9d %+.1f%%\n",
-			id, r.CPI(), r.OffChipMisses, r.NetMessages, 100*r.Speedup(base.Result))
+		if r.Refs == 0 {
+			fmt.Printf("  %-6s interrupted before any measured reference\n", id)
+			continue
+		}
+		speedup := "-"
+		if base.Refs > 0 {
+			speedup = fmt.Sprintf("%+.1f%%", 100*r.Speedup(base.Result))
+		}
+		fmt.Printf("  %-6s %-8.4f %-10d %-9d %s\n",
+			id, r.CPI(), r.OffChipMisses, r.NetMessages, speedup)
 	}
 	timelines := make(map[string]*rnuca.Timeline, len(ids))
 	for _, id := range ids {

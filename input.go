@@ -145,10 +145,12 @@ func FromCorpusRef(ref string) Input {
 
 // FromSource builds an input that draws references from a
 // caller-supplied factory: batch b's references come from fn(b),
-// demultiplexed per core by each ref's Core field. Source inputs have
-// no canonical encoding (a closure cannot be serialized or cached)
-// and need either ForWorkload or an explicit RunOptions.Config for
-// the chassis parameters.
+// demultiplexed per core by each ref's Core field. A job's cells run
+// concurrently, so fn may be called concurrently, for different
+// batches and for different designs, and must be safe for that.
+// Source inputs have no canonical encoding (a closure cannot be
+// serialized or cached) and need either ForWorkload or an explicit
+// RunOptions.Config for the chassis parameters.
 func FromSource(fn func(batch int) RefSource) Input {
 	in := Input{kind: InputSource, source: fn}
 	if fn == nil {

@@ -2,8 +2,11 @@
 // evaluation (§3 and §5). Each FigN function returns ready-to-render
 // tables; the Campaign caches simulation results so figures that share
 // runs (7 through 10 and 12 all need the same design sweep) pay for them
-// once. cmd/rnuca-figures and the root benchmark harness are thin wrappers
-// around this package.
+// once. Each figure first declares the cells it needs; the campaign runs
+// the missing ones together, every simulation on a slot of the
+// process-wide cell pool (internal/cellpool), and renders from its memo
+// on the caller's goroutine. cmd/rnuca-figures and the root benchmark
+// harness are thin wrappers around this package.
 package experiments
 
 import (
@@ -11,6 +14,7 @@ import (
 	"fmt"
 
 	"rnuca"
+	"rnuca/internal/cellpool"
 	"rnuca/internal/obs"
 	"rnuca/internal/resultcache"
 	"rnuca/internal/sim"
@@ -52,12 +56,11 @@ type Campaign struct {
 	// Shards > 1 fans every trace-backed replay's chunk decoding across
 	// that many workers (v2 indexed traces only); results are unchanged.
 	Shards   int
-	results  map[string]map[rnuca.DesignID]rnuca.Result
-	rnucaBy  map[string]map[int]rnuca.Result // cluster-size sweep cache
-	sec3     map[string]*sec3Rows            // §3 table rows, by workload
-	inputs   map[string]rnuca.Input          // workload name -> registered input
-	ingested map[string]rnuca.Workload       // ingested corpora, by name
-	rcache   *resultcache.Cache              // shared memoized results, optional
+	memo     map[memoKey]rnuca.Result  // the figures' shared cells
+	sec3     map[string]*sec3Rows      // §3 table rows, by workload
+	inputs   map[string]rnuca.Input    // workload name -> registered input
+	ingested map[string]rnuca.Workload // ingested corpora, by name
+	rcache   *resultcache.Cache        // shared memoized results, optional
 	//rnuca:ctx-ok campaign-lifetime cancellation root, set once by SetContext before any run
 	runCtx context.Context      // cancellation path, optional
 	gauge  *rnuca.ProgressGauge // per-cell observation gauge, optional
@@ -69,8 +72,7 @@ type Campaign struct {
 func NewCampaign(s Scale) *Campaign {
 	return &Campaign{
 		Scale:    s,
-		results:  map[string]map[rnuca.DesignID]rnuca.Result{},
-		rnucaBy:  map[string]map[int]rnuca.Result{},
+		memo:     map[memoKey]rnuca.Result{},
 		sec3:     map[string]*sec3Rows{},
 		inputs:   map[string]rnuca.Input{},
 		ingested: map[string]rnuca.Workload{},
@@ -109,18 +111,18 @@ func (c *Campaign) SetInput(in rnuca.Input) (rnuca.Workload, error) {
 // and the characterization analyses between batches of observations,
 // so a canceled context aborts a figure build mid-simulation rather
 // than between stages. Cancellation surfaces through the campaign's
-// usual failure convention — the running cell panics with the context
-// error (harness callers are fatal anyway; serving callers recover it
-// into a canceled job).
+// usual failure convention — the figure panics with the context error
+// (harness callers are fatal anyway; serving callers recover it into a
+// canceled job).
 func (c *Campaign) SetContext(ctx context.Context) { c.runCtx = ctx }
 
 // SetProgress attaches a gauge that every simulation cell the
 // campaign runs observes (see rnuca.RunOptions.Progress): a serving
 // layer surfaces live per-engine reference counts through it. The
-// campaign resets the gauge at each cell boundary, so watchers see
-// the running cell's progress rather than a monotone max pinned at
-// the first cell's total. Observation never enters cache keys or
-// perturbs results.
+// campaign resets the gauge each time it starts a figure's cells, so
+// watchers see the furthest engine of the running set rather than a
+// monotone max pinned at an earlier figure's total. Observation never
+// enters cache keys or perturbs results.
 func (c *Campaign) SetProgress(g *rnuca.ProgressGauge) { c.gauge = g }
 
 // ctx returns the campaign's cancellation context.
@@ -173,58 +175,81 @@ func (c *Campaign) input(w rnuca.Workload) rnuca.Input {
 	return rnuca.FromWorkload(w)
 }
 
-// cellJob assembles the canonical job for one campaign cell, applying
-// the campaign's decode sharding to replay inputs.
-func (c *Campaign) cellJob(in rnuca.Input, opt rnuca.RunOptions, ids ...rnuca.DesignID) rnuca.Job {
+// cell is one simulation a figure declares: the job that runs it and
+// the canonical job the shared result cache keys it by, which differ
+// only where a Maker realizes the keyed methodology. workload and
+// label name it in failures and timeline keys.
+type cell struct {
+	workload, label string
+	key, job        rnuca.Job
+}
+
+// newCell builds the cell for design id on an input, applying the
+// campaign's decode sharding to replay inputs and its observation
+// hooks.
+func (c *Campaign) newCell(w rnuca.Workload, in rnuca.Input, id rnuca.DesignID, opt rnuca.RunOptions) cell {
 	if in.Replays() && c.Shards > 0 {
 		in = in.Sharded(c.Shards)
 	}
-	j := rnuca.Job{Input: in, Designs: ids, Options: opt}
+	j := rnuca.Job{Input: in, Designs: []rnuca.DesignID{id}, Options: opt}
 	if c.gauge != nil {
 		j.Options.Progress = c.gauge.Observe
 	}
 	j.Options.Timeline = c.tlCfg
-	return j
+	return cell{workload: w.Name, label: string(id), key: j, job: j}
 }
 
-// run dispatches one workload x design simulation to the registered
-// input (or the generator), through the shared result cache when one
-// is attached.
-func (c *Campaign) run(w rnuca.Workload, id rnuca.DesignID, opt rnuca.RunOptions) rnuca.Result {
-	job := c.cellJob(c.input(w), opt, id)
-	return c.cached(w.Name, string(id), job, job.Run)
+// makerCell turns a cell into an ablation whose Maker builds the
+// design its label names. A Maker job has no canonical encoding, so
+// the cell is never cached.
+func makerCell(cl cell, mk func(*sim.Chassis) sim.Design) cell {
+	cl.job.Designs, cl.job.Maker = nil, mk
+	cl.key = cl.job
+	return cl
 }
 
-// cached runs one cell through the shared result cache when one is
-// attached and the cell is keyable; errors (cancellation included)
-// panic exactly as the uncached paths always have. keyJob must be the
-// cell's canonical job — run may differ only in ways that cannot
-// change the Result (a Maker realizing the keyed methodology).
-func (c *Campaign) cached(workloadName, designKey string, keyJob rnuca.Job, run func(context.Context) (rnuca.Result, error)) rnuca.Result {
-	fail := func(err error) {
-		panic(fmt.Sprintf("experiments: %s on %s: %v", designKey, workloadName, err))
+// genCell is a generator-driven cell. The extension sweeps use it
+// because they mutate the workload or configuration: a registered
+// trace input (recorded under the catalog parameters) must not
+// substitute for the generator there.
+func (c *Campaign) genCell(w rnuca.Workload, id rnuca.DesignID, opt rnuca.RunOptions) cell {
+	return c.newCell(w, rnuca.FromWorkload(w), id, opt)
+}
+
+// runAll runs cells together — each simulation takes its own slot of
+// the process-wide cell pool — and returns their results in order.
+// Once every cell has returned, the caller's goroutine saves their
+// timelines and panics on the first failure (cancellation included).
+func (c *Campaign) runAll(cells []cell) []rnuca.Result {
+	if len(cells) == 0 {
+		return nil
 	}
-	// A fresh cell starts a fresh gauge window; cache hits return
-	// before any engine reports, so the watcher just sees the next
-	// running cell.
-	resetGauge := func() {
-		if c.gauge != nil {
-			c.gauge.Reset()
+	if c.gauge != nil {
+		c.gauge.Reset()
+	}
+	out := make([]rnuca.Result, len(cells))
+	errs := make([]error, len(cells))
+	cellpool.Each(len(cells), func(i int) {
+		out[i], errs[i] = c.exec(cells[i])
+	})
+	for i, cl := range cells {
+		if errs[i] != nil {
+			panic(fmt.Sprintf("experiments: %s on %s: %v", cl.label, cl.workload, errs[i]))
 		}
+		c.saveTimeline(cl.workload, cl.label, out[i].Timeline)
 	}
-	key, keyable := resultcache.JobKey(keyJob)
+	return out
+}
+
+// exec runs one cell, through the shared result cache when one is
+// attached and the cell is keyable.
+func (c *Campaign) exec(cl cell) (rnuca.Result, error) {
+	key, keyable := resultcache.JobKey(cl.key)
 	if c.rcache == nil || !keyable {
-		resetGauge()
-		r, err := run(c.ctx())
-		if err != nil {
-			fail(err)
-		}
-		c.saveTimeline(workloadName, designKey, r.Timeline)
-		return r
+		return cl.job.Run(c.ctx())
 	}
 	v, _, err := c.rcache.Do(c.ctx(), key, func(fctx context.Context) (any, error) {
-		resetGauge()
-		r, err := run(fctx)
+		r, err := cl.job.Run(fctx)
 		if err != nil {
 			return nil, err
 		}
@@ -236,87 +261,89 @@ func (c *Campaign) cached(workloadName, designKey string, keyJob rnuca.Job, run 
 		return r, nil
 	})
 	if err != nil {
-		fail(err)
+		return rnuca.Result{}, err
 	}
-	r := v.(rnuca.Result)
-	c.saveTimeline(workloadName, designKey, r.Timeline)
-	return r
+	return v.(rnuca.Result), nil
 }
 
 func (c *Campaign) opts() rnuca.RunOptions {
 	return rnuca.RunOptions{Warm: c.Scale.Warm, Measure: c.Scale.Measure, Batches: c.Scale.Batches}
 }
 
-// runGen executes one generator-driven cell under the campaign's
-// context, cache, and panic conventions. The extension sweeps use it
-// instead of run because they mutate the workload or configuration:
-// a registered trace input (recorded under the catalog parameters)
-// must not substitute for the generator there.
-func (c *Campaign) runGen(w rnuca.Workload, id rnuca.DesignID, opt rnuca.RunOptions) rnuca.Result {
-	job := c.cellJob(rnuca.FromWorkload(w), opt, id)
-	return c.cached(w.Name, string(id), job, job.Run)
+// memoKey names a memoized cell: design id on a workload, at an
+// R-NUCA instruction cluster size for Figure 11's sweep (0 for the
+// configuration's own).
+type memoKey struct {
+	workload string
+	id       rnuca.DesignID
+	size     int
 }
 
-// runMaker executes one maker-built cell — an ablation design with no
-// canonical encoding, hence never cached — under the campaign's
-// context and panic conventions. label names the methodology in
-// failure messages.
-func (c *Campaign) runMaker(label string, w rnuca.Workload, opt rnuca.RunOptions, mk func(*sim.Chassis) sim.Design) rnuca.Result {
-	j := c.cellJob(rnuca.FromWorkload(w), opt)
-	j.Maker = mk
-	return c.cached(w.Name, label, j, j.Run)
+// want is a memoized cell a figure declares.
+type want struct {
+	w    rnuca.Workload
+	id   rnuca.DesignID
+	size int
 }
 
-// Result returns (running on demand) the cached result for one workload
-// and design.
+// grid declares every design on every workload.
+func grid(ws []rnuca.Workload, ids ...rnuca.DesignID) []want {
+	var out []want
+	for _, w := range ws {
+		for _, id := range ids {
+			out = append(out, want{w: w, id: id})
+		}
+	}
+	return out
+}
+
+// need runs, together, the declared cells the memo lacks, and stores
+// them. Each draws on the workload's registered input (the generator
+// when none is registered). With Scale.ASRBest off, ASR is the cheap
+// adaptive variant alone, keyed under the "A/adaptive" methodology
+// label: its result differs from the best-of-six "A" cell's, so they
+// must not share an entry.
+func (c *Campaign) need(ws []want) {
+	var cells []cell
+	var keys []memoKey
+	queued := map[memoKey]bool{}
+	for _, x := range ws {
+		k := memoKey{x.w.Name, x.id, x.size}
+		if _, ok := c.memo[k]; ok || queued[k] {
+			continue
+		}
+		queued[k] = true
+		opt := c.opts()
+		opt.InstrClusterSize = x.size
+		id := x.id
+		if id == rnuca.DesignASR && !c.Scale.ASRBest {
+			id = "A/adaptive"
+		}
+		cl := c.newCell(x.w, c.input(x.w), id, opt)
+		if id != x.id {
+			cl.job.Designs = nil
+			cl.job.Maker = func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(rnuca.DesignASR, ch) }
+		}
+		cells = append(cells, cl)
+		keys = append(keys, k)
+	}
+	for i, r := range c.runAll(cells) {
+		c.memo[keys[i]] = r
+	}
+}
+
+// Result returns (running on demand) the memoized result for one
+// workload and design.
 func (c *Campaign) Result(w rnuca.Workload, id rnuca.DesignID) rnuca.Result {
-	m := c.results[w.Name]
-	if m == nil {
-		m = map[rnuca.DesignID]rnuca.Result{}
-		c.results[w.Name] = m
-	}
-	if r, ok := m[id]; ok {
-		return r
-	}
-	opt := c.opts()
-	var r rnuca.Result
-	if id == rnuca.DesignASR && !c.Scale.ASRBest {
-		r = c.runAdaptiveASR(w, opt)
-	} else {
-		r = c.run(w, id, opt)
-	}
-	m[id] = r
-	return r
-}
-
-// runAdaptiveASR runs the cheap single-variant ASR (Scale.ASRBest off):
-// a Maker job pinning the adaptive controller, keyed under the
-// "A/adaptive" methodology label — the single-variant result differs
-// from the best-of-six "A" cell, so they must not share an entry.
-func (c *Campaign) runAdaptiveASR(w rnuca.Workload, opt rnuca.RunOptions) rnuca.Result {
-	in := c.input(w)
-	keyJob := c.cellJob(in, opt, rnuca.DesignID("A/adaptive"))
-	runJob := c.cellJob(in, opt)
-	runJob.Maker = func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(rnuca.DesignASR, ch) }
-	return c.cached(w.Name, "A/adaptive", keyJob, runJob.Run)
+	c.need([]want{{w: w, id: id}})
+	return c.memo[memoKey{w.Name, id, 0}]
 }
 
 // RNUCAWithClusterSize returns (running on demand) R-NUCA with the given
 // instruction cluster size (Figure 11).
 func (c *Campaign) RNUCAWithClusterSize(w rnuca.Workload, size int) rnuca.Result {
-	m := c.rnucaBy[w.Name]
-	if m == nil {
-		m = map[int]rnuca.Result{}
-		c.rnucaBy[w.Name] = m
-	}
-	if r, ok := m[size]; ok {
-		return r
-	}
-	opt := c.opts()
-	opt.InstrClusterSize = size
-	r := c.run(w, rnuca.DesignRNUCA, opt)
-	m[size] = r
-	return r
+	c.need([]want{{w: w, id: rnuca.DesignRNUCA, size: size}})
+	return c.memo[memoKey{w.Name, rnuca.DesignRNUCA, size}]
 }
 
 // checkCtx aborts an analysis loop once the campaign's context ends,

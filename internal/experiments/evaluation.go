@@ -28,6 +28,7 @@ func orderedWorkloads() []rnuca.Workload {
 func (c *Campaign) Fig7() *report.Table {
 	t := report.NewTable("Figure 7: total CPI breakdown (normalized to private design)",
 		"Workload", "Design", "Busy", "L1-to-L1", "L2", "Off-chip", "Other", "Re-class", "Total")
+	c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
 		base := c.Result(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
@@ -53,6 +54,7 @@ func (c *Campaign) Fig7() *report.Table {
 func (c *Campaign) Fig8() *report.Table {
 	t := report.NewTable("Figure 8: CPI of L1-to-L1 and shared-data L2 loads (normalized to private total)",
 		"Workload", "Design", "L1-to-L1", "L2 shared load coherence", "L2 shared load", "Sum")
+	c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
 		base := c.Result(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
@@ -85,6 +87,7 @@ func (c *Campaign) Fig10() *report.Table {
 }
 
 func (c *Campaign) classTable(t *report.Table, class cache.Class) *report.Table {
+	c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
 		base := c.Result(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
@@ -106,18 +109,16 @@ func (c *Campaign) classTable(t *report.Table, class cache.Class) *report.Table 
 func (c *Campaign) Fig11() *report.Table {
 	t := report.NewTable("Figure 11: instruction cluster-size sweep (CPI normalized to size-1)",
 		"Workload", "Size", "Busy", "L2", "Off-chip", "Other+Purge", "Total")
+	var sweep []want
+	for _, w := range orderedWorkloads() {
+		for _, size := range clusterSizes(w) {
+			sweep = append(sweep, want{w: w, id: rnuca.DesignRNUCA, size: size})
+		}
+	}
+	c.need(sweep)
 	for _, w := range orderedWorkloads() {
 		base := c.RNUCAWithClusterSize(w, 1).CPI()
-		prev := 0
-		for _, size := range []int{1, 2, 4, 8, 16} {
-			// Clusters cannot exceed the chip (MIX runs on 8 tiles).
-			if size > w.Cores {
-				size = w.Cores
-			}
-			if size == prev {
-				continue
-			}
-			prev = size
+		for _, size := range clusterSizes(w) {
 			r := c.RNUCAWithClusterSize(w, size)
 			n := func(b sim.Bucket) float64 { return r.CPIStack[b] / base }
 			t.AddRow(w.Name, fmt.Sprint(size),
@@ -131,6 +132,21 @@ func (c *Campaign) Fig11() *report.Table {
 	return t
 }
 
+// clusterSizes is Figure 11's sweep over 1, 2, 4, 8 and 16 on a
+// workload's chip: clusters cannot exceed it (MIX runs on 8 tiles).
+func clusterSizes(w rnuca.Workload) []int {
+	var out []int
+	for _, size := range []int{1, 2, 4, 8, 16} {
+		if size > w.Cores {
+			size = w.Cores
+		}
+		if len(out) == 0 || out[len(out)-1] != size {
+			out = append(out, size)
+		}
+	}
+	return out
+}
+
 // Fig12 reproduces Figure 12: speedup of each design over the private
 // baseline, with 95% confidence intervals when the campaign runs multiple
 // batches, plus the summary statistics the abstract quotes.
@@ -141,6 +157,7 @@ func (c *Campaign) Fig12() *report.Table {
 	var server, all, mp agg
 	var nServer, nAll, nMP int
 	maxR := -1.0
+	c.need(grid(orderedWorkloads(), rnuca.AllDesigns()...))
 	for _, w := range orderedWorkloads() {
 		base := c.Result(w, rnuca.DesignPrivate)
 		row := []string{w.Name}
@@ -198,6 +215,7 @@ func (c *Campaign) Fig12() *report.Table {
 func (c *Campaign) ClassificationAccuracy() *report.Table {
 	t := report.NewTable("§5.2: classification accuracy at page granularity",
 		"Workload", "Accesses to multi-class pages", "Misclassified accesses")
+	c.need(grid(orderedWorkloads(), rnuca.DesignRNUCA))
 	for _, w := range orderedWorkloads() {
 		r := c.Result(w, rnuca.DesignRNUCA)
 		mixed := float64(r.MixedPageAccesses) / float64(max64(r.Refs, 1))

@@ -37,14 +37,12 @@ func (c *Campaign) PrivateClusterAblation() *report.Table {
 	if opt.Measure < 1_600_000 {
 		opt.Warm, opt.Measure = 1_200_000, 1_600_000
 	}
+	var cells []cell
+	var names []string
 	for _, size := range []int{1, 2, 4} {
 		opt.PrivateClusterSize = size
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
-		t.AddRow(fmt.Sprintf("size-%d", size),
-			fmt.Sprintf("%.3f", r.CPI()),
-			fmt.Sprintf("%.3f", r.CPIStack[sim.BucketOffChip]),
-			fmt.Sprintf("%.3f", r.CPIStack[sim.BucketL2]+r.CPIStack[sim.BucketL2Coh]),
-			fmt.Sprint(r.OffChipMisses))
+		cells = append(cells, c.genCell(w, rnuca.DesignRNUCA, opt))
+		names = append(names, fmt.Sprintf("size-%d", size))
 	}
 	// Per-thread sizing: the big threads (even cores) spill over size-2
 	// clusters, the compact threads keep local placement.
@@ -57,14 +55,17 @@ func (c *Campaign) PrivateClusterAblation() *report.Table {
 			sizes[i] = 1
 		}
 	}
-	r := c.runMaker("R/per-thread", w, opt, func(ch *sim.Chassis) sim.Design {
+	cells = append(cells, makerCell(c.genCell(w, "R/per-thread", opt), func(ch *sim.Chassis) sim.Design {
 		return design.NewReactivePerThreadPrivate(ch, sizes)
-	})
-	t.AddRow("per-thread {2,1,...}",
-		fmt.Sprintf("%.3f", r.CPI()),
-		fmt.Sprintf("%.3f", r.CPIStack[sim.BucketOffChip]),
-		fmt.Sprintf("%.3f", r.CPIStack[sim.BucketL2]+r.CPIStack[sim.BucketL2Coh]),
-		fmt.Sprint(r.OffChipMisses))
+	}))
+	names = append(names, "per-thread {2,1,...}")
+	for i, r := range c.runAll(cells) {
+		t.AddRow(names[i],
+			fmt.Sprintf("%.3f", r.CPI()),
+			fmt.Sprintf("%.3f", r.CPIStack[sim.BucketOffChip]),
+			fmt.Sprintf("%.3f", r.CPIStack[sim.BucketL2]+r.CPIStack[sim.BucketL2Coh]),
+			fmt.Sprint(r.OffChipMisses))
+	}
 	return t
 }
 
@@ -77,14 +78,21 @@ func (c *Campaign) TechnologyScaling() *report.Table {
 	t := report.NewTable("Extension (§5.5): scaling with core count (OLTP-DB2)",
 		"Cores", "Grid", "S CPI", "R CPI", "R vs S")
 	opt := c.opts()
-	for _, cores := range []int{16, 32, 64} {
+	coreCounts := []int{16, 32, 64}
+	var cells []cell
+	var cfgs []sim.Config
+	for _, cores := range coreCounts {
 		w := rnuca.OLTPDB2()
 		w.Cores = cores
 		cfg := rnuca.ConfigFor(w)
 		opt.Config = &cfg
-		s := c.runGen(w, rnuca.DesignShared, opt)
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
-		t.AddRow(fmt.Sprint(cores), fmt.Sprintf("%dx%d", cfg.GridW, cfg.GridH),
+		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+		cfgs = append(cfgs, cfg)
+	}
+	rs := c.runAll(cells)
+	for i, cfg := range cfgs {
+		s, r := rs[2*i], rs[2*i+1]
+		t.AddRow(fmt.Sprint(coreCounts[i]), fmt.Sprintf("%dx%d", cfg.GridW, cfg.GridH),
 			fmt.Sprintf("%.3f", s.CPI()), fmt.Sprintf("%.3f", r.CPI()),
 			fmt.Sprintf("%+.1f%%", 100*r.Speedup(s.Result)))
 	}
@@ -98,16 +106,16 @@ func (c *Campaign) MeshVsTorus() *report.Table {
 		"Topology", "S CPI", "R CPI")
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
+	var cells []cell
 	for _, mesh := range []bool{false, true} {
 		cfg := rnuca.ConfigFor(w)
 		cfg.Mesh = mesh
 		opt.Config = &cfg
-		name := "torus"
-		if mesh {
-			name = "mesh"
-		}
-		s := c.runGen(w, rnuca.DesignShared, opt)
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
+		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+	}
+	rs := c.runAll(cells)
+	for i, name := range []string{"torus", "mesh"} {
+		s, r := rs[2*i], rs[2*i+1]
 		t.AddRow(name, fmt.Sprintf("%.3f", s.CPI()), fmt.Sprintf("%.3f", r.CPI()))
 	}
 	return t
@@ -124,13 +132,19 @@ func (c *Campaign) MemLatencySweep() *report.Table {
 		"Memory cycles", "P CPI", "S CPI", "R CPI", "R vs P", "S vs P")
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
-	for _, lat := range []int{90, 200, 500} {
+	lats := []int{90, 200, 500}
+	var cells []cell
+	for _, lat := range lats {
 		cfg := rnuca.ConfigFor(w)
 		cfg.MemAccessCycles = lat
 		opt.Config = &cfg
-		p := c.runGen(w, rnuca.DesignPrivate, opt)
-		s := c.runGen(w, rnuca.DesignShared, opt)
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
+		for _, id := range []rnuca.DesignID{rnuca.DesignPrivate, rnuca.DesignShared, rnuca.DesignRNUCA} {
+			cells = append(cells, c.genCell(w, id, opt))
+		}
+	}
+	rs := c.runAll(cells)
+	for i, lat := range lats {
+		p, s, r := rs[3*i], rs[3*i+1], rs[3*i+2]
 		t.AddRow(fmt.Sprint(lat),
 			fmt.Sprintf("%.3f", p.CPI()), fmt.Sprintf("%.3f", s.CPI()), fmt.Sprintf("%.3f", r.CPI()),
 			fmt.Sprintf("%+.1f%%", 100*r.Speedup(p.Result)),
@@ -148,16 +162,18 @@ func (c *Campaign) TrafficComparison() *report.Table {
 		"Design", "CPI", "NoC messages/ref", "flit-hops/ref")
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
-	for _, id := range []rnuca.DesignID{rnuca.DesignPrivate, "Pb", rnuca.DesignShared, rnuca.DesignRNUCA} {
-		var r rnuca.Result
+	ids := []rnuca.DesignID{rnuca.DesignPrivate, "Pb", rnuca.DesignShared, rnuca.DesignRNUCA}
+	cells := make([]cell, len(ids))
+	for i, id := range ids {
+		cells[i] = c.genCell(w, id, opt)
 		if id == "Pb" {
-			r = c.runMaker("Pb", w, opt, func(ch *sim.Chassis) sim.Design {
+			cells[i] = makerCell(cells[i], func(ch *sim.Chassis) sim.Design {
 				return design.NewPrivateBroadcast(ch)
 			})
-		} else {
-			r = c.runGen(w, id, opt)
 		}
-		t.AddRow(string(id), fmt.Sprintf("%.3f", r.CPI()),
+	}
+	for i, r := range c.runAll(cells) {
+		t.AddRow(string(ids[i]), fmt.Sprintf("%.3f", r.CPI()),
 			fmt.Sprintf("%.2f", float64(r.NetMessages)/float64(r.Refs)),
 			fmt.Sprintf("%.2f", float64(r.NetFlitHops)/float64(r.Refs)))
 	}
@@ -175,16 +191,20 @@ func (c *Campaign) ContentionModelAblation() *report.Table {
 		"Model", "S CPI", "R CPI", "R link-wait cycles/ref")
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
+	var cells []cell
 	for _, queued := range []bool{false, true} {
 		cfg := rnuca.ConfigFor(w)
 		cfg.LinkQueues = queued
 		opt.Config = &cfg
+		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+	}
+	rs := c.runAll(cells)
+	for i, queued := range []bool{false, true} {
 		name := "analytic (M/D/1 windows)"
 		if queued {
 			name = "link-queue (FCFS)"
 		}
-		s := c.runGen(w, rnuca.DesignShared, opt)
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
+		s, r := rs[2*i], rs[2*i+1]
 		wait := "-"
 		if queued {
 			wait = fmt.Sprintf("%.3f", r.NetWaitCycles/float64(r.Refs))
@@ -207,8 +227,13 @@ func (c *Campaign) MigrationStress() *report.Table {
 	if opt.Measure < 256_000 {
 		opt.Warm, opt.Measure = 128_000, 256_000
 	}
-	for _, w := range []rnuca.Workload{workload.MIX(), workload.MIXMigrating()} {
-		r := c.runGen(w, rnuca.DesignRNUCA, opt)
+	ws := []rnuca.Workload{workload.MIX(), workload.MIXMigrating()}
+	cells := make([]cell, len(ws))
+	for i, w := range ws {
+		cells[i] = c.genCell(w, rnuca.DesignRNUCA, opt)
+	}
+	for i, r := range c.runAll(cells) {
+		w := ws[i]
 		share := r.CPIStack[sim.BucketReclass] / r.CPI()
 		mis := float64(r.MisclassifiedAccesses) / float64(max64(r.ClassifiedAccesses, 1))
 		t.AddRow(w.Name, fmt.Sprintf("%.3f", r.CPI()),

@@ -51,6 +51,7 @@ func (c *Campaign) CompareIngested(ids []rnuca.DesignID) *report.Table {
 	}
 	cols = append(cols, fmt.Sprintf("R vs %s", ids[0]))
 	t := report.NewTable("Ingested corpora: design comparison (Figure 12 analysis)", cols...)
+	c.need(grid(c.IngestedWorkloads(), ids...))
 	for _, w := range c.IngestedWorkloads() {
 		base := c.Result(w, ids[0])
 		row := []string{w.Name}

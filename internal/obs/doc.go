@@ -70,6 +70,6 @@
 // -trace-out files and serve's trace endpoint carry. The span names
 // used across the
 // pipeline are: job.queue, job.run, cache.lookup, replay.setup,
-// workload.setup, sim.cell, result.fold, classify.pass,
+// cell.wait, workload.setup, sim.cell, result.fold, classify.pass,
 // convert.ingest, and figure.build.
 package obs

@@ -88,9 +88,12 @@
 // rnuca_engine_refs_simulated_total.
 //
 // Every job also buffers per-stage spans (internal/obs.Trace) —
-// job.queue, job.run, cache.lookup, replay.setup, workload.setup,
-// sim.cell, result.fold, classify.pass, convert.ingest, figure.build —
-// which GET /v1/jobs/{id}/trace returns with a per-stage aggregation.
+// job.queue, job.run, cache.lookup, replay.setup, cell.wait,
+// workload.setup, sim.cell, result.fold, classify.pass,
+// convert.ingest, figure.build — which GET /v1/jobs/{id}/trace returns
+// with a per-stage aggregation. A compare job's designs run together,
+// and its cells share the process-wide cell slots (internal/cellpool)
+// with every other job's; cell.wait is a cell's wait for one.
 //
 // On SIGTERM, cmd/rnuca-serve stops accepting jobs (503), finishes
 // what is queued and running (Server.Drain), then exits; a second

@@ -249,8 +249,9 @@ type JobStatus struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	// DoneRefs/TotalRefs report per-engine simulation progress when the
-	// job is running (approximate under Batches > 1, where each batch's
-	// engine counts from zero and the largest count wins). A job
+	// job is running. A job's engines (its batches and its designs) run
+	// concurrently, each counting from zero, and the largest count
+	// wins, so the numbers are approximate for multi-cell jobs. A job
 	// that joined another job's identical in-flight computation
 	// (cache outcome "shared") reports no per-ref progress — the
 	// engine belongs to the flight's starter.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"fmt"
 
 	"rnuca"
+	"rnuca/internal/cellpool"
 	"rnuca/internal/corpus"
 	"rnuca/internal/experiments"
 	"rnuca/internal/sim"
@@ -697,6 +699,8 @@ func TestSubmitValidation(t *testing.T) {
 		// Bad references, designs, and encodings.
 		`{"input":{"workload":"No-Such-WL"},"designs":["R"]}`,
 		`{"input":{"workload":"OLTP-DB2"},"designs":["X"]}`,
+		// A repeated design would run its cells once per copy.
+		`{"input":{"workload":"OLTP-DB2"},"designs":["S","R","S"]}`,
 		`{"input":{"corpus":{"ref":"no-such-corpus"}},"designs":["R"]}`,
 		`{"v":99,"input":{"workload":"OLTP-DB2"},"designs":["R"]}`,
 		`{"input":{"workload":"OLTP-DB2","corpus":"oltp"}}`,
@@ -926,5 +930,48 @@ func TestJobTraceEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job trace: %s", resp2.Status)
+	}
+}
+
+// A compare job's designs run together on the process-wide cell pool:
+// with its one slot held, both designs' cells queue for it, and the
+// job's trace export lists the wait as the cell.wait stage.
+func TestCompareJobTraceListsCellWait(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	defer cellpool.SetWidth(1)()
+	_, hs, _ := newTestServer(t, 1)
+	rel, err := cellpool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := postJob(t, hs.URL, `{"input":{"corpus":"oltp"},"designs":["P","S"]}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for cellpool.Waiting() < 2 {
+		if time.Now().After(deadline) {
+			rel()
+			t.Fatalf("%d cells waiting for the held slot, want 2", cellpool.Waiting())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rel()
+	if fin := waitJob(t, hs.URL, st.ID); fin.State != JobDone {
+		t.Fatalf("job: %s (%s)", fin.State, fin.Error)
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tr JobTrace
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, sp := range tr.Stages {
+		counts[sp.Stage] = sp.Count
+	}
+	if counts["cell.wait"] < 2 || counts["sim.cell"] != 2 || counts["cache.lookup"] != 2 {
+		t.Fatalf("stages %v, want two cell.wait, sim.cell and cache.lookup spans", counts)
 	}
 }

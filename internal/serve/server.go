@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rnuca"
+	"rnuca/internal/cellpool"
 	"rnuca/internal/corpus"
 	"rnuca/internal/experiments"
 	"rnuca/internal/ingest"
@@ -649,41 +650,48 @@ func (s *Server) timelineConfig(j *job) *rnuca.TimelineConfig {
 	}
 }
 
-// executeSim runs a simulation job, one cached cell per design.
-// Single-design jobs report a single Result; everything else reports a
-// design-keyed map.
+// executeSim runs a simulation job, one cached cell per design. The
+// designs run together: their engines draw on the process-wide cell
+// pool (internal/cellpool), so a compare job occupies as many
+// processors as are free. Single-design jobs report a single Result;
+// everything else reports a design-keyed map.
 func (s *Server) executeSim(j *job) (*JobResult, error) {
 	job := *j.spec.Job
+	type cellResult struct {
+		r       rnuca.Result
+		outcome resultcache.Outcome
+		err     error
+	}
+	cells := make([]cellResult, len(job.Designs))
+	cellpool.Each(len(job.Designs), func(i int) {
+		id, c := job.Designs[i], &cells[i]
+		sp := j.trace.StartSpan("cache.lookup")
+		sp.SetAttr("design", string(id))
+		c.r, c.outcome, c.err = s.cell(j, job.WithDesign(id))
+		sp.SetAttr("outcome", c.outcome.String())
+		sp.End()
+		if c.err == nil {
+			// The timeline rides the Result (cache hits carry the one
+			// their original execution recorded) but is served from its
+			// own endpoint, not the result payload.
+			j.setTimeline(string(id), c.r.Timeline)
+		}
+	})
 	single := len(job.Designs) == 1
 	out := &JobResult{Cache: map[string]string{}}
 	if !single {
 		out.Results = map[string]rnuca.Result{}
 	}
-	for _, id := range job.Designs {
-		if err := j.ctx.Err(); err != nil {
-			return nil, err
+	for i, id := range job.Designs {
+		c := cells[i]
+		if c.err != nil {
+			return nil, c.err
 		}
-		// Each design is a fresh cell: restart the progress gauge so
-		// a later cell does not appear frozen at the previous one's max.
-		j.gauge.Reset()
-		sp := j.trace.StartSpan("cache.lookup")
-		sp.SetAttr("design", string(id))
-		r, outcome, err := s.cell(j, job.WithDesign(id))
-		sp.SetAttr("outcome", outcome.String())
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		out.Cache[string(id)] = outcome.String()
-		// The timeline rides the Result (cache hits carry the one their
-		// original execution recorded) but is served from its own
-		// endpoint, not the result payload.
-		j.setTimeline(string(id), r.Timeline)
+		out.Cache[string(id)] = c.outcome.String()
 		if single {
-			rr := r
-			out.Result = &rr
+			out.Result = &c.r
 		} else {
-			out.Results[string(id)] = r
+			out.Results[string(id)] = c.r
 		}
 	}
 	return out, nil

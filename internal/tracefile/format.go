@@ -51,6 +51,16 @@ const (
 	DefaultChunkRefs = 1 << 15
 )
 
+// checkChunkFrame bounds a data chunk's frame, for the streaming and
+// the indexed reader alike: both lengths within 1..maxChunkBytes and
+// at least one record.
+func checkChunkFrame(compLen, rawLen, count uint32) error {
+	if compLen == 0 || compLen > maxChunkBytes || rawLen == 0 || rawLen > maxChunkBytes || count == 0 {
+		return corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count)
+	}
+	return nil
+}
+
 // maxChunkRaw bounds the uncompressed payload the Writer packs into one
 // chunk regardless of ChunkRefs, so incompressible refs can never emit a
 // chunk the package's own Reader would reject: gzip expands worst-case

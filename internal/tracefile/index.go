@@ -406,8 +406,8 @@ func (x *IndexedReader) readChunk(dec *chunkDecoder, i int) error {
 	if count != e.Count {
 		return corruptf("chunk %d declares %d records, index %d", i, count, e.Count)
 	}
-	if compLen == 0 || compLen > maxChunkBytes || rawLen == 0 || rawLen > maxChunkBytes {
-		return corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count)
+	if err := checkChunkFrame(compLen, rawLen, count); err != nil {
+		return err
 	}
 	if cap(dec.comp) < int(compLen) {
 		//rnuca:alloc-ok decompress buffer grows to the chunk high-water mark once, then is recycled across chunks

@@ -311,8 +311,8 @@ func (r *Reader) nextChunk() bool {
 			r.seenIndex = true
 			continue
 		}
-		if compLen > maxChunkBytes || rawLen > maxChunkBytes || rawLen == 0 || count == 0 {
-			r.dec.fail(corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count))
+		if err := checkChunkFrame(compLen, rawLen, count); err != nil {
+			r.dec.fail(err)
 			return false
 		}
 		if r.seenIndex {

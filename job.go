@@ -33,9 +33,11 @@ type RunOptions struct {
 	// Measure is the number of measured references. 0 means the
 	// default.
 	Measure int
-	// Batches > 1 runs that many independently-seeded measurements,
-	// one after another, and reports mean CPI with a 95% confidence
-	// interval. 0 or 1 means a single batch.
+	// Batches > 1 runs that many independently-seeded measurements
+	// and reports mean CPI with a 95% confidence interval. The batches
+	// run on the process-wide cell pool, at most GOMAXPROCS at once,
+	// and fold in batch order, so the Result does not depend on which
+	// finished first. 0 or 1 means a single batch.
 	Batches int
 	// InstrClusterSize overrides R-NUCA's instruction cluster size
 	// (Figure 11 ablation). 0 means the configuration default.
@@ -51,9 +53,10 @@ type RunOptions struct {
 	// and per-engine total (Warm+Measure). It is a pure observation
 	// hook: it cannot stop the run (cancel the context for that), it
 	// cannot perturb the deterministic timing model, and it is
-	// excluded from the canonical encoding and every cache key.
-	// Compare runs its designs' engines concurrently, so there it must
-	// be safe for concurrent use.
+	// excluded from the canonical encoding and every cache key. Any
+	// job of more than one cell (several batches, several designs, or
+	// ASR's six variants) runs its engines concurrently, so the hook
+	// must be safe for concurrent use.
 	Progress func(done, total int)
 	// Timeline, when non-nil, attaches a flight recorder
 	// (internal/obs/flight) to the run: every Timeline.Every measured
@@ -62,13 +65,16 @@ type RunOptions struct {
 	// Result.Timeline. Like Progress it is pure observation — it cannot
 	// change the Result, and it is excluded from the canonical encoding
 	// and every cache key. With Batches > 1 the timeline covers batch 0.
+	// Each maker's batch 0 records its own timeline (ASR's six variants
+	// each one), so like Progress, Timeline.OnEpoch must be safe for
+	// concurrent use.
 	Timeline *TimelineConfig
 }
 
 // ProgressGauge is a concurrency-safe monotone progress cell whose
 // Observe method plugs directly into RunOptions.Progress: concurrent
-// engines (Compare's designs) report independently and the
-// largest count wins. The zero value is ready to use.
+// engines (a job's cells) report independently and the largest count
+// wins. The zero value is ready to use.
 type ProgressGauge struct {
 	done, total atomic.Int64
 }
@@ -90,7 +96,8 @@ func (g *ProgressGauge) Progress() (done, total int64) {
 	return g.done.Load(), g.total.Load()
 }
 
-// Reset clears the gauge, e.g. between the cells of a compare sweep.
+// Reset clears the gauge so it observes a fresh set of engines; a
+// figure campaign resets its gauge each time it starts a set of cells.
 func (g *ProgressGauge) Reset() {
 	g.done.Store(0)
 	g.total.Store(0)
@@ -104,7 +111,7 @@ func (g *ProgressGauge) Reset() {
 // sharding, progress observation) is excluded from it by
 // construction.
 //
-// Execute with Run (exactly one design) or Compare (any number); both
+// Execute with Run (exactly one design) or Compare (any set); both
 // take a context.Context, which is the cancellation path: engines
 // poll it every few thousand simulated references, and a canceled run
 // returns its partial Result together with the context's error.
@@ -113,7 +120,7 @@ type Job struct {
 	// FromCorpus, FromSource).
 	Input Input
 	// Designs are the L2 organizations to evaluate. Run requires
-	// exactly one; Compare accepts any non-empty list.
+	// exactly one; Compare accepts any non-empty list without repeats.
 	Designs []DesignID
 	// Options tunes the run.
 	Options RunOptions
@@ -121,16 +128,17 @@ type Job struct {
 	// overriding Designs — the hook for ablations and ASR variants
 	// (the legacy RunWith/ReplayWith). Maker jobs have no canonical
 	// encoding and are never cached; Designs then only labels the
-	// result.
+	// result. It is called once per cell, concurrently when the job
+	// has several batches.
 	Maker func(*sim.Chassis) sim.Design
 }
 
 // Validate checks the job without running it: input construction
-// errors, unknown designs, unbound corpus references, negative
-// options, Warm or Measure above 2^31-1, and a chassis the run could
-// not build (an invalid Config, a core count other than the input's,
-// a cluster size that is not a power of two within the chip) all
-// surface here as errors, before any per-core state is allocated. A
+// errors, unknown or repeated designs, unbound corpus references,
+// negative options, Warm or Measure above 2^31-1, and a chassis the
+// run could not build (an invalid Config, a core count other than the
+// input's, a cluster size that is not a power of two within the chip)
+// all surface here as errors, before any per-core state is allocated. A
 // replay's core count comes from its trace header, which Run checks
 // when it opens the trace.
 func (j Job) Validate() error {
@@ -144,9 +152,16 @@ func (j Job) Validate() error {
 		if len(j.Designs) == 0 {
 			return fmt.Errorf("rnuca: job names no designs")
 		}
-		for _, id := range j.Designs {
+		for i, id := range j.Designs {
 			if !knownDesign(id) {
 				return fmt.Errorf("rnuca: unknown design %q (P, A, S, R, I)", id)
+			}
+			// Only five designs exist, so this scan stops within six
+			// entries of any list.
+			for _, prev := range j.Designs[:i] {
+				if prev == id {
+					return fmt.Errorf("rnuca: design %q listed twice", id)
+				}
 			}
 		}
 	}
@@ -223,13 +238,19 @@ func (j Job) Run(ctx context.Context) (Result, error) {
 	if len(j.Designs) > 0 {
 		id = j.Designs[0]
 	}
-	return j.runDesign(ctx, id)
+	rs, err := j.run(ctx, []DesignID{id})
+	return rs[0], err
 }
 
-// Compare executes every design of the job concurrently over the same
-// input — the Figure 12 sweep. On error (cancellation included) the
-// returned map still holds whatever results, partial or complete, the
-// designs produced.
+// Compare executes every design of the job over the same input — the
+// Figure 12 sweep. Its cells (every batch of every design, ASR's six
+// variants each their own) run together on the process-wide cell pool,
+// at most GOMAXPROCS at once, and each design's batches fold in batch
+// order, so the Results equal those of one Run per design. On error
+// (cancellation included) the returned map still holds whatever
+// results, partial or complete, the designs produced; a design whose
+// cells measured nothing before the context ended (none got a slot,
+// or all were still warming up) maps to a Result with Refs 0.
 func (j Job) Compare(ctx context.Context) (map[DesignID]Result, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
@@ -237,30 +258,12 @@ func (j Job) Compare(ctx context.Context) (map[DesignID]Result, error) {
 	if j.Maker != nil {
 		return nil, fmt.Errorf("rnuca: Compare on a Maker job; use Run")
 	}
-	type cell struct {
-		r   Result
-		err error
-	}
-	cells := make([]cell, len(j.Designs))
-	done := make(chan int, len(j.Designs))
-	for i, id := range j.Designs {
-		go func(i int, id DesignID) {
-			cells[i].r, cells[i].err = j.runDesign(ctx, id)
-			done <- i
-		}(i, id)
-	}
-	for range j.Designs {
-		<-done
-	}
+	rs, err := j.run(ctx, j.Designs)
 	out := make(map[DesignID]Result, len(j.Designs))
-	var firstErr error
 	for i, id := range j.Designs {
-		out[id] = cells[i].r
-		if cells[i].err != nil && firstErr == nil {
-			firstErr = cells[i].err
-		}
+		out[id] = rs[i]
 	}
-	return out, firstErr
+	return out, err
 }
 
 // Record executes a single-design workload job exactly as Run does
@@ -308,53 +311,44 @@ func (j Job) Record(ctx context.Context, path string) (Result, error) {
 	if mk == nil {
 		mk = designMaker(id, opt.RunOptions)
 	}
-	out, err := runBatches(in, opt, mk)
+	out, err := runDesigns(in, opt, [][]maker{{mk}})
 	if cerr := fw.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return out, err
-	}
-	return out, ctxErr(ctx)
+	return out[0], err
 }
 
-// runDesign executes one design cell of the job through the batch loop:
-// the Maker when set; for ASR on generated and trace inputs, the
-// paper's best-of-six (§5.1), reported as "A" with the lowest CPI (the
-// first on ties); otherwise the one design. A source input runs ASR's
-// adaptive variant only, as a sweep would pull each batch's source six
-// times.
-func (j Job) runDesign(ctx context.Context, id DesignID) (Result, error) {
+// run lowers the job once and runs the designs' cells together.
+func (j Job) run(ctx context.Context, ids []DesignID) ([]Result, error) {
 	in, opt, err := j.lower(ctx)
 	if err != nil {
-		return Result{}, err
+		return make([]Result, len(ids)), err
 	}
-	var makers []func(*sim.Chassis) sim.Design
+	designs := make([][]maker, len(ids))
+	for i, id := range ids {
+		designs[i] = j.makers(id, opt.RunOptions)
+	}
+	return runDesigns(in, opt, designs)
+}
+
+// makers returns the makers one design runs: the Maker when set; for
+// ASR on generated and trace inputs, the paper's best-of-six (§5.1),
+// reported as "A" with the lowest CPI (the first on ties); otherwise
+// the one design. A source input runs ASR's adaptive variant only, as
+// a sweep would pull each batch's source six times.
+func (j Job) makers(id DesignID, opt RunOptions) []maker {
 	switch {
 	case j.Maker != nil:
-		makers = append(makers, j.Maker)
+		return []maker{j.Maker}
 	case id == DesignASR && j.Input.kind != InputSource:
-		for v := 0; v < design.NumASRVariants; v++ {
+		ms := make([]maker, design.NumASRVariants)
+		for v := range ms {
 			v := v
-			makers = append(makers, func(ch *sim.Chassis) sim.Design { return design.NewASRVariant(ch, v, asrSeed) })
+			ms[v] = func(ch *sim.Chassis) sim.Design { return design.NewASRVariant(ch, v, asrSeed) }
 		}
-	default:
-		makers = append(makers, designMaker(id, opt.RunOptions))
+		return ms
 	}
-	var best Result
-	for i, mk := range makers {
-		r, err := runBatches(in, opt, mk)
-		if err != nil {
-			return Result{}, err
-		}
-		if i == 0 || r.CPI() < best.CPI() {
-			best = r
-		}
-	}
-	if len(makers) > 1 {
-		best.Design = string(DesignASR)
-	}
-	return best, ctxErr(ctx)
+	return []maker{designMaker(id, opt)}
 }
 
 // lower resolves the job for the run path: its options with defaults

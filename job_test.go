@@ -241,6 +241,8 @@ func TestJobValidationErrors(t *testing.T) {
 		{"no input", rnuca.Job{Designs: []rnuca.DesignID{"R"}}, "no input"},
 		{"no designs", rnuca.Job{Input: rnuca.FromWorkload(w)}, "no designs"},
 		{"unknown design", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"X"}}, "unknown design"},
+		{"repeated design", rnuca.Job{Input: rnuca.FromWorkload(w),
+			Designs: []rnuca.DesignID{"S", "R", "S"}}, `design "S" listed twice`},
 		{"negative warm", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
 			Options: rnuca.RunOptions{Warm: -1}}, "negative"},
 		{"warm above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},

@@ -28,7 +28,8 @@
 //	if err != nil { ... }
 //	fmt.Printf("CPI %.3f, off-chip misses %d\n", res.CPI(), res.OffChipMisses)
 //
-// Compare designs the way Figure 12 does:
+// Compare designs the way Figure 12 does (every cell of every design
+// runs on the process-wide cell pool, at most GOMAXPROCS at once):
 //
 //	job.Designs = rnuca.AllDesigns()
 //	cmp, err := job.Compare(ctx)
@@ -56,10 +57,11 @@
 // canceled run returns its partial Result with the context's error.
 //
 // Attach an observability trace (internal/obs) to the context and a
-// run records per-stage spans — workload or replay setup, per-cell
-// simulation, result fold — into it; the trace's Export aggregates them
-// into a per-stage breakdown, and rnuca-serve exposes the same export
-// per job at GET /v1/jobs/{id}/trace.
+// run records per-stage spans — workload or replay setup, a cell's
+// wait for a slot, per-cell simulation, result fold — into it; the
+// trace's Export aggregates them into a per-stage breakdown, and
+// rnuca-serve exposes the same export per job at GET
+// /v1/jobs/{id}/trace.
 //
 // Externally captured traces enter through internal/ingest:
 // rnuca-trace convert turns Dinero/ChampSim-style/CSV address streams
@@ -78,6 +80,7 @@ import (
 	"math"
 	"strings"
 
+	"rnuca/internal/cellpool"
 	"rnuca/internal/design"
 	"rnuca/internal/obs"
 	"rnuca/internal/obs/flight"
@@ -285,8 +288,8 @@ func NewDesign(id DesignID, ch *sim.Chassis) sim.Design {
 const asrSeed = 0xA5A5
 
 // designMaker returns the design constructor a job uses for id, with
-// ASR fixed to the adaptive variant (Job.runDesign sweeps the six).
-func designMaker(id DesignID, opt RunOptions) func(*sim.Chassis) sim.Design {
+// ASR fixed to the adaptive variant (Job.makers sweeps the six).
+func designMaker(id DesignID, opt RunOptions) maker {
 	if id == DesignRNUCA && opt.PrivateClusterSize > 1 {
 		size := opt.PrivateClusterSize
 		return func(ch *sim.Chassis) sim.Design {
@@ -308,7 +311,7 @@ type feed struct {
 }
 
 // runOne executes a single simulation over the given per-core streams.
-func runOne(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, streams []trace.Stream) sim.Result {
+func runOne(w Workload, opt runOpts, mk maker, streams []trace.Stream) sim.Result {
 	sp := obs.StartSpan(opt.ctx, "sim.cell")
 	defer sp.End()
 	ch := sim.NewChassis(*opt.Config)
@@ -327,32 +330,105 @@ func runOne(w Workload, opt runOpts, mk func(*sim.Chassis) sim.Design, streams [
 	return res
 }
 
-// runBatches runs opt.Batches cells one after another, batch b over the
-// streams in.open(b) returns, and folds each result into a running
-// total as it finishes, with equal batch weight. A flight recorder,
-// when the options ask for one, watches batch 0.
-func runBatches(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result, error) {
+// maker builds a cell's design on its chassis.
+type maker = func(*sim.Chassis) sim.Design
+
+// cellOut is one finished cell. A cell is one design maker on one
+// batch of one input: one chassis build and one Engine.Run under a slot
+// of the process-wide cell pool (internal/cellpool). It holds the
+// batch's result and, for batch 0 under RunOptions.Timeline, the
+// flight timeline.
+type cellOut struct {
+	res sim.Result
+	tl  *Timeline
+	err error
+}
+
+// runDesigns runs every batch of every maker of every design and
+// returns, per design, the folded Result of its lowest-CPI maker, the
+// first on ties: ASR's best-of-six (§5.1), or the one maker of any
+// other design. The makers run concurrently (cellpool.Each); each
+// streams its batches (cellpool.Stream), at most cellpool.Width()
+// outstanding, and folds them through batchFold in batch order, so no
+// Result depends on which cell finished first. A maker stops at its
+// first failed batch (a cell that never got a slot fails with the
+// context's cause) and reports the batches it folded before it. The
+// error is the first failed maker's, in design order, else the
+// context's.
+func runDesigns(in feed, opt runOpts, designs [][]maker) ([]Result, error) {
+	var makers []maker
+	for _, ms := range designs {
+		makers = append(makers, ms...)
+	}
+	type unit struct {
+		f   batchFold
+		tl  *Timeline
+		err error
+	}
+	units := make([]unit, len(makers))
+	cellpool.Each(len(makers), func(k int) {
+		u := &units[k]
+		cellpool.Stream(opt.Batches, cellpool.Width(), func(b int) cellOut {
+			return runCell(in, opt, makers[k], b)
+		}, func(_ int, c cellOut) bool {
+			if c.err != nil {
+				u.err = c.err
+				return false
+			}
+			u.f.add(c.res)
+			if c.tl != nil {
+				u.tl = c.tl
+			}
+			return true
+		})
+	})
+	var err error
+	out := make([]Result, len(designs))
+	for d, ms := range designs {
+		have := false
+		for k := range ms {
+			u := &units[k]
+			if err == nil {
+				err = u.err
+			}
+			if u.f.n == 0 {
+				continue
+			}
+			r := u.f.result(opt)
+			r.Timeline = u.tl
+			if !have || r.CPI() < out[d].CPI() {
+				out[d], have = r, true
+			}
+		}
+		units = units[len(ms):]
+		if have && len(ms) > 1 {
+			out[d].Design = string(DesignASR)
+		}
+	}
+	if err != nil {
+		return out, err
+	}
+	return out, ctxErr(opt.ctx)
+}
+
+// runCell runs batch b of mk under a pool slot, and records batch 0's
+// flight timeline when the options ask for one.
+func runCell(in feed, opt runOpts, mk maker, b int) (c cellOut) {
+	release, err := cellpool.Acquire(opt.ctx)
+	if err != nil {
+		return cellOut{err: err}
+	}
+	defer release()
 	var rec *flight.Recorder
-	if opt.Timeline != nil {
+	if b == 0 && opt.Timeline != nil {
 		rec = flight.NewRecorder(*opt.Timeline)
+		opt.flightRec = rec
 	}
-	var f batchFold
-	for b := 0; b < opt.Batches; b++ {
-		bo := opt
-		if b == 0 {
-			bo.flightRec = rec
-		}
-		res, err := runBatch(in, bo, mk, b)
-		if err != nil {
-			return Result{}, err
-		}
-		f.add(res)
-	}
-	out := f.result(opt)
+	c.res, c.err = runBatch(in, opt, mk, b)
 	if rec != nil {
-		out.Timeline = rec.Timeline()
+		c.tl = rec.Timeline()
 	}
-	return out, nil
+	return c
 }
 
 // runBatch runs batch b's cell. A bad stream surfaces as an error, not
@@ -360,7 +436,7 @@ func runBatches(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design) (Result,
 // silently, and the demux's panics (a ref for a core outside the chip,
 // a finite source that cannot loop) are "trace:"-prefixed. Panics from
 // anywhere else (engine or design bugs) propagate.
-func runBatch(in feed, opt runOpts, mk func(*sim.Chassis) sim.Design, b int) (res sim.Result, err error) {
+func runBatch(in feed, opt runOpts, mk maker, b int) (res sim.Result, err error) {
 	streams, done, err := in.open(b)
 	if err != nil {
 		return res, err
