@@ -682,6 +682,14 @@ func TestJobHistoryPruning(t *testing.T) {
 // rejections.
 func TestSubmitValidation(t *testing.T) {
 	_, hs, _ := newTestServer(t, 1)
+	// A BusyPerRef beyond the cap would panic in the generator's busy
+	// draw on the sim path, which has no recover.
+	busy := rnuca.OLTPDB2()
+	busy.BusyPerRef = math.MaxInt
+	busyJob, err := json.Marshal(rnuca.Job{Input: rnuca.FromWorkload(busy), Designs: []rnuca.DesignID{"R"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs := []string{
 		`{}`,
 		`{"kind":"teleport"}`,
@@ -704,6 +712,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"input":{"corpus":{"ref":"no-such-corpus"}},"designs":["R"]}`,
 		`{"v":99,"input":{"workload":"OLTP-DB2"},"designs":["R"]}`,
 		`{"input":{"workload":"OLTP-DB2","corpus":"oltp"}}`,
+		string(busyJob),
 	}
 	for _, spec := range specs {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(spec))

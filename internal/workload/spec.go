@@ -17,6 +17,26 @@
 //
 // The placement policies under study react only to these statistics — not
 // to program semantics — so preserving them preserves the evaluation.
+//
+// # Reference tapes
+//
+// A core's stream depends only on the spec, its seed and the core, so
+// cells that read the same batch (a comparison's designs, ASR's six
+// variants) can share it. A Tape generates each core's stream once, as
+// a list of immutable chunks of 4096 references that the core's own
+// Generator appends under a per-core mutex when a cursor first reads
+// past the end; every cursor (Tape.Streams) then reads exactly
+// NewGenerator's sequence for its core, at its own pace.
+//
+// A tape is held for as long as its batch's cells run, so it stores
+// each reference in one 64-bit word instead of a 48-byte trace.Ref.
+// From the low bit: the block address Addr/64 in 29 bits (every
+// generated address is 64-byte aligned and below 2^35), Thread in 6
+// (at most MaxTapeCores = 64 cores), Busy in 12 (at most 3/2 of
+// MaxBusyPerRef, 2688), Kind in 2 and Class in 2; Core is the tape's
+// own core. References from traces and external sources carry
+// arbitrary addresses and busy counts, which this layout cannot hold,
+// so only generated streams go on a tape.
 package workload
 
 import "fmt"
@@ -115,7 +135,8 @@ type Spec struct {
 	MixedPrivFrac float64 `json:"MixedPrivFrac"`
 
 	// BusyPerRef is the mean number of busy (IPC-1) cycles between a
-	// core's L2 references: the workload's memory intensity.
+	// core's L2 references: the workload's memory intensity. At most
+	// MaxBusyPerRef.
 	BusyPerRef int `json:"BusyPerRef"`
 
 	// OffChipMLP is the memory-level parallelism of off-chip misses
@@ -135,6 +156,12 @@ type Spec struct {
 	// Seed gives each workload its own deterministic stream family.
 	Seed uint64 `json:"Seed"`
 }
+
+// MaxBusyPerRef caps Spec.BusyPerRef at 64 times the catalog's largest
+// (28, OLTP-Oracle and DSS-Qry8). A core's busy count per reference
+// then stays below 2^12, which a Tape packs, and the generator's
+// uniform draw over [b/2, 3b/2] cannot overflow.
+const MaxBusyPerRef = 64 * 28
 
 // Validate reports specification errors.
 func (s Spec) Validate() error {
@@ -164,8 +191,8 @@ func (s Spec) Validate() error {
 				s.Name, r.name, r.size, r.limit)
 		}
 	}
-	if s.BusyPerRef <= 0 {
-		return fmt.Errorf("workload %s: BusyPerRef %d", s.Name, s.BusyPerRef)
+	if s.BusyPerRef <= 0 || s.BusyPerRef > MaxBusyPerRef {
+		return fmt.Errorf("workload %s: BusyPerRef %d outside 1..%d", s.Name, s.BusyPerRef, MaxBusyPerRef)
 	}
 	if s.OffChipMLP < 1 {
 		return fmt.Errorf("workload %s: OffChipMLP %v < 1", s.Name, s.OffChipMLP)

@@ -12,7 +12,6 @@ import (
 	"rnuca/internal/sim"
 	"rnuca/internal/trace"
 	"rnuca/internal/tracefile"
-	"rnuca/internal/workload"
 )
 
 // jobEncodingVersion versions the canonical Job JSON. Bump it only
@@ -37,7 +36,11 @@ type RunOptions struct {
 	// and reports mean CPI with a 95% confidence interval. The batches
 	// run on the process-wide cell pool, at most GOMAXPROCS at once,
 	// and fold in batch order, so the Result does not depend on which
-	// finished first. 0 or 1 means a single batch.
+	// finished first. 0 or 1 means a single batch. When several cells
+	// read each batch of a generated input (Compare, or ASR's six
+	// variants), the run holds the batch's references on one shared
+	// tape, 8 bytes per generated reference for each batch in flight,
+	// until its last cell has read them.
 	Batches int
 	// InstrClusterSize overrides R-NUCA's instruction cluster size
 	// (Figure 11 ablation). 0 means the configuration default.
@@ -246,7 +249,11 @@ func (j Job) Run(ctx context.Context) (Result, error) {
 // Figure 12 sweep. Its cells (every batch of every design, ASR's six
 // variants each their own) run together on the process-wide cell pool,
 // at most GOMAXPROCS at once, and each design's batches fold in batch
-// order, so the Results equal those of one Run per design. On error
+// order, so the Results equal those of one Run per design. On a
+// generated input every cell of a batch reads one shared tape of the
+// batch's references instead of regenerating them, holding 8 bytes
+// per generated reference for each batch in flight; replay and source
+// inputs still decode once per cell. On error
 // (cancellation included) the returned map still holds whatever
 // results, partial or complete, the designs produced; a design whose
 // cells measured nothing before the context ended (none got a slot,
@@ -405,13 +412,9 @@ func (j Job) lower(ctx context.Context) (feed, runOpts, error) {
 	}
 	w := in.workload
 	opt.RunOptions = j.Options.withDefaults(w)
-	return feed{w: w, what: "generating " + w.Name, open: func(b int) ([]trace.Stream, func() error, error) {
-		ws := w
-		ws.Seed = w.Seed + uint64(b)*0x9E37
-		setup := obs.StartSpan(ctx, "workload.setup")
-		setup.SetAttr("workload", ws.Name)
-		defer setup.End()
-		return workload.Streams(ws), nil, nil
+	gen := &generated{w: w, tapes: make(map[int]*batchTape)}
+	return feed{w: w, what: "generating " + w.Name, gen: gen, open: func(b int) ([]trace.Stream, func() error, error) {
+		return gen.open(ctx, b), nil, nil
 	}}, opt, nil
 }
 

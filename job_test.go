@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rnuca"
+	"rnuca/internal/design"
 	"rnuca/internal/obs"
 	"rnuca/internal/resultcache"
 	"rnuca/internal/sim"
@@ -233,6 +234,9 @@ func TestJobBadSourceErrors(t *testing.T) {
 func TestJobValidationErrors(t *testing.T) {
 	ctx := context.Background()
 	w := rnuca.OLTPDB2()
+	// Beyond the cap the generator's busy draw panics on overflow.
+	busy := rnuca.OLTPDB2()
+	busy.BusyPerRef = math.MaxInt
 	cases := []struct {
 		name string
 		job  rnuca.Job
@@ -263,6 +267,8 @@ func TestJobValidationErrors(t *testing.T) {
 			Designs: []rnuca.DesignID{"R"}}, "ForWorkload"},
 		{"multi-design Run", rnuca.Job{Input: rnuca.FromWorkload(w),
 			Designs: []rnuca.DesignID{"P", "R"}}, "use Compare"},
+		{"BusyPerRef above cap", rnuca.Job{Input: rnuca.FromWorkload(busy),
+			Designs: []rnuca.DesignID{"R"}}, "BusyPerRef 9223372036854775807 outside 1..1792"},
 	}
 	for _, tc := range cases {
 		_, err := tc.job.Run(ctx)
@@ -462,5 +468,48 @@ func TestJobCompare(t *testing.T) {
 	cancel()
 	if _, err := job.Compare(canceled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Compare err = %v", err)
+	}
+
+	// A generated input with every design reads one tape per batch in
+	// all ten cells; a single-design Run of P, S, R or I, and each ASR
+	// variant run as a Maker, reads its own generators. The two paths
+	// must agree, ASR's best-of-six included.
+	gen := rnuca.Job{
+		Input:   rnuca.FromWorkload(rnuca.MIX()),
+		Designs: rnuca.AllDesigns(),
+		Options: rnuca.RunOptions{Warm: 4_000, Measure: 12_000, Batches: 2},
+	}
+	cmp, err = gen.Compare(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b rnuca.Result) bool {
+		return a.Result == b.Result && a.CPIMean == b.CPIMean && a.CPICI == b.CPICI
+	}
+	for _, id := range gen.Designs {
+		single, err := gen.WithDesign(id).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(cmp[id], single) {
+			t.Errorf("%s: Compare result differs from single Run", id)
+		}
+	}
+	var best rnuca.Result
+	for v := 0; v < design.NumASRVariants; v++ {
+		v := v
+		variant := gen.WithDesign(rnuca.DesignASR)
+		variant.Maker = func(ch *sim.Chassis) sim.Design { return design.NewASRVariant(ch, v, 0xA5A5) }
+		r, err := variant.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 0 || r.CPI() < best.CPI() {
+			best = r
+		}
+	}
+	best.Design = string(rnuca.DesignASR)
+	if !same(cmp[rnuca.DesignASR], best) {
+		t.Errorf("A: Compare result differs from the best of six variants run on their own generators")
 	}
 }

@@ -79,6 +79,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"rnuca/internal/cellpool"
 	"rnuca/internal/design"
@@ -308,6 +309,76 @@ type feed struct {
 	open func(b int) (streams []trace.Stream, done func() error, err error)
 	// what names the input in the errors a bad stream becomes.
 	what string
+	// gen is the generated input behind open, nil for replay and source
+	// inputs: their references carry arbitrary addresses and busy
+	// counts, which a workload.Tape cannot pack, so they still decode
+	// once per cell.
+	gen *generated
+}
+
+// generated is a workload input lowered for the batch loop: batch b
+// generates from the spec reseeded by b.
+type generated struct {
+	w Workload
+	// readers is how many cells read each batch, one per maker;
+	// runDesigns sets it before the first open.
+	readers int
+
+	mu    sync.Mutex
+	tapes map[int]*batchTape // guarded by mu
+}
+
+// batchTape is one batch's tape and how many of its readers have
+// opened it.
+type batchTape struct {
+	*workload.Tape
+	opened int
+}
+
+// open returns batch b's per-core streams for one of its readers. With
+// one reader per batch they are the batch's own generators, as a tape
+// would only add memory. With more, each reader gets its own cursors on
+// one workload.Tape, which the first reader builds and the feed drops
+// once the last reader has opened it, so a tape lives only as long as
+// its batch's cells. Building either records a "workload.setup" span
+// on ctx's trace: once per cell on the direct path, once per batch on
+// the tape path.
+func (g *generated) open(ctx context.Context, b int) []trace.Stream {
+	if g.readers <= 1 {
+		ws, setup := g.setup(ctx, b)
+		defer setup.End()
+		return workload.Streams(ws)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	t := g.tapes[b]
+	if t == nil {
+		ws, setup := g.setup(ctx, b)
+		t = &batchTape{Tape: workload.NewTape(ws)}
+		setup.End()
+		g.tapes[b] = t
+	}
+	if t.opened++; t.opened == g.readers {
+		delete(g.tapes, b)
+	}
+	return t.Streams()
+}
+
+// setup returns batch b's spec and starts its set-up span.
+func (g *generated) setup(ctx context.Context, b int) (Workload, *obs.Span) {
+	ws := g.w
+	ws.Seed = g.w.Seed + uint64(b)*0x9E37
+	sp := obs.StartSpan(ctx, "workload.setup")
+	sp.SetAttr("workload", ws.Name)
+	return ws, sp
+}
+
+// drop releases the tapes still held once a run ends: those of batches
+// that some reader never opened because the run stopped early.
+func (g *generated) drop() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	clear(g.tapes)
 }
 
 // runOne executes a single simulation over the given per-core streams.
@@ -359,6 +430,10 @@ func runDesigns(in feed, opt runOpts, designs [][]maker) ([]Result, error) {
 	var makers []maker
 	for _, ms := range designs {
 		makers = append(makers, ms...)
+	}
+	if in.gen != nil {
+		in.gen.readers = len(makers)
+		defer in.gen.drop()
 	}
 	type unit struct {
 		f   batchFold
