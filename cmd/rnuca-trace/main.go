@@ -7,7 +7,7 @@
 //	rnuca-trace record -workload OLTP-DB2 [-design R] [-warm N]
 //	            [-measure N] [-seed S] -o trace.rnt
 //	rnuca-trace record -all [-set primary|extended] [-seeds N]
-//	            [-jobs J] [-design R] [-warm N] [-measure N] -dir DIR
+//	            [-design R] [-warm N] [-measure N] -dir DIR
 //	rnuca-trace convert [-format din|champsim|csv] [-cores N]
 //	            [-interleave files|stride|keep] [-stride N]
 //	            [-classify stream|twopass|off] [-max-pages N]
@@ -22,8 +22,9 @@
 //	rnuca-trace corpus add|ls|verify|rm|gc -dir STORE ...
 //
 // record runs a workload through a design once and tees the consumed
-// reference stream to disk; with -all it fans every catalog workload x
-// seed across -jobs parallel workers into -dir. convert ingests foreign
+// reference stream to disk; with -all it records every catalog
+// workload x seed into -dir, the recordings running together on the
+// process-wide cell pool. convert ingests foreign
 // address traces (Dinero din, ChampSim-style text, generic CSV; gzip
 // transparently inflated) into an indexed v2 corpus, interleaving
 // single-threaded inputs onto cores and inferring page-grain classes
@@ -55,10 +56,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"rnuca"
+	"rnuca/internal/cellpool"
 	"rnuca/internal/ingest"
 	"rnuca/internal/report"
 	"rnuca/internal/tracefile"
@@ -90,7 +91,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rnuca-trace record -workload NAME [-design R] [-warm N] [-measure N] [-seed S] -o FILE
-  rnuca-trace record -all [-set primary|extended] [-seeds N] [-jobs J] [-design R] [-warm N] [-measure N] -dir DIR
+  rnuca-trace record -all [-set primary|extended] [-seeds N] [-design R] [-warm N] [-measure N] -dir DIR
   rnuca-trace convert [-format NAME] [-cores N] [-interleave files|stride|keep] [-stride N]
               [-classify stream|twopass|off] [-max-pages N] [-page-bytes N] [-busy N] [-mlp F]
               [-workload NAME] -o FILE INPUT...
@@ -125,7 +126,7 @@ func parseDesign(s string) rnuca.DesignID {
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	wl := fs.String("workload", "OLTP-DB2", "workload name (see rnuca-sim -list)")
-	ds := fs.String("design", "R", "design the recording run uses: P, A, S, R or I")
+	ds := fs.String("design", "R", "design the recording run uses: P, S, R or I (ASR's best-of-six has no one recording)")
 	warm := fs.Int("warm", 0, "warmup references (0 = default)")
 	measure := fs.Int("measure", 0, "measured references (0 = default)")
 	seed := fs.Uint64("seed", 0, "workload seed override (0 = workload default)")
@@ -133,13 +134,12 @@ func record(args []string) {
 	all := fs.Bool("all", false, "record every catalog workload x seed instead of one")
 	set := fs.String("set", "primary", "catalog set for -all: primary or extended (primary + extras)")
 	seeds := fs.Int("seeds", 1, "seed variants per workload for -all")
-	jobs := fs.Int("jobs", 0, "parallel recording jobs for -all (0 = one per CPU)")
 	dir := fs.String("dir", "", "output directory for -all (required with -all)")
 	fs.Parse(args)
 	id := parseDesign(*ds)
 	opt := rnuca.RunOptions{Warm: *warm, Measure: *measure}
 	if *all {
-		recordAll(id, opt, *set, *seeds, *jobs, *dir)
+		recordAll(id, opt, *set, *seeds, *dir)
 		return
 	}
 	if *out == "" {
@@ -182,19 +182,17 @@ func recordOne(w workload.Spec, id rnuca.DesignID, opt rnuca.RunOptions, out str
 	return job.Record(context.Background(), out)
 }
 
-// recordAll fans every catalog workload x seed across parallel workers,
-// one trace file per (workload, seed) under dir. Seed variants follow
-// the library's batch convention (base + k*0x9E37), so trace k of a
-// workload matches batch k of a generator run.
-func recordAll(id rnuca.DesignID, opt rnuca.RunOptions, set string, seeds, jobs int, dir string) {
+// recordAll records every catalog workload x seed, one trace file per
+// (workload, seed) under dir, and prints one line per trace in queue
+// order. Seed variants follow the library's batch convention (base +
+// k*0x9E37), so trace k of a workload matches batch k of a generator
+// run.
+func recordAll(id rnuca.DesignID, opt rnuca.RunOptions, set string, seeds int, dir string) {
 	if dir == "" {
 		fatalf("record -all: -dir is required")
 	}
 	if seeds < 1 {
 		fatalf("record -all: -seeds %d", seeds)
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
 	}
 	var specs []workload.Spec
 	switch set {
@@ -226,45 +224,34 @@ func recordAll(id rnuca.DesignID, opt rnuca.RunOptions, set string, seeds, jobs 
 		}
 	}
 
-	var (
-		mu     sync.Mutex
-		failed int
-		next   int
-		wg     sync.WaitGroup
-	)
-	fmt.Printf("recording %d traces (%d workloads x %d seeds) under design %s with %d jobs\n",
-		len(queue), len(specs), seeds, id, jobs)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if next >= len(queue) {
-					mu.Unlock()
-					return
-				}
-				j := queue[next]
-				next++
-				mu.Unlock()
-				res, err := recordOne(j.spec, id, opt, j.path)
-				mu.Lock()
-				if err != nil {
-					failed++
-					fmt.Fprintf(os.Stderr, "  FAIL %s seed %d: %v\n", j.spec.Name, j.k, err)
-				} else {
-					var size int64
-					if st, serr := os.Stat(j.path); serr == nil {
-						size = st.Size()
-					}
-					fmt.Printf("  %-16s seed %d -> %s (%d refs, %d bytes, CPI %.4f)\n",
-						j.spec.Name, j.k, j.path, res.Refs, size, res.CPI())
-				}
-				mu.Unlock()
-			}
-		}()
+	fmt.Printf("recording %d traces (%d workloads x %d seeds) under design %s\n",
+		len(queue), len(specs), seeds, id)
+	type recorded struct {
+		res rnuca.Result
+		err error
 	}
-	wg.Wait()
+	failed := 0
+	// Each recording's cell takes a slot of the cell pool. Stream, not
+	// Each: Record creates its file before its cell waits for a slot,
+	// so at most Width() recordings hold an open file at once.
+	cellpool.Stream(len(queue), cellpool.Width(), func(i int) recorded {
+		res, err := recordOne(queue[i].spec, id, opt, queue[i].path)
+		return recorded{res, err}
+	}, func(i int, r recorded) bool {
+		j := queue[i]
+		if r.err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "  FAIL %s seed %d: %v\n", j.spec.Name, j.k, r.err)
+			return true
+		}
+		var size int64
+		if st, err := os.Stat(j.path); err == nil {
+			size = st.Size()
+		}
+		fmt.Printf("  %-16s seed %d -> %s (%d refs, %d bytes, CPI %.4f)\n",
+			j.spec.Name, j.k, j.path, r.res.Refs, size, r.res.CPI())
+		return true
+	})
 	if failed > 0 {
 		fatalf("record -all: %d of %d recordings failed", failed, len(queue))
 	}

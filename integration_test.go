@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rnuca"
@@ -187,6 +188,38 @@ func TestIntegrationRecordReplay(t *testing.T) {
 	}
 	if _, err := replay(rnuca.FromTrace(trunc), rnuca.DesignRNUCA, rnuca.RunOptions{}); err == nil {
 		t.Fatal("truncated trace replayed without error")
+	}
+}
+
+// Recording under ASR is refused, and leaves no file: Run reports the
+// best of six variants, each consuming a different number of references
+// per core, so no one trace replays to that Result. One variant
+// recorded through a Maker replays to its own Result bit for bit.
+func TestRecordRefusesASR(t *testing.T) {
+	ctx := context.Background()
+	opt := rnuca.RunOptions{Warm: 2_000, Measure: 6_000}
+	path := filepath.Join(t.TempDir(), "asr.rnt")
+	asr := rnuca.Job{Input: rnuca.FromWorkload(rnuca.OLTPDB2()), Designs: []rnuca.DesignID{rnuca.DesignASR}, Options: opt}
+	if _, err := asr.Record(ctx, path); err == nil || !strings.Contains(err.Error(), "best of") {
+		t.Fatalf("Record under ASR: err = %v, want a refusal that says why", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the refused recording left a file behind (stat: %v)", err)
+	}
+
+	variant := func(ch *sim.Chassis) sim.Design { return design.NewASRVariant(ch, 0, 0xA5A5) }
+	one := asr
+	one.Designs, one.Maker = nil, variant
+	rec, err := one.Record(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rnuca.Job{Input: rnuca.FromTrace(path), Maker: variant}.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Result != rec.Result {
+		t.Fatalf("replay of one ASR variant diverged from its recording:\n%+v\n%+v", rep.Result, rec.Result)
 	}
 }
 

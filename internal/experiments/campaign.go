@@ -5,8 +5,11 @@
 // once. Each figure first declares the cells it needs; the campaign runs
 // the missing ones together, every simulation on a slot of the
 // process-wide cell pool (internal/cellpool), and renders from its memo
-// on the caller's goroutine. cmd/rnuca-figures and the root benchmark
-// harness are thin wrappers around this package.
+// on the caller's goroutine. Cells go through resultcache.Cache.Run,
+// as serve's sim jobs do, so their spans land in the trace of the
+// campaign's context (SetContext), a cache flight's included.
+// cmd/rnuca-figures and the root benchmark harness are thin wrappers
+// around this package.
 package experiments
 
 import (
@@ -216,10 +219,11 @@ func (c *Campaign) genCell(w rnuca.Workload, id rnuca.DesignID, opt rnuca.RunOpt
 	return c.newCell(w, rnuca.FromWorkload(w), id, opt)
 }
 
-// runAll runs cells together — each simulation takes its own slot of
-// the process-wide cell pool — and returns their results in order.
-// Once every cell has returned, the caller's goroutine saves their
-// timelines and panics on the first failure (cancellation included).
+// runAll runs cells together through resultcache.Cache.Run — each
+// simulation takes its own slot of the process-wide cell pool — and
+// returns their results in order. Once every cell has returned, the
+// caller's goroutine saves their timelines and panics on the first
+// failure (cancellation included).
 func (c *Campaign) runAll(cells []cell) []rnuca.Result {
 	if len(cells) == 0 {
 		return nil
@@ -230,7 +234,7 @@ func (c *Campaign) runAll(cells []cell) []rnuca.Result {
 	out := make([]rnuca.Result, len(cells))
 	errs := make([]error, len(cells))
 	cellpool.Each(len(cells), func(i int) {
-		out[i], errs[i] = c.exec(cells[i])
+		out[i], _, errs[i] = c.rcache.Run(c.ctx(), cells[i].key, cells[i].job)
 	})
 	for i, cl := range cells {
 		if errs[i] != nil {
@@ -239,31 +243,6 @@ func (c *Campaign) runAll(cells []cell) []rnuca.Result {
 		c.saveTimeline(cl.workload, cl.label, out[i].Timeline)
 	}
 	return out
-}
-
-// exec runs one cell, through the shared result cache when one is
-// attached and the cell is keyable.
-func (c *Campaign) exec(cl cell) (rnuca.Result, error) {
-	key, keyable := resultcache.JobKey(cl.key)
-	if c.rcache == nil || !keyable {
-		return cl.job.Run(c.ctx())
-	}
-	v, _, err := c.rcache.Do(c.ctx(), key, func(fctx context.Context) (any, error) {
-		r, err := cl.job.Run(fctx)
-		if err != nil {
-			return nil, err
-		}
-		// A canceled flight holds a partial result; it must never
-		// enter the cache.
-		if fctx.Err() != nil {
-			return nil, fctx.Err()
-		}
-		return r, nil
-	})
-	if err != nil {
-		return rnuca.Result{}, err
-	}
-	return v.(rnuca.Result), nil
 }
 
 func (c *Campaign) opts() rnuca.RunOptions {

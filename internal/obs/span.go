@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"time"
 )
@@ -25,13 +26,17 @@ type SpanData struct {
 }
 
 // StageTiming aggregates every span of one name: one row of the
-// per-stage wall-clock breakdown in a TraceFile.
+// per-stage wall-clock breakdown in a TraceFile. Seconds sums the
+// spans' durations; WallSeconds is the length of the union of their
+// intervals, less than Seconds when spans of the stage overlap (cells
+// running concurrently).
 //
 //rnuca:wire
 type StageTiming struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
-	Count   int     `json:"count"`
+	Stage       string  `json:"stage"`
+	Seconds     float64 `json:"seconds"`
+	WallSeconds float64 `json:"wall_seconds"`
+	Count       int     `json:"count"`
 }
 
 // Trace is a bounded, concurrency-safe buffer of finished spans.
@@ -99,6 +104,23 @@ func (t *Trace) Export() TraceFile {
 		}
 		stages[i].Seconds += s.Seconds
 		stages[i].Count++
+	}
+	// Walk the spans by start, extending each stage's union of
+	// intervals; ends[i] is where stage i's union reaches so far.
+	spans := append([]SpanData(nil), t.spans...)
+	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
+	ends := make([]time.Time, len(stages))
+	for _, s := range spans {
+		i, end := index[s.Name], s.Start.Add(time.Duration(s.Seconds*float64(time.Second)))
+		if !end.After(ends[i]) {
+			continue
+		}
+		if s.Start.Before(ends[i]) {
+			stages[i].WallSeconds += end.Sub(ends[i]).Seconds()
+		} else {
+			stages[i].WallSeconds += s.Seconds
+		}
+		ends[i] = end
 	}
 	return TraceFile{Spans: append([]SpanData(nil), t.spans...), Stages: stages, Dropped: t.dropped}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanNoTraceIsNoop(t *testing.T) {
@@ -148,6 +149,40 @@ func TestStagesAggregatesByName(t *testing.T) {
 	}
 	if st[1].Stage != "result.fold" || st[1].Count != 1 {
 		t.Fatalf("result.fold = %+v", st[1])
+	}
+}
+
+// A stage's wall seconds are the length of the union of its spans'
+// intervals: overlapping spans (concurrent cells) cover less wall time
+// than their summed seconds, and disjoint spans, touching ones
+// included, cover exactly their sum.
+func TestStagesWallSeconds(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(s float64) time.Time { return t0.Add(time.Duration(s * float64(time.Second))) }
+	tr := NewTrace(0)
+	for _, s := range []SpanData{
+		// cell: [1,3) inside [0,4), [2,6) past it, then [10,11) alone;
+		// the union [0,6) + [10,11) is 7 s of 11 summed.
+		{Name: "cell", Start: at(1), Seconds: 2},
+		{Name: "fold", Start: at(5), Seconds: 2},
+		{Name: "cell", Start: at(0), Seconds: 4},
+		{Name: "cell", Start: at(2), Seconds: 4},
+		{Name: "fold", Start: at(0), Seconds: 1},
+		{Name: "cell", Start: at(10), Seconds: 1},
+		// fold: [0,1), [1,2) and [5,7) are disjoint: 4 s either way.
+		{Name: "fold", Start: at(1), Seconds: 1},
+	} {
+		tr.add(s)
+	}
+	st := tr.Export().Stages
+	if len(st) != 2 {
+		t.Fatalf("stages %+v", st)
+	}
+	if c := st[0]; c.Stage != "cell" || c.Count != 4 || c.Seconds != 11 || c.WallSeconds != 7 {
+		t.Fatalf("overlapping stage %+v, want 11 s summed over 7 s of wall", c)
+	}
+	if f := st[1]; f.Stage != "fold" || f.Count != 3 || f.Seconds != 4 || f.WallSeconds != f.Seconds {
+		t.Fatalf("disjoint stage %+v, want wall equal to its 4 summed seconds", f)
 	}
 }
 

@@ -11,8 +11,11 @@ import (
 func TestFirstTouchIsPrivate(t *testing.T) {
 	tab := NewTable(8192)
 	out := tab.Access(5, trace.Load, 2, 2)
-	if out.Class != cache.ClassPrivate || out.Owner != 2 || out.Reclass != ReclassNone {
+	if out.Class != cache.ClassPrivate || out.Reclass != ReclassNone {
 		t.Fatalf("first touch: %+v", out)
+	}
+	if e, _ := tab.Lookup(5); e.OwnerCID != 2 || e.OwnerTID != 2 {
+		t.Fatalf("first touch entry: %+v", e)
 	}
 	if tab.Transitions().FirstTouches != 1 {
 		t.Fatal("first touch not counted")
@@ -49,8 +52,8 @@ func TestThreadMigrationKeepsPrivate(t *testing.T) {
 	if out.Class != cache.ClassPrivate || out.Reclass != ReclassMigration {
 		t.Fatalf("migration: %+v", out)
 	}
-	if out.Owner != 6 || out.PrevOwner != 1 {
-		t.Fatalf("owners: %+v", out)
+	if e, _ := tab.Lookup(9); out.PrevOwner != 1 || e.OwnerCID != 6 || e.OwnerTID != 42 {
+		t.Fatalf("owners: %+v, entry %+v", out, e)
 	}
 	// Subsequent access from the new core is a plain private access.
 	out = tab.Access(9, trace.Store, 6, 42)
@@ -144,21 +147,21 @@ func TestQuickSharedIsTerminalForData(t *testing.T) {
 
 func TestTLBBasics(t *testing.T) {
 	tlb := NewTLB(2)
-	if _, _, ok := tlb.Lookup(1); ok {
+	if _, ok := tlb.Lookup(1); ok {
 		t.Fatal("empty TLB hit")
 	}
-	tlb.Fill(1, cache.ClassPrivate, 3)
-	class, owner, ok := tlb.Lookup(1)
-	if !ok || class != cache.ClassPrivate || owner != 3 {
-		t.Fatalf("lookup: %v %v %v", class, owner, ok)
+	tlb.Fill(1, cache.ClassPrivate)
+	class, ok := tlb.Lookup(1)
+	if !ok || class != cache.ClassPrivate {
+		t.Fatalf("lookup: %v %v", class, ok)
 	}
-	tlb.Fill(2, cache.ClassShared, -1)
+	tlb.Fill(2, cache.ClassShared)
 	tlb.Lookup(1) // make 1 MRU
-	tlb.Fill(3, cache.ClassInstruction, -1)
-	if _, _, ok := tlb.Lookup(2); ok {
+	tlb.Fill(3, cache.ClassInstruction)
+	if _, ok := tlb.Lookup(2); ok {
 		t.Fatal("LRU entry 2 should have been evicted")
 	}
-	if _, _, ok := tlb.Lookup(1); !ok {
+	if _, ok := tlb.Lookup(1); !ok {
 		t.Fatal("MRU entry 1 evicted")
 	}
 	if tlb.Evictions() != 1 {
@@ -168,14 +171,14 @@ func TestTLBBasics(t *testing.T) {
 
 func TestTLBShootdown(t *testing.T) {
 	tlb := NewTLB(4)
-	tlb.Fill(1, cache.ClassPrivate, 0)
+	tlb.Fill(1, cache.ClassPrivate)
 	if !tlb.Shootdown(1) {
 		t.Fatal("shootdown missed present entry")
 	}
 	if tlb.Shootdown(1) {
 		t.Fatal("double shootdown succeeded")
 	}
-	if _, _, ok := tlb.Lookup(1); ok {
+	if _, ok := tlb.Lookup(1); ok {
 		t.Fatal("entry survived shootdown")
 	}
 }

@@ -16,8 +16,8 @@ func TestQuickTLBCapacityAndMRU(t *testing.T) {
 		var last PageID = ^PageID(0)
 		for _, p := range pages {
 			id := PageID(p % 32)
-			if _, _, ok := tlb.Lookup(id); !ok {
-				tlb.Fill(id, cache.ClassPrivate, 0)
+			if _, ok := tlb.Lookup(id); !ok {
+				tlb.Fill(id, cache.ClassPrivate)
 			}
 			last = id
 			if tlb.Len() > 8 {
@@ -27,7 +27,7 @@ func TestQuickTLBCapacityAndMRU(t *testing.T) {
 		if last == ^PageID(0) {
 			return true
 		}
-		_, _, ok := tlb.Lookup(last)
+		_, ok := tlb.Lookup(last)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -85,11 +85,11 @@ func (in input) String() string {
 	return fmt.Sprintf("%v@%d/t%d", in.kind, in.core, in.thread)
 }
 
-// tlbLine is one core's translation for the page.
+// tlbLine is one core's translation for the page. A translation
+// carries the class alone; the owner lives in the entry.
 type tlbLine struct {
 	held  bool
 	class cache.Class
-	owner int
 }
 
 // pageState is everything the search tells apart: whether the page has
@@ -115,8 +115,8 @@ func (w *world) state() pageState {
 	var s pageState
 	s.entry, s.touched = w.sys.Table.Lookup(w.page())
 	for i, tlb := range w.sys.TLBs {
-		if class, owner, ok := tlb.Peek(w.page()); ok {
-			s.tlb[i] = tlbLine{held: true, class: class, owner: owner}
+		if class, ok := tlb.Peek(w.page()); ok {
+			s.tlb[i] = tlbLine{held: true, class: class}
 		}
 	}
 	return s
@@ -146,14 +146,6 @@ func replay(path []input) *world {
 	return w
 }
 
-// ownerOf is the owner a translation of the entry carries.
-func ownerOf(e ospage.Entry) int {
-	if e.Class == cache.ClassPrivate {
-		return e.OwnerCID
-	}
-	return -1
-}
-
 // oracle is the page walk the §4.3 table prescribes for an access to a
 // page holding e.
 func oracle(t *testing.T, e ospage.Entry, in input) (ospage.Entry, ospage.Outcome) {
@@ -173,11 +165,11 @@ func oracle(t *testing.T, e ospage.Entry, in input) (ospage.Entry, ospage.Outcom
 		t.Fatalf("no §4.3 rule for %v page, %v by %v", e.Class, in, w)
 	}
 	next := ospage.Entry{Class: r.to, OwnerCID: -1, OwnerTID: -1}
-	out := ospage.Outcome{Class: r.to, Owner: -1, Reclass: r.reclass}
+	out := ospage.Outcome{Class: r.to, Reclass: r.reclass}
 	if r.to == cache.ClassPrivate {
 		// The accessor owns the page; a page that was already private
 		// keeps its owning thread.
-		next.OwnerCID, next.OwnerTID, out.Owner = in.core, in.thread, in.core
+		next.OwnerCID, next.OwnerTID = in.core, in.thread
 		if e.Class == cache.ClassPrivate {
 			next.OwnerTID = e.OwnerTID
 		}
@@ -233,8 +225,8 @@ func checkState(s pageState) error {
 		return fmt.Errorf("touched page without a class: %+v", e)
 	}
 	for core, l := range s.tlb {
-		if l.held && (!s.touched || l.class != e.Class || l.owner != ownerOf(e)) {
-			return fmt.Errorf("core %d's TLB holds %v/%d, the table %+v (touched %v)", core, l.class, l.owner, e, s.touched)
+		if l.held && (!s.touched || l.class != e.Class) {
+			return fmt.Errorf("core %d's TLB holds %v, the table %+v (touched %v)", core, l.class, e, s.touched)
 		}
 	}
 	return nil
@@ -260,7 +252,7 @@ func checkEdge(t *testing.T, before pageState, in input, res ospage.Result, w *w
 	line := before.tlb[in.core]
 	if line.held && (in.kind != trace.Store || line.class != cache.ClassInstruction) {
 		// A hit: the TLB's class steers placement, nothing transitions.
-		want := ospage.Result{Outcome: ospage.Outcome{Class: line.class, Owner: line.owner}}
+		want := ospage.Result{Outcome: ospage.Outcome{Class: line.class}}
 		if res != want || after != before || w.sys.Table.Transitions() != trans {
 			return fmt.Errorf("TLB hit %+v transitioned: got %+v, state %+v", line, res, after)
 		}
@@ -284,7 +276,7 @@ func checkEdge(t *testing.T, before pageState, in input, res ospage.Result, w *w
 	for core, l := range after.tlb {
 		switch {
 		case core == in.core:
-			if !l.held || l.class != out.Class || l.owner != out.Owner {
+			if !l.held || l.class != out.Class {
 				return fmt.Errorf("accessing core's TLB holds %+v after the walk", l)
 			}
 		case out.Reclass != ospage.ReclassNone && l.held:

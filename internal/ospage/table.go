@@ -73,10 +73,8 @@ type Entry struct {
 // the appropriate latency and purge the right blocks.
 type Outcome struct {
 	// Class is the page's classification after this access; placement
-	// uses it directly.
+	// uses it directly. The owner of a private page is in its Entry.
 	Class cache.Class
-	// Owner is the page's current owner CID (private pages), else -1.
-	Owner int
 	// Reclass is the transition performed by this access, if any.
 	Reclass ReclassKind
 	// PrevOwner is the core whose cached blocks must be invalidated on a
@@ -96,43 +94,43 @@ func step(e Entry, kind trace.Kind, cid, tid int) (Entry, Outcome) {
 	case cache.ClassUnknown:
 		// First touch: trap to the OS, which classifies the page.
 		if kind == trace.IFetch {
-			return instr, Outcome{Class: cache.ClassInstruction, Owner: -1}
+			return instr, Outcome{Class: cache.ClassInstruction}
 		}
 		return Entry{Class: cache.ClassPrivate, OwnerCID: cid, OwnerTID: tid},
-			Outcome{Class: cache.ClassPrivate, Owner: cid}
+			Outcome{Class: cache.ClassPrivate}
 	case cache.ClassPrivate:
 		prev := e.OwnerCID
 		switch {
 		case kind == trace.IFetch:
 			// Code on a data-classified page: purge the owner's copies
 			// and re-classify instruction so it can replicate.
-			return instr, Outcome{Class: cache.ClassInstruction, Owner: -1, Reclass: ReclassPrivateToInstr, PrevOwner: prev}
+			return instr, Outcome{Class: cache.ClassInstruction, Reclass: ReclassPrivateToInstr, PrevOwner: prev}
 		case prev == cid:
-			return e, Outcome{Class: cache.ClassPrivate, Owner: cid}
+			return e, Outcome{Class: cache.ClassPrivate}
 		case e.OwnerTID == tid:
 			// The owning thread moved cores: invalidate at the previous
 			// core, the page stays private with the new owner.
 			e.OwnerCID = cid
-			return e, Outcome{Class: cache.ClassPrivate, Owner: cid, Reclass: ReclassMigration, PrevOwner: prev}
+			return e, Outcome{Class: cache.ClassPrivate, Reclass: ReclassMigration, PrevOwner: prev}
 		default:
 			// A second thread: invalidate at the previous owner,
 			// re-classify shared.
-			return shared, Outcome{Class: cache.ClassShared, Owner: -1, Reclass: ReclassPrivateToShared, PrevOwner: prev}
+			return shared, Outcome{Class: cache.ClassShared, Reclass: ReclassPrivateToShared, PrevOwner: prev}
 		}
 	case cache.ClassInstruction:
 		if kind != trace.Store {
 			// A data read of an instruction page follows the page class
 			// (the paper's <0.75% misclassification; reads of read-only
 			// replicas are safe).
-			return e, Outcome{Class: cache.ClassInstruction, Owner: -1}
+			return e, Outcome{Class: cache.ClassInstruction}
 		}
 		// A store to a replicated read-only page: purge every replica,
 		// re-classify shared.
-		return shared, Outcome{Class: cache.ClassShared, Owner: -1, Reclass: ReclassInstrToShared, PrevOwner: -1}
+		return shared, Outcome{Class: cache.ClassShared, Reclass: ReclassInstrToShared, PrevOwner: -1}
 	default:
 		// Shared is the safe superset: fetches from it are served at the
 		// interleaved home (counted as misclassified), never re-classified.
-		return e, Outcome{Class: cache.ClassShared, Owner: -1}
+		return e, Outcome{Class: cache.ClassShared}
 	}
 }
 

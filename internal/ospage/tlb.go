@@ -10,7 +10,7 @@ import (
 // TLB is a per-core translation lookaside buffer caching page
 // classifications. R-NUCA communicates placement information through the
 // standard TLB mechanism (§4.3): a hit means the core already knows the
-// page's class and owner; a miss walks the page table (and may trap to the
+// page's class; a miss walks the page table (and may trap to the
 // OS for classification), which the simulator charges.
 //
 // The TLB is fully associative with true LRU, the common organization for
@@ -40,7 +40,6 @@ type TLB struct {
 
 type tlbLine struct {
 	page       PageID
-	owner      int32
 	class      cache.Class
 	prev, next int32
 }
@@ -112,24 +111,24 @@ func (t *TLB) home(p PageID) uint64 { return uint64(p) * 0x9E3779B97F4A7C15 >> t
 // Lookup returns the cached classification for a page.
 //
 //rnuca:hotpath
-func (t *TLB) Lookup(p PageID) (cache.Class, int, bool) {
+func (t *TLB) Lookup(p PageID) (cache.Class, bool) {
 	_, i := t.find(p)
 	if i < 0 {
 		t.misses++
-		return cache.ClassUnknown, -1, false
+		return cache.ClassUnknown, false
 	}
 	t.hits++
 	t.touch(i)
-	return t.lines[i].class, int(t.lines[i].owner), true
+	return t.lines[i].class, true
 }
 
 // Fill installs a translation after a page walk, evicting LRU if full.
 //
 //rnuca:hotpath
-func (t *TLB) Fill(p PageID, class cache.Class, owner int) {
+func (t *TLB) Fill(p PageID, class cache.Class) {
 	pos, i := t.find(p)
 	if i >= 0 {
-		t.lines[i].class, t.lines[i].owner = class, int32(owner)
+		t.lines[i].class = class
 		t.touch(i)
 		return
 	}
@@ -142,7 +141,7 @@ func (t *TLB) Fill(p PageID, class cache.Class, owner int) {
 	}
 	i = t.free
 	t.free = t.lines[i].next
-	t.lines[i] = tlbLine{page: p, class: class, owner: int32(owner)}
+	t.lines[i] = tlbLine{page: p, class: class}
 	t.pushFront(i)
 	t.index[pos] = i + 1
 	t.live++
@@ -260,14 +259,14 @@ func (s *System) Translate(addr uint64, cid, tid int, write, ifetch bool) Result
 	}
 	p := s.Table.PageOf(addr)
 	tlb := s.TLBs[cid]
-	if class, owner, ok := tlb.Lookup(p); ok {
+	if class, ok := tlb.Lookup(p); ok {
 		// Hit: the cached class steers placement with no OS involvement.
 		// Transitions only happen on TLB misses (the paper classifies "at
 		// the time of a TLB miss"), with one exception mirroring the
 		// hardware: a store through a TLB entry marked instruction traps
 		// so the OS can de-replicate the page.
 		if kind != trace.Store || class != cache.ClassInstruction {
-			return Result{Outcome: Outcome{Class: class, Owner: owner}}
+			return Result{Outcome: Outcome{Class: class}}
 		}
 		tlb.Shootdown(p)
 	}
@@ -282,6 +281,6 @@ func (s *System) Translate(addr uint64, cid, tid int, write, ifetch bool) Result
 			}
 		}
 	}
-	tlb.Fill(p, out.Class, out.Owner)
+	tlb.Fill(p, out.Class)
 	return Result{Outcome: out, TLBMiss: true}
 }

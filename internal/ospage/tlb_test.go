@@ -21,7 +21,6 @@ type refTLB struct {
 
 type refLine struct {
 	class cache.Class
-	owner int
 	lru   uint64
 }
 
@@ -29,22 +28,22 @@ func newRefTLB(entries int) *refTLB {
 	return &refTLB{entries: entries, lines: map[PageID]*refLine{}}
 }
 
-func (t *refTLB) lookup(p PageID) (cache.Class, int, bool) {
+func (t *refTLB) lookup(p PageID) (cache.Class, bool) {
 	l, ok := t.lines[p]
 	if !ok {
 		t.misses++
-		return cache.ClassUnknown, -1, false
+		return cache.ClassUnknown, false
 	}
 	t.hits++
 	t.tick++
 	l.lru = t.tick
-	return l.class, l.owner, true
+	return l.class, true
 }
 
-func (t *refTLB) fill(p PageID, class cache.Class, owner int) {
+func (t *refTLB) fill(p PageID, class cache.Class) {
 	t.tick++
 	if l, ok := t.lines[p]; ok {
-		l.class, l.owner, l.lru = class, owner, t.tick
+		l.class, l.lru = class, t.tick
 		return
 	}
 	if len(t.lines) >= t.entries {
@@ -58,7 +57,7 @@ func (t *refTLB) fill(p PageID, class cache.Class, owner int) {
 		delete(t.lines, victim)
 		t.evicted++
 	}
-	t.lines[p] = &refLine{class: class, owner: owner, lru: t.tick}
+	t.lines[p] = &refLine{class: class, lru: t.tick}
 }
 
 func (t *refTLB) shootdown(p PageID) bool {
@@ -121,15 +120,15 @@ func runAgainstReference(t *testing.T, entries int, pageSpace uint64, ops []byte
 		p := PageID((w >> 8) % pageSpace)
 		switch w % 4 {
 		case 0, 1:
-			c1, o1, ok1 := tlb.Lookup(p)
-			c2, o2, ok2 := ref.lookup(p)
-			if c1 != c2 || o1 != o2 || ok1 != ok2 {
-				t.Fatalf("Lookup(%d) = %v %d %v, reference %v %d %v", p, c1, o1, ok1, c2, o2, ok2)
+			c1, ok1 := tlb.Lookup(p)
+			c2, ok2 := ref.lookup(p)
+			if c1 != c2 || ok1 != ok2 {
+				t.Fatalf("Lookup(%d) = %v %v, reference %v %v", p, c1, ok1, c2, ok2)
 			}
 		case 2:
-			class, owner := cache.Class(w>>4%4), int(w>>6%16)-1
-			tlb.Fill(p, class, owner)
-			ref.fill(p, class, owner)
+			class := cache.Class(w >> 4 % 4)
+			tlb.Fill(p, class)
+			ref.fill(p, class)
 		case 3:
 			if got, want := tlb.Shootdown(p), ref.shootdown(p); got != want {
 				t.Fatalf("Shootdown(%d) = %v, reference %v", p, got, want)
@@ -144,8 +143,8 @@ func runAgainstReference(t *testing.T, entries int, pageSpace uint64, ops []byte
 	}
 	// Every resident translation agrees, and nothing else is resident.
 	for p, l := range ref.lines {
-		if c, o, ok := tlb.Lookup(p); !ok || c != l.class || o != l.owner {
-			t.Fatalf("resident page %d: %v %d %v, reference %v %d", p, c, o, ok, l.class, l.owner)
+		if c, ok := tlb.Lookup(p); !ok || c != l.class {
+			t.Fatalf("resident page %d: %v %v, reference %v", p, c, ok, l.class)
 		}
 	}
 }
@@ -188,7 +187,7 @@ func TestTLBCollidingPagesStayReachable(t *testing.T) {
 		}
 	}
 	for _, p := range pages {
-		tlb.Fill(p, cache.ClassPrivate, int(p%16))
+		tlb.Fill(p, cache.ClassPrivate)
 	}
 	checkStructure(t, tlb)
 	for _, victim := range []int{0, 3, 7} {
@@ -198,7 +197,7 @@ func TestTLBCollidingPagesStayReachable(t *testing.T) {
 		checkStructure(t, tlb)
 	}
 	for i, p := range pages {
-		_, _, ok := tlb.Lookup(p)
+		_, ok := tlb.Lookup(p)
 		if shot := i == 0 || i == 3 || i == 7; ok == shot {
 			t.Fatalf("page %d resident = %v after shootdowns", p, ok)
 		}
@@ -209,14 +208,14 @@ func TestTLBCollidingPagesStayReachable(t *testing.T) {
 func TestTLBDoesNotAllocate(t *testing.T) {
 	tlb := NewTLB(64)
 	for p := PageID(0); p < 64; p++ {
-		tlb.Fill(p, cache.ClassPrivate, 0)
+		tlb.Fill(p, cache.ClassPrivate)
 	}
 	next := PageID(64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tlb.Lookup(next - 10)
-		tlb.Fill(next, cache.ClassShared, -1)
+		tlb.Fill(next, cache.ClassShared)
 		tlb.Shootdown(next - 5)
-		tlb.Fill(next-5, cache.ClassInstruction, -1)
+		tlb.Fill(next-5, cache.ClassInstruction)
 		next++
 	})
 	if allocs != 0 {

@@ -72,11 +72,13 @@ func (o *Outputs) Finish(timelines map[string]*flight.Timeline) ([]obs.StageTimi
 	return stages, nil
 }
 
-// StageTable tabulates per-stage wall-clock timings.
+// StageTable tabulates per-stage wall-clock timings: the summed
+// seconds of each stage's spans and the wall time their union covers,
+// which is shorter where the spans overlapped.
 func StageTable(stages []obs.StageTiming) *Table {
-	t := NewTable("stage timing", "Stage", "Seconds", "Count")
+	t := NewTable("stage timing", "Stage", "Seconds", "Wall", "Count")
 	for _, st := range stages {
-		t.AddRow(st.Stage, fmt.Sprintf("%.4f", st.Seconds), fmt.Sprint(st.Count))
+		t.AddRow(st.Stage, fmt.Sprintf("%.4f", st.Seconds), fmt.Sprintf("%.4f", st.WallSeconds), fmt.Sprint(st.Count))
 	}
 	return t
 }

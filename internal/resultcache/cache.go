@@ -17,6 +17,11 @@
 // cells and whole rendered table sets for figure builds. Errors are
 // never cached — a failed computation leaves the key empty so the next
 // caller retries.
+//
+// Run is the one path from a cell (a single-design rnuca.Job) to its
+// Result, for serve's sim jobs and the figure campaign alike. A flight
+// runs detached from its callers' contexts but carries the obs trace
+// of the caller that started it, so its spans land in that trace.
 package resultcache
 
 import (
@@ -26,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rnuca"
 	"rnuca/internal/obs"
 )
 
@@ -96,11 +102,14 @@ type Cache struct {
 	// nil until then. They are incremented at the same sites, so a
 	// scrape and a Metrics() snapshot always agree.
 	obsHits, obsMisses, obsShared, obsErrs, obsEvictions *obs.Counter
+	// obsRefs counts the references of every Result Run computes.
+	obsRefs *obs.Counter
 }
 
 // Instrument registers the cache's counters and entry gauge on a
 // metrics registry under the rnuca_result_cache_* names the serve
-// layer exposes. Call once, before the cache sees traffic.
+// layer exposes, and Run's rnuca_engine_refs_simulated_total. Call
+// once, before the cache sees traffic.
 func (c *Cache) Instrument(reg *obs.Registry) {
 	c.obsHits = reg.Counter("rnuca_result_cache_hits_total",
 		"Result-cache lookups answered from a cached entry.")
@@ -112,6 +121,8 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 		"Result-cache computations that failed (never cached).")
 	c.obsEvictions = reg.Counter("rnuca_result_cache_evictions_total",
 		"Entries evicted from the result-cache LRU.")
+	c.obsRefs = reg.Counter("rnuca_engine_refs_simulated_total",
+		"Cache references simulated by locally executed cells (cache hits add nothing).")
 	entries := reg.Gauge("rnuca_result_cache_entries",
 		"Entries currently held by the result cache.")
 	reg.OnCollect(func() { entries.Set(int64(c.Len())) })
@@ -143,17 +154,6 @@ func New(capEntries int) *Cache {
 	}
 }
 
-// Get returns the cached value for key without computing anything.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry).val, true
-	}
-	return nil, false
-}
-
 // putLocked stores a value under key, evicting from the LRU tail as needed.
 // Callers hold c.mu.
 func (c *Cache) putLocked(key string, val any) {
@@ -178,7 +178,9 @@ func (c *Cache) putLocked(key string, val any) {
 // canceled only when every caller interested in the key has canceled —
 // one impatient caller cannot kill a computation others still want; a
 // caller whose ctx ends while waiting returns ctx.Err() immediately.
-// Errors are returned to every waiter and never cached.
+// That context carries the starting caller's obs trace, so spans fn
+// opens land in it. Errors are returned to every waiter and never
+// cached.
 func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, Outcome, error) {
 	for {
 		c.mu.Lock()
@@ -211,7 +213,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		// Start the flight. Its context is independent of any single
 		// caller's: cancellation is driven by the waiter refcount.
 		//rnuca:ctx-ok flights are detached from callers by design; the refcount cancels this root when the last waiter leaves
-		fctx, cancel := context.WithCancel(context.Background())
+		fctx, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), obs.TraceFrom(ctx)))
 		f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 		c.flights[key] = f
 		c.mu.Unlock()
@@ -235,6 +237,51 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		}()
 		return c.wait(ctx, key, f, Miss)
 	}
+}
+
+// Run returns the Result of one cell, a single-design job. key is the
+// job the cell is cached under (JobKey) and job the one that runs;
+// they differ only where a Maker realizes the keyed methodology. On a
+// nil cache, or when key has no canonical encoding, job runs directly
+// on ctx. Otherwise Run joins or starts the key's flight through Do,
+// and a flight whose context ended stores nothing, since its Result
+// may be partial. A non-nil cache records the lookup as a cache.lookup
+// span on ctx's trace, with the cell's design and the outcome, and
+// adds the refs of every Result it computes to
+// rnuca_engine_refs_simulated_total; hits and shared joins add none.
+func (c *Cache) Run(ctx context.Context, key, job rnuca.Job) (rnuca.Result, Outcome, error) {
+	if c == nil {
+		r, err := job.Run(ctx)
+		return r, Miss, err
+	}
+	sp := obs.StartSpan(ctx, "cache.lookup")
+	defer sp.End()
+	if len(key.Designs) > 0 {
+		sp.SetAttr("design", string(key.Designs[0]))
+	}
+	compute := func(ctx context.Context) (any, error) {
+		r, err := job.Run(ctx)
+		if err == nil && ctx.Err() != nil {
+			// Canceled after the engine's last poll: the Result may
+			// be partial, so it must never enter the cache.
+			err = ctx.Err()
+		}
+		if err == nil && c.obsRefs != nil {
+			c.obsRefs.Add(r.Refs)
+		}
+		return r, err
+	}
+	var v any
+	var err error
+	outcome := Miss
+	if k, ok := JobKey(key); ok {
+		v, outcome, err = c.Do(ctx, k, compute)
+	} else {
+		v, err = compute(ctx)
+	}
+	sp.SetAttr("outcome", outcome.String())
+	r, _ := v.(rnuca.Result)
+	return r, outcome, err
 }
 
 // runProtected invokes fn, converting a panic into an error: the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,21 +185,22 @@ func TestDoRecoversPanics(t *testing.T) {
 // The LRU evicts oldest-first at capacity.
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	put := func(k string) {
-		c.Do(context.Background(), k, func(ctx context.Context) (any, error) { return k, nil })
+	put := func(k string) Outcome {
+		_, o, _ := c.Do(context.Background(), k, func(ctx context.Context) (any, error) { return k, nil })
+		return o
 	}
 	put("a")
 	put("b")
-	c.Get("a") // refresh a; b becomes the eviction candidate
+	put("a") // a hit refreshes a; b becomes the eviction candidate
 	put("c")
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted despite refresh")
-	}
 	if m := c.Metrics(); m.Evictions != 1 || m.Entries != 2 {
 		t.Fatalf("metrics %+v", m)
+	}
+	if put("a") != Hit {
+		t.Fatal("a evicted despite refresh")
+	}
+	if put("b") != Miss {
+		t.Fatal("b survived eviction")
 	}
 }
 
@@ -362,6 +364,188 @@ func TestInstrumentMirrorsMetrics(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s not exposed", name)
+		}
+	}
+}
+
+// runJob is a small single-design cell whose engine polls its progress
+// hook once, at reference 8192 of 16000.
+func runJob() rnuca.Job {
+	return rnuca.Job{
+		Input:   rnuca.FromWorkload(rnuca.OLTPDB2()),
+		Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
+		Options: rnuca.RunOptions{Warm: 4_000, Measure: 12_000},
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a while.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A cell with no canonical key (a Maker job) runs directly: Run never
+// consults Do, stores nothing, and reports a computed Result.
+func TestRunMakerJobRunsDirectly(t *testing.T) {
+	c := New(8)
+	c.Instrument(obs.NewRegistry())
+	job := runJob()
+	job.Designs, job.Maker = nil, func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(rnuca.DesignShared, ch) }
+	r, outcome, err := c.Run(context.Background(), job, job)
+	if err != nil || outcome != Miss || r.Refs != 12_000 {
+		t.Fatalf("Run = %d refs, %v, %v; want 12000 refs, a miss", r.Refs, outcome, err)
+	}
+	if m := c.Metrics(); m.Entries != 0 || m.Misses != 0 {
+		t.Fatalf("a Maker cell went through the cache: %+v", m)
+	}
+	if got := c.obsRefs.Value(); got != r.Refs {
+		t.Fatalf("refs counter %d, want the computed %d", got, r.Refs)
+	}
+}
+
+// A nil cache runs the cell directly, with the Result Job.Run gives.
+func TestRunNilCache(t *testing.T) {
+	var c *Cache
+	job := runJob()
+	r, outcome, err := c.Run(context.Background(), job, job)
+	if err != nil || outcome != Miss {
+		t.Fatalf("nil cache: %v, %v", outcome, err)
+	}
+	want, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Result != want.Result {
+		t.Fatalf("nil-cache Run diverged from Job.Run:\n%+v\n%+v", r.Result, want.Result)
+	}
+}
+
+// A flight whose context ends (its only caller left) holds a partial
+// Result: it leaves no entry and counts no refs, and the next Run
+// computes the cell afresh.
+func TestRunCanceledFlightLeavesNoEntry(t *testing.T) {
+	c := New(8)
+	c.Instrument(obs.NewRegistry())
+	ctx, cancel := context.WithCancel(context.Background())
+	left := make(chan struct{})
+	job := runJob()
+	job.Options.Progress = func(done, total int) {
+		cancel()
+		<-left // the caller has returned, so the flight's context has ended
+	}
+	_, _, err := c.Run(ctx, job, job)
+	close(left)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run err = %v", err)
+	}
+	waitFor(t, "the canceled flight to finish", func() bool { return c.Metrics().Errors == 1 })
+	if n := c.Len(); n != 0 {
+		t.Fatalf("the canceled flight left %d entries", n)
+	}
+	if got := c.obsRefs.Value(); got != 0 {
+		t.Fatalf("the canceled flight counted %d refs", got)
+	}
+	r, outcome, err := c.Run(context.Background(), runJob(), runJob())
+	if err != nil || outcome != Miss || r.Refs != 12_000 || c.Len() != 1 {
+		t.Fatalf("rerun: %d refs, %v, %v, %d entries", r.Refs, outcome, err, c.Len())
+	}
+}
+
+// A flight runs detached from its callers' contexts but carries the
+// starting caller's trace: Do hands it to fn, and Run's cell records
+// its spans there beside the lookup. A later hit records only its own
+// lookup, in its own trace.
+func TestRunFlightSpansLandInStarterTrace(t *testing.T) {
+	c := New(8)
+	tr := obs.NewTrace(0)
+	ctx := obs.ContextWithTrace(context.Background(), tr)
+	if _, _, err := c.Do(ctx, "k", func(fctx context.Context) (any, error) {
+		if obs.TraceFrom(fctx) != tr {
+			t.Error("the flight's context lost the starter's trace")
+		}
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := c.Run(ctx, runJob(), runJob()); err != nil {
+		t.Fatal(err)
+	}
+	hitTrace := obs.NewTrace(0)
+	if _, outcome, err := c.Run(obs.ContextWithTrace(context.Background(), hitTrace), runJob(), runJob()); err != nil || outcome != Hit {
+		t.Fatalf("second Run: %v, %v", outcome, err)
+	}
+	stages := func(tr *obs.Trace) map[string]int {
+		counts := map[string]int{}
+		for _, st := range tr.Export().Stages {
+			counts[st.Stage] = st.Count
+		}
+		return counts
+	}
+	if got, want := stages(tr), map[string]int{"cache.lookup": 1, "workload.setup": 1, "sim.cell": 1, "result.fold": 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("starter's stages %v, want %v", got, want)
+	}
+	if got, want := stages(hitTrace), map[string]int{"cache.lookup": 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hit's stages %v, want %v", got, want)
+	}
+	for tr, outcome := range map[*obs.Trace]string{tr: "miss", hitTrace: "hit"} {
+		for _, sp := range tr.Spans() {
+			if sp.Name == "cache.lookup" && (sp.Attrs["design"] != "R" || sp.Attrs["outcome"] != outcome) {
+				t.Errorf("cache.lookup attrs %v, want design R, outcome %s", sp.Attrs, outcome)
+			}
+		}
+	}
+}
+
+// rnuca_engine_refs_simulated_total counts a computed Result's refs
+// once: a caller that joined the flight and a later hit add nothing.
+func TestRunCountsRefsOncePerComputedResult(t *testing.T) {
+	c := New(8)
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	joined := make(chan struct{})
+	job := runJob()
+	job.Options.Progress = func(done, total int) { <-joined }
+	var wg sync.WaitGroup
+	var rs [2]rnuca.Result
+	var outcomes [2]Outcome
+	var errs [2]error
+	run := func(i int) {
+		defer wg.Done()
+		rs[i], outcomes[i], errs[i] = c.Run(context.Background(), job, job)
+	}
+	wg.Add(2)
+	go run(0)
+	waitFor(t, "the flight to start", func() bool { return c.Metrics().Misses == 1 })
+	go run(1)
+	waitFor(t, "the second caller to join", func() bool { return c.Metrics().Shared == 1 })
+	close(joined)
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil || outcomes != [2]Outcome{Miss, Shared} || rs[0].Result != rs[1].Result {
+		t.Fatalf("outcomes %v, errs %v", outcomes, errs)
+	}
+	if got := c.obsRefs.Value(); got != 12_000 {
+		t.Fatalf("refs counter %d after one computed cell, want 12000", got)
+	}
+	if _, outcome, err := c.Run(context.Background(), job, job); err != nil || outcome != Hit {
+		t.Fatalf("third Run: %v, %v", outcome, err)
+	}
+	var buf strings.Builder
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"# HELP rnuca_engine_refs_simulated_total Cache references simulated by locally executed cells (cache hits add nothing).",
+		"rnuca_engine_refs_simulated_total 12000",
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("registry lacks %q", line)
 		}
 	}
 }

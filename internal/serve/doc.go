@@ -84,16 +84,21 @@
 // rnuca_job_queue_wait_seconds{kind}. The result cache exports
 // rnuca_result_cache_{hits,misses,shared,errors,evictions}_total and
 // _entries; the store exports rnuca_corpus_{objects,bytes}; the
-// engine's simulated references accumulate in
-// rnuca_engine_refs_simulated_total.
+// references of every cell the server simulates, sim and figure jobs
+// alike, accumulate in rnuca_engine_refs_simulated_total.
 //
 // Every job also buffers per-stage spans (internal/obs.Trace) —
 // job.queue, job.run, cache.lookup, replay.setup, cell.wait,
 // workload.setup, sim.cell, result.fold, classify.pass,
 // convert.ingest, figure.build — which GET /v1/jobs/{id}/trace returns
-// with a per-stage aggregation. A compare job's designs run together,
-// and its cells share the process-wide cell slots (internal/cellpool)
-// with every other job's; cell.wait is a cell's wait for one.
+// with a per-stage aggregation (summed seconds, and the wall seconds
+// their union covers). A compare job's designs run together, and its
+// cells share the process-wide cell slots (internal/cellpool) with
+// every other job's; cell.wait is a cell's wait for one.
+// A sim job's designs and a figure job's campaign cells take one path,
+// resultcache.Cache.Run, so both record a cache.lookup span per cell
+// and the spans of the cells they compute; a job that joined another
+// job's identical flight (outcome "shared") records only its lookup.
 //
 // On SIGTERM, cmd/rnuca-serve stops accepting jobs (503), finishes
 // what is queued and running (Server.Drain), then exits; a second

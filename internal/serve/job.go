@@ -370,13 +370,6 @@ func (j *job) finish(state JobState, res *JobResult, err error) {
 	j.mu.Unlock()
 }
 
-// observe returns the pure-observation RunOptions.Progress hook that
-// publishes per-engine counts on the job's gauge. Cancellation is not
-// its business anymore: the context passed to Job.Run carries it.
-func (j *job) observe() func(done, total int) {
-	return j.gauge.Observe
-}
-
 // observeEpoch publishes a freshly closed flight epoch on the job's
 // live status; the SSE stream keys change detection off the count.
 // Called synchronously from the engine goroutine, so it must stay
@@ -417,17 +410,12 @@ func (j *job) timelineSnapshot() map[string]*flight.Timeline {
 	return out
 }
 
-// simSpec reports whether a kind executes as a simulation job.
-func simSpec(kind string) bool {
-	return kind == "sim"
-}
-
 // validate resolves and checks a spec against the server's catalog and
 // corpus store, normalizing the job's spec in place.
 func (s *Server) validate(j *job) error {
 	spec := &j.spec
 	switch {
-	case simSpec(spec.Kind):
+	case spec.Kind == "sim":
 		if spec.Job == nil {
 			return fmt.Errorf("%s job carries no simulation", spec.Kind)
 		}

@@ -302,6 +302,50 @@ func TestFigureSecondBuildFullyCached(t *testing.T) {
 	}
 }
 
+// A figure job's campaign cells take the path a sim job's designs do
+// (resultcache.Cache.Run): its trace lists one cache.lookup and one
+// sim.cell span per design, every lookup a miss, and the refs counter
+// rises by each computed cell's measured references.
+func TestFigureJobTraceListsCells(t *testing.T) {
+	_, hs, _ := newTestServer(t, 2)
+	before := metric(t, hs.URL, "rnuca_engine_refs_simulated_total")
+	st := postJob(t, hs.URL, `{"kind":"figure","figure":{"corpora":["oltp"],"scale":{"warm":1000,"measure":2000,"trace_refs":12000}}}`)
+	if fin := waitJob(t, hs.URL, st.ID); fin.State != JobDone {
+		t.Fatalf("figure build: %s (%s)", fin.State, fin.Error)
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tr JobTrace
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, sp := range tr.Stages {
+		counts[sp.Stage] = sp.Count
+	}
+	if counts["sim.cell"] != 5 || counts["cache.lookup"] != 5 {
+		t.Fatalf("stages %v, want five sim.cell and five cache.lookup spans", counts)
+	}
+	designs := map[string]bool{}
+	for _, sp := range tr.Spans {
+		if sp.Name == "cache.lookup" {
+			if sp.Attrs["outcome"] != "miss" {
+				t.Errorf("cache.lookup %v, want a miss", sp.Attrs)
+			}
+			designs[sp.Attrs["design"]] = true
+		}
+	}
+	if len(designs) != 5 {
+		t.Errorf("lookups name designs %v, want five", designs)
+	}
+	if got := metric(t, hs.URL, "rnuca_engine_refs_simulated_total") - before; got != 5*2000 {
+		t.Fatalf("refs counter rose by %v, want 5 x 2000", got)
+	}
+}
+
 // SSE streaming: a watcher sees status events and a final "done" event
 // carrying the result.
 func TestJobSSE(t *testing.T) {

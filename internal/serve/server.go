@@ -104,7 +104,6 @@ type Server struct {
 	reg          *obs.Registry
 	mJobDuration *obs.HistogramVec // rnuca_job_duration_seconds{kind,outcome}
 	mQueueWait   *obs.HistogramVec // rnuca_job_queue_wait_seconds{kind}
-	mRefs        *obs.Counter      // rnuca_engine_refs_simulated_total
 	mEpochs      *obs.Counter      // rnuca_flight_epochs_total
 
 	mSLOBreached  *obs.CounterVec   // rnuca_jobs_slo_breached_total{kind}
@@ -189,8 +188,6 @@ func (s *Server) initMetrics() {
 	s.mQueueWait = reg.HistogramVec("rnuca_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.",
 		obs.DefSecondsBuckets(), "kind")
-	s.mRefs = reg.Counter("rnuca_engine_refs_simulated_total",
-		"Cache references simulated by locally executed cells (cache hits add nothing).")
 	s.mEpochs = reg.Counter("rnuca_flight_epochs_total",
 		"Flight-recorder epochs closed by locally executed cells.")
 
@@ -277,11 +274,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Cache exposes the shared result cache (the figure harness and tests
-// read its metrics; Campaigns created outside the server can attach to
-// it).
-func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
 // logFor returns the server's logger bound to a job's correlation
 // fields. Nil-safe: a server without a logger gets the nil *Logger,
@@ -579,58 +571,15 @@ func (s *Server) jobTerminal(j *job) bool {
 
 // execute dispatches a job by kind.
 func (s *Server) execute(j *job) (*JobResult, error) {
-	switch {
-	case simSpec(j.spec.Kind):
+	switch j.spec.Kind {
+	case "sim":
 		return s.executeSim(j)
-	case j.spec.Kind == "convert":
+	case "convert":
 		return s.executeConvert(j)
-	case j.spec.Kind == "figure":
+	case "figure":
 		return s.executeFigure(j)
 	}
 	return nil, fmt.Errorf("serve: unvalidated job kind %q", j.spec.Kind)
-}
-
-// cell runs one single-design simulation cell through the memoized
-// cache: key it by the cell's canonical encoding, join or start the
-// flight, and refuse to cache a canceled partial. The cell executes
-// under the flight's context (canceled only when every interested job
-// has canceled) with the job's observation hook attached.
-func (s *Server) cell(j *job, cell rnuca.Job) (rnuca.Result, resultcache.Outcome, error) {
-	run := func(ctx context.Context) (rnuca.Result, error) {
-		c := cell
-		c.Options.Progress = j.observe()
-		c.Options.Timeline = s.timelineConfig(j)
-		return c.Run(ctx)
-	}
-	key, ok := resultcache.JobKey(cell)
-	if !ok {
-		r, err := run(j.ctx)
-		if err == nil {
-			s.mRefs.Add(r.Refs)
-		}
-		return r, resultcache.Miss, err
-	}
-	v, outcome, err := s.cache.Do(j.ctx, key, func(fctx context.Context) (any, error) {
-		// The flight's context is detached from the submitting job's, so
-		// the job's trace must be re-attached for the library's spans
-		// (sim.cell, replay.setup, result.fold) to land in it.
-		fctx = obs.ContextWithTrace(fctx, j.trace)
-		r, err := run(fctx)
-		if err != nil {
-			return nil, err
-		}
-		// A canceled flight returns a partial result; it must never
-		// enter the cache.
-		if fctx.Err() != nil {
-			return nil, fctx.Err()
-		}
-		s.mRefs.Add(r.Refs)
-		return r, nil
-	})
-	if err != nil {
-		return rnuca.Result{}, outcome, err
-	}
-	return v.(rnuca.Result), outcome, nil
 }
 
 // timelineConfig builds a cell's flight-recorder config: each closed
@@ -650,13 +599,16 @@ func (s *Server) timelineConfig(j *job) *rnuca.TimelineConfig {
 	}
 }
 
-// executeSim runs a simulation job, one cached cell per design. The
-// designs run together: their engines draw on the process-wide cell
-// pool (internal/cellpool), so a compare job occupies as many
-// processors as are free. Single-design jobs report a single Result;
-// everything else reports a design-keyed map.
+// executeSim runs a simulation job, one cached cell per design
+// (resultcache.Cache.Run), each observed by the job's progress gauge
+// and flight recorder. The designs run together: their engines draw on
+// the process-wide cell pool (internal/cellpool), so a compare job
+// occupies as many processors as are free. Single-design jobs report a
+// single Result; everything else reports a design-keyed map.
 func (s *Server) executeSim(j *job) (*JobResult, error) {
 	job := *j.spec.Job
+	job.Options.Progress = j.gauge.Observe
+	job.Options.Timeline = s.timelineConfig(j)
 	type cellResult struct {
 		r       rnuca.Result
 		outcome resultcache.Outcome
@@ -665,11 +617,8 @@ func (s *Server) executeSim(j *job) (*JobResult, error) {
 	cells := make([]cellResult, len(job.Designs))
 	cellpool.Each(len(job.Designs), func(i int) {
 		id, c := job.Designs[i], &cells[i]
-		sp := j.trace.StartSpan("cache.lookup")
-		sp.SetAttr("design", string(id))
-		c.r, c.outcome, c.err = s.cell(j, job.WithDesign(id))
-		sp.SetAttr("outcome", c.outcome.String())
-		sp.End()
+		cell := job.WithDesign(id)
+		c.r, c.outcome, c.err = s.cache.Run(j.ctx, cell, cell)
 		if c.err == nil {
 			// The timeline rides the Result (cache hits carry the one
 			// their original execution recorded) but is served from its
@@ -792,10 +741,6 @@ func (s *Server) executeFigure(j *job) (*JobResult, error) {
 	sp := j.trace.StartSpan("figure.build")
 	defer sp.End()
 	v, outcome, err := s.cache.Do(j.ctx, key, func(fctx context.Context) (tables any, err error) {
-		// Re-attach the job's trace: the flight context is detached from
-		// j.ctx, and the campaign's spans (classify.pass, sim.cell)
-		// should land in the submitting job's trace.
-		fctx = obs.ContextWithTrace(fctx, j.trace)
 		// The campaign API reports simulation failures — cancellation
 		// included — by panicking (its callers are harnesses); a
 		// serving worker must turn that into a failed or canceled job,

@@ -277,7 +277,10 @@ func (j Job) Compare(ctx context.Context) (map[DesignID]Result, error) {
 // (single batch), teeing every reference the engine consumes — warmup
 // included — into a trace file at path. Replaying the file under the
 // same design and reference counts reproduces the returned Result bit
-// for bit.
+// for bit. ASR without a Maker is refused: Run reports it as the best
+// of six variants, and each variant consumes a different number of
+// references per core, so no one recording replays to that Result.
+// Record one variant through a Maker instead.
 func (j Job) Record(ctx context.Context, path string) (Result, error) {
 	if err := j.Validate(); err != nil {
 		return Result{}, err
@@ -291,6 +294,9 @@ func (j Job) Record(ctx context.Context, path string) (Result, error) {
 	var id DesignID
 	if len(j.Designs) > 0 {
 		id = j.Designs[0]
+	}
+	if j.Maker == nil && id == DesignASR {
+		return Result{}, fmt.Errorf("rnuca: Record under design A: Run reports ASR as the best of %d variants, each consuming a different number of references per core, so no one recording replays to that Result; record one variant through a Maker", design.NumASRVariants)
 	}
 	in, opt, err := j.lower(ctx)
 	if err != nil {

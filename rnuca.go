@@ -240,10 +240,6 @@ type TimelineConfig = flight.Config
 // history of the run (re-exported from internal/obs/flight).
 type Timeline = flight.Timeline
 
-// TimelineEpoch is one timeline entry (re-exported from
-// internal/obs/flight).
-type TimelineEpoch = flight.Epoch
-
 // Result is one design's measured performance on one workload.
 //
 //rnuca:wire
