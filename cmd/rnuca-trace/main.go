@@ -137,6 +137,10 @@ func record(args []string) {
 	dir := fs.String("dir", "", "output directory for -all (required with -all)")
 	fs.Parse(args)
 	id := parseDesign(*ds)
+	if id == rnuca.DesignASR {
+		// Refused before -dir is created or any recording is queued.
+		fatalf("record: -design A has no one recording: ASR reports the best of its variants, each consuming a different number of references per core; record P, S, R or I")
+	}
 	opt := rnuca.RunOptions{Warm: *warm, Measure: *measure}
 	if *all {
 		recordAll(id, opt, *set, *seeds, *dir)

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallGeom() Geometry { return Geometry{SizeBytes: 4096, Ways: 4, BlockBytes: 64} } // 16 sets
@@ -283,5 +284,13 @@ func TestCacheReset(t *testing.T) {
 	}
 	if _, hit := c.Lookup(0x40); hit {
 		t.Fatal("block survived reset")
+	}
+}
+
+// A set's header and a line's metadata are 8 bytes each, so an untouched
+// set costs 8 bytes and a line 16 with its tag.
+func TestLayoutSizes(t *testing.T) {
+	if h, l := unsafe.Sizeof(header{}), unsafe.Sizeof(Line{}); h != 8 || l != 8 {
+		t.Fatalf("header %d bytes, Line %d bytes; want 8 and 8", h, l)
 	}
 }

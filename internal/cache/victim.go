@@ -7,12 +7,19 @@ import "fmt"
 // L1s and L2 slices). A hit in the victim cache swaps the block back into
 // the primary array, converting what would have been a long-latency miss
 // into a short local refill.
+//
+// Its entries slots are allocated once and hold the resident blocks in
+// FIFO order, oldest first.
 type VictimCache struct {
-	entries int
-	lines   map[Addr]Line
-	order   []Addr // FIFO order for replacement
-	hits    uint64
-	misses  uint64
+	slots  []victimSlot // slots[:n] are resident
+	n      int
+	hits   uint64
+	misses uint64
+}
+
+type victimSlot struct {
+	addr Addr
+	line Line
 }
 
 // MaxVictimEntries caps a victim cache at 64 times Table 1's 16 entries.
@@ -35,59 +42,64 @@ func NewVictimCache(entries int) *VictimCache {
 	if err := CheckVictimEntries(entries); err != nil {
 		panic(err)
 	}
-	return &VictimCache{
-		entries: entries,
-		lines:   make(map[Addr]Line, entries),
-	}
+	return &VictimCache{slots: make([]victimSlot, entries)}
 }
 
 // Put stores an evicted block, displacing the oldest entry if full; the
 // displaced block (if any) is returned so callers can keep directory state
-// consistent. A zero-entry victim cache accepts nothing and reports the
+// consistent. A block already resident keeps its place and takes the new
+// line. A zero-entry victim cache accepts nothing and reports the
 // incoming block as displaced.
 func (v *VictimCache) Put(addr Addr, line Line) (Addr, Line, bool) {
-	if v.entries == 0 {
+	if len(v.slots) == 0 {
 		return addr, line, true
 	}
-	if _, ok := v.lines[addr]; ok {
-		v.lines[addr] = line
+	if i := v.find(addr); i >= 0 {
+		v.slots[i].line = line
 		return 0, Line{}, false
 	}
-	var dAddr Addr
-	var dLine Line
-	displaced := false
-	if len(v.order) >= v.entries {
-		dAddr = v.order[0]
-		dLine = v.lines[dAddr]
-		displaced = true
-		v.order = v.order[1:]
-		delete(v.lines, dAddr)
+	var out victimSlot
+	displaced := v.n == len(v.slots)
+	if displaced {
+		out = v.slots[0]
+		v.remove(0)
 	}
-	v.lines[addr] = line
-	v.order = append(v.order, addr)
-	return dAddr, dLine, displaced
+	v.slots[v.n] = victimSlot{addr, line}
+	v.n++
+	return out.addr, out.line, displaced
 }
 
 // Take removes and returns the block if present (a victim hit).
 func (v *VictimCache) Take(addr Addr) (Line, bool) {
-	line, ok := v.lines[addr]
-	if !ok {
+	i := v.find(addr)
+	if i < 0 {
 		v.misses++
 		return Line{}, false
 	}
 	v.hits++
-	delete(v.lines, addr)
-	for i, a := range v.order {
-		if a == addr {
-			v.order = append(v.order[:i], v.order[i+1:]...)
-			break
-		}
-	}
+	line := v.slots[i].line
+	v.remove(i)
 	return line, true
 }
 
+// find returns the slot holding addr, or -1.
+func (v *VictimCache) find(addr Addr) int {
+	for i := range v.slots[:v.n] {
+		if v.slots[i].addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove closes slot i's gap, keeping the FIFO order.
+func (v *VictimCache) remove(i int) {
+	copy(v.slots[i:v.n], v.slots[i+1:v.n])
+	v.n--
+}
+
 // Len returns the number of resident entries.
-func (v *VictimCache) Len() int { return len(v.lines) }
+func (v *VictimCache) Len() int { return v.n }
 
 // Hits returns the number of successful Take calls.
 func (v *VictimCache) Hits() uint64 { return v.hits }

@@ -21,10 +21,26 @@ func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{LinkBytes: 32, LinkLatency: 1, RouterLatency: 2}
 }
 
+// Caps on the link parameters: 64 times the Table 1 values. They keep
+// Latency's hops*(LinkLatency+RouterLatency) and Flits' bytes+LinkBytes-1
+// far from overflowing int.
+const (
+	MaxLinkBytes     = 64 * 32
+	MaxLinkLatency   = 64 * 1
+	MaxRouterLatency = 64 * 2
+)
+
 // Validate reports a link configuration NewNetwork cannot model.
 func (c LinkConfig) Validate() error {
-	if c.LinkBytes <= 0 || c.LinkLatency < 0 || c.RouterLatency < 0 {
+	switch {
+	case c.LinkBytes <= 0 || c.LinkLatency < 0 || c.RouterLatency < 0:
 		return fmt.Errorf("noc: invalid link config %+v", c)
+	case c.LinkBytes > MaxLinkBytes:
+		return fmt.Errorf("noc: %d-byte links above %d", c.LinkBytes, MaxLinkBytes)
+	case c.LinkLatency > MaxLinkLatency:
+		return fmt.Errorf("noc: link latency of %d cycles above %d", c.LinkLatency, MaxLinkLatency)
+	case c.RouterLatency > MaxRouterLatency:
+		return fmt.Errorf("noc: router latency of %d cycles above %d", c.RouterLatency, MaxRouterLatency)
 	}
 	return nil
 }

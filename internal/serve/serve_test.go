@@ -802,6 +802,9 @@ func TestSubmitRefusesUnbuildableChassis(t *testing.T) {
 			Options: rnuca.RunOptions{InstrClusterSize: 3}}, "not a power of two"},
 		{"L2Ways 3", withCfg(func(c *sim.Config) { c.L2Ways = 3 }), "not divisible by ways*block 192"},
 		{"TLBEntries 0", withCfg(func(c *sim.Config) { c.TLBEntries = 0 }), "0 TLB entries outside 1..4096"},
+		{"LinkBytes 2^62", withCfg(func(c *sim.Config) { c.Link.LinkBytes = 1 << 62 }), "4611686018427387904-byte links above 2048"},
+		{"LinkLatency 2^62", withCfg(func(c *sim.Config) { c.Link.LinkLatency = 1 << 62 }), "link latency of 4611686018427387904 cycles above 64"},
+		{"RouterLatency 129", withCfg(func(c *sim.Config) { c.Link.RouterLatency = 129 }), "router latency of 129 cycles above 128"},
 		{"1 TB L1", withCfg(func(c *sim.Config) { c.L1Bytes = 1 << 40 }), "above the caps"},
 		{"1 TB L2 slice", withCfg(func(c *sim.Config) { c.L2SliceBytes = 1 << 40 }), "above the caps"},
 		{"TLBEntries 2^28", withCfg(func(c *sim.Config) { c.TLBEntries = 1 << 28 }), "268435456 TLB entries outside 1..4096"},

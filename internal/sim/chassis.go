@@ -114,7 +114,11 @@ func (ch *Chassis) L1Service(core int, r trace.Ref) L1Info {
 	if r.Kind == trace.IFetch {
 		l1 = ch.L1I[core]
 	}
-	if _, hit := l1.Lookup(addr); !hit {
+	if line, hit := l1.Lookup(addr); hit {
+		if r.IsWrite() {
+			line.State = cache.Modified
+		}
+	} else {
 		st := cache.Shared
 		if r.IsWrite() {
 			st = cache.Modified
@@ -131,10 +135,6 @@ func (ch *Chassis) L1Service(core int, r trace.Ref) L1Info {
 			if _, ok := sibling.Peek(victim.Addr); !ok {
 				ch.L1Dir.Evict(victim.Addr, core, victim.Line.State.Dirty())
 			}
-		}
-	} else if r.IsWrite() {
-		if line, ok := l1.Peek(addr); ok {
-			line.State = cache.Modified
 		}
 	}
 	return info

@@ -320,6 +320,9 @@ func TestJobValidateChassis(t *testing.T) {
 		{"LinkBytes 0", withCfg(func(c *sim.Config) { c.Link.LinkBytes = 0 }), "invalid link config"},
 		{"LinkLatency -1", withCfg(func(c *sim.Config) { c.Link.LinkLatency = -1 }), "invalid link config"},
 		{"RouterLatency -5", withCfg(func(c *sim.Config) { c.Link.RouterLatency = -5 }), "invalid link config"},
+		{"LinkBytes 2^62", withCfg(func(c *sim.Config) { c.Link.LinkBytes = 1 << 62 }), "4611686018427387904-byte links above 2048"},
+		{"LinkLatency 2^62", withCfg(func(c *sim.Config) { c.Link.LinkLatency = 1 << 62 }), "link latency of 4611686018427387904 cycles above 64"},
+		{"RouterLatency 129", withCfg(func(c *sim.Config) { c.Link.RouterLatency = 129 }), "router latency of 129 cycles above 128"},
 		{"L2Ways 3", withCfg(func(c *sim.Config) { c.L2Ways = 3 }), "size 1048576 not divisible by ways*block 192"},
 		{"L1Ways 3", withCfg(func(c *sim.Config) { c.L1Ways = 3 }), "size 65536 not divisible by ways*block 192"},
 		{"BlockBytes 0", withCfg(func(c *sim.Config) { c.BlockBytes = 0 }), "non-positive geometry"},
