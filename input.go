@@ -22,9 +22,6 @@ const (
 	// InputCorpus replays a content-addressed corpus object
 	// (FromCorpus, FromCorpusRef).
 	InputCorpus InputKind = "corpus"
-	// InputSource draws references from a caller-supplied RefSource
-	// factory (FromSource). Source inputs have no canonical encoding.
-	InputSource InputKind = "source"
 )
 
 // CorpusStore is the slice of a content-addressed corpus store an
@@ -68,10 +65,8 @@ type Input struct {
 	kind InputKind
 	err  error
 
-	// workload carries the statistical spec (InputWorkload), or the
-	// timing parameters a source input attached via ForWorkload.
-	workload    Workload
-	hasWorkload bool
+	// workload carries the statistical spec (InputWorkload).
+	workload Workload
 
 	// path is the trace file to replay (InputTrace, or InputCorpus
 	// after binding to a store).
@@ -83,8 +78,6 @@ type Input struct {
 	// ref is the corpus reference as given (digest, prefix, or name).
 	ref string
 
-	source func(batch int) RefSource
-
 	windowStart, windowRefs uint64
 	shards                  int
 }
@@ -93,7 +86,7 @@ type Input struct {
 // statistical workload spec (the catalog constructors, or any custom
 // Workload).
 func FromWorkload(w Workload) Input {
-	return Input{kind: InputWorkload, workload: w, hasWorkload: true}
+	return Input{kind: InputWorkload, workload: w}
 }
 
 // FromTrace builds an input that replays a recorded trace file. The
@@ -143,27 +136,11 @@ func FromCorpusRef(ref string) Input {
 	return in
 }
 
-// FromSource builds an input that draws references from a
-// caller-supplied factory: batch b's references come from fn(b),
-// demultiplexed per core by each ref's Core field. A job's cells run
-// concurrently, so fn may be called concurrently, for different
-// batches and for different designs, and must be safe for that.
-// Source inputs have no canonical encoding (a closure cannot be
-// serialized or cached) and need either ForWorkload or an explicit
-// RunOptions.Config for the chassis parameters.
-func FromSource(fn func(batch int) RefSource) Input {
-	in := Input{kind: InputSource, source: fn}
-	if fn == nil {
-		in.err = fmt.Errorf("rnuca: FromSource with a nil factory")
-	}
-	return in
-}
-
 // Window restricts a trace- or corpus-backed input to the records
 // [start, start+refs); refs 0 means "to the end of the trace". It
 // requires a v2 indexed trace. On any other input kind the result is
-// poisoned: windows sample a seekable recording, a generator or
-// source has nothing to seek.
+// poisoned: windows sample a seekable recording, a generator has
+// nothing to seek.
 func (in Input) Window(start, refs uint64) Input {
 	if in.err != nil {
 		return in
@@ -195,24 +172,6 @@ func (in Input) Sharded(n int) Input {
 		return in
 	}
 	in.shards = n
-	return in
-}
-
-// ForWorkload attaches timing parameters (core count, off-chip MLP,
-// name) to a source-backed input, the way the legacy Run(w, id, opt)
-// call paired Options.Source with a workload argument. Poisons any
-// other kind: workload/trace/corpus inputs already know their
-// parameters.
-func (in Input) ForWorkload(w Workload) Input {
-	if in.err != nil {
-		return in
-	}
-	if in.kind != InputSource {
-		in.err = fmt.Errorf("rnuca: ForWorkload on a %s input", in.kind)
-		return in
-	}
-	in.workload = w
-	in.hasWorkload = true
 	return in
 }
 
@@ -259,20 +218,14 @@ func (in Input) Bind(st CorpusStore) (Input, error) {
 }
 
 // Workload resolves the workload the input describes: the spec itself
-// for workload inputs (or a source input's attached one), the trace
-// header's catalog entry or minimal reconstruction for trace- and
-// corpus-backed inputs.
+// for workload inputs, the trace header's catalog entry or minimal
+// reconstruction for trace- and corpus-backed inputs.
 func (in Input) Workload() (Workload, error) {
 	if in.err != nil {
 		return Workload{}, in.err
 	}
 	switch in.kind {
 	case InputWorkload:
-		return in.workload, nil
-	case InputSource:
-		if !in.hasWorkload {
-			return Workload{}, fmt.Errorf("rnuca: source input carries no workload (use ForWorkload)")
-		}
 		return in.workload, nil
 	case InputTrace, InputCorpus:
 		if in.path == "" {
@@ -289,7 +242,7 @@ func (in Input) Workload() (Workload, error) {
 func (in Input) Digest() (string, error) { return in.contentDigest() }
 
 // TracePath returns the on-disk trace a replay input reads ("" for
-// generated and source inputs, and for unbound corpus references).
+// generated inputs and for unbound corpus references).
 func (in Input) TracePath() string { return in.path }
 
 // WindowRange returns the record window a replay input is restricted
@@ -355,9 +308,9 @@ type corpusRefJSON struct {
 	WindowRefs  uint64 `json:"window_refs,omitempty"`
 }
 
-// MarshalJSON emits the input's canonical encoding. Source-backed
-// inputs and poisoned inputs have none and error; an unbound corpus
-// name is emitted as a non-canonical {"ref": ...} for wire use.
+// MarshalJSON emits the input's canonical encoding. Poisoned inputs
+// have none and error; an unbound corpus name is emitted as a
+// non-canonical {"ref": ...} for wire use.
 func (in Input) MarshalJSON() ([]byte, error) {
 	if in.err != nil {
 		return nil, in.err
@@ -378,8 +331,6 @@ func (in Input) MarshalJSON() ([]byte, error) {
 			return nil, err
 		}
 		return json.Marshal(inputJSON{Corpus: &c})
-	case InputSource:
-		return nil, fmt.Errorf("rnuca: source-backed input has no canonical encoding")
 	}
 	return nil, fmt.Errorf("rnuca: encoding an empty Input")
 }

@@ -164,9 +164,6 @@ type Stats struct {
 	Misses     uint64
 	Evictions  uint64
 	Writebacks uint64
-	// Per-class occupancy-weighted event counts.
-	HitsByClass   [4]uint64
-	MissesByClass [4]uint64
 }
 
 // header is one set's header: where its block starts in the arena, the
@@ -320,7 +317,6 @@ func (c *Cache) Lookup(addr Addr) (*Line, bool) {
 			line := &meta[i]
 			line.lru = c.stamp()
 			c.stats.Hits++
-			c.stats.HitsByClass[line.Class]++
 			return line, true
 		}
 	}

@@ -70,7 +70,6 @@ func (r *refCache) Lookup(addr Addr) (*refLine, bool) {
 	l := &r.sets[set][i]
 	l.lru = r.tick
 	r.stats.Hits++
-	r.stats.HitsByClass[l.class]++
 	return l, true
 }
 

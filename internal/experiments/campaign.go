@@ -2,11 +2,12 @@
 // evaluation (§3 and §5). Each FigN function returns ready-to-render
 // tables; the Campaign caches simulation results so figures that share
 // runs (7 through 10 and 12 all need the same design sweep) pay for them
-// once. Each figure first declares the cells it needs; the campaign runs
-// the missing ones together, every simulation on a slot of the
-// process-wide cell pool (internal/cellpool), and renders from its memo
-// on the caller's goroutine. Cells go through resultcache.Cache.Run,
-// as serve's sim jobs do, so their spans land in the trace of the
+// once. Each figure first declares the cells it needs, and the campaign
+// runs them together through its resultcache.Cache, as serve's sim jobs
+// do: the cache answers the cells an earlier figure ran, and every
+// simulation takes a slot of the process-wide cell pool
+// (internal/cellpool). The figure renders from the returned Results on
+// the caller's goroutine. Cell spans land in the trace of the
 // campaign's context (SetContext), a cache flight's included.
 // cmd/rnuca-figures and the root benchmark harness are thin wrappers
 // around this package.
@@ -59,11 +60,10 @@ type Campaign struct {
 	// Shards > 1 fans every trace-backed replay's chunk decoding across
 	// that many workers (v2 indexed traces only); results are unchanged.
 	Shards   int
-	memo     map[memoKey]rnuca.Result  // the figures' shared cells
 	sec3     map[string]*sec3Rows      // §3 table rows, by workload
 	inputs   map[string]rnuca.Input    // workload name -> registered input
 	ingested map[string]rnuca.Workload // ingested corpora, by name
-	rcache   *resultcache.Cache        // shared memoized results, optional
+	rcache   *resultcache.Cache        // memoized cell results
 	//rnuca:ctx-ok campaign-lifetime cancellation root, set once by SetContext before any run
 	runCtx context.Context      // cancellation path, optional
 	gauge  *rnuca.ProgressGauge // per-cell observation gauge, optional
@@ -75,10 +75,10 @@ type Campaign struct {
 func NewCampaign(s Scale) *Campaign {
 	return &Campaign{
 		Scale:    s,
-		memo:     map[memoKey]rnuca.Result{},
 		sec3:     map[string]*sec3Rows{},
 		inputs:   map[string]rnuca.Input{},
 		ingested: map[string]rnuca.Workload{},
+		rcache:   resultcache.New(0),
 	}
 }
 
@@ -91,13 +91,6 @@ func NewCampaign(s Scale) *Campaign {
 // the ingested suite (FigIngested, CompareIngested), and their window
 // and content digest flow into every cell's cache key.
 func (c *Campaign) SetInput(in rnuca.Input) (rnuca.Workload, error) {
-	if in.Kind() == rnuca.InputSource {
-		// A source closure has no canonical identity (no cache key)
-		// and cannot feed the characterization analyses, which re-read
-		// the stream from the start; campaigns take generators and
-		// recordings only.
-		return rnuca.Workload{}, fmt.Errorf("experiments: SetInput: source-backed inputs cannot back a campaign; record the source to a trace first")
-	}
 	w, err := in.Workload()
 	if err != nil {
 		return rnuca.Workload{}, err
@@ -161,12 +154,12 @@ func (c *Campaign) saveTimeline(workloadName, designKey string, t *rnuca.Timelin
 	c.tl[workloadName+"/"+designKey] = t
 }
 
-// SetResultCache attaches a shared memoized result cache (see
-// internal/resultcache): every simulation the campaign runs is keyed by
-// its cell's canonical job encoding and consulted there before running,
-// so repeated figure builds over an unchanged corpus — in this process
-// or any other holder of the same cache, like the rnuca-serve job
-// service — perform zero simulation.
+// SetResultCache replaces the campaign's own result cache with a
+// shared one (see internal/resultcache). Every simulation the campaign
+// runs is keyed by its cell's canonical job encoding and consulted
+// there before running, so repeated figure builds over an unchanged
+// corpus — in this process or any other holder of the same cache, like
+// the rnuca-serve job service — perform zero simulation.
 func (c *Campaign) SetResultCache(rc *resultcache.Cache) { c.rcache = rc }
 
 // input returns the registered input for a workload, falling back to
@@ -249,20 +242,29 @@ func (c *Campaign) opts() rnuca.RunOptions {
 	return rnuca.RunOptions{Warm: c.Scale.Warm, Measure: c.Scale.Measure, Batches: c.Scale.Batches}
 }
 
-// memoKey names a memoized cell: design id on a workload, at an
+// want is a cell a figure declares: design id on a workload, at an
 // R-NUCA instruction cluster size for Figure 11's sweep (0 for the
 // configuration's own).
-type memoKey struct {
+type want struct {
+	w    rnuca.Workload
+	id   rnuca.DesignID
+	size int
+}
+
+// cellKey names a declared cell among the results of one need call.
+type cellKey struct {
 	workload string
 	id       rnuca.DesignID
 	size     int
 }
 
-// want is a memoized cell a figure declares.
-type want struct {
-	w    rnuca.Workload
-	id   rnuca.DesignID
-	size int
+// results are the Results of the cells one need call declared.
+type results map[cellKey]rnuca.Result
+
+// of returns design id's Result on w at the configuration's own
+// cluster size.
+func (rs results) of(w rnuca.Workload, id rnuca.DesignID) rnuca.Result {
+	return rs[cellKey{w.Name, id, 0}]
 }
 
 // grid declares every design on every workload.
@@ -276,22 +278,16 @@ func grid(ws []rnuca.Workload, ids ...rnuca.DesignID) []want {
 	return out
 }
 
-// need runs, together, the declared cells the memo lacks, and stores
-// them. Each draws on the workload's registered input (the generator
+// need runs the declared cells together through the campaign's result
+// cache, which answers those an earlier figure ran, and returns their
+// Results. Each draws on the workload's registered input (the generator
 // when none is registered). With Scale.ASRBest off, ASR is the cheap
 // adaptive variant alone, keyed under the "A/adaptive" methodology
 // label: its result differs from the best-of-six "A" cell's, so they
 // must not share an entry.
-func (c *Campaign) need(ws []want) {
-	var cells []cell
-	var keys []memoKey
-	queued := map[memoKey]bool{}
-	for _, x := range ws {
-		k := memoKey{x.w.Name, x.id, x.size}
-		if _, ok := c.memo[k]; ok || queued[k] {
-			continue
-		}
-		queued[k] = true
+func (c *Campaign) need(ws []want) results {
+	cells := make([]cell, len(ws))
+	for i, x := range ws {
 		opt := c.opts()
 		opt.InstrClusterSize = x.size
 		id := x.id
@@ -303,26 +299,19 @@ func (c *Campaign) need(ws []want) {
 			cl.job.Designs = nil
 			cl.job.Maker = func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(rnuca.DesignASR, ch) }
 		}
-		cells = append(cells, cl)
-		keys = append(keys, k)
+		cells[i] = cl
 	}
+	rs := results{}
 	for i, r := range c.runAll(cells) {
-		c.memo[keys[i]] = r
+		rs[cellKey{ws[i].w.Name, ws[i].id, ws[i].size}] = r
 	}
+	return rs
 }
 
-// Result returns (running on demand) the memoized result for one
-// workload and design.
+// Result returns (running on demand, or from the result cache) one
+// workload's result under one design.
 func (c *Campaign) Result(w rnuca.Workload, id rnuca.DesignID) rnuca.Result {
-	c.need([]want{{w: w, id: id}})
-	return c.memo[memoKey{w.Name, id, 0}]
-}
-
-// RNUCAWithClusterSize returns (running on demand) R-NUCA with the given
-// instruction cluster size (Figure 11).
-func (c *Campaign) RNUCAWithClusterSize(w rnuca.Workload, size int) rnuca.Result {
-	c.need([]want{{w: w, id: rnuca.DesignRNUCA, size: size}})
-	return c.memo[memoKey{w.Name, rnuca.DesignRNUCA, size}]
+	return c.need([]want{{w: w, id: id}}).of(w, id)
 }
 
 // checkCtx aborts an analysis loop once the campaign's context ends,

@@ -146,8 +146,8 @@ func (c *Campaign) sec3Table(i int, title string, ws []rnuca.Workload) *report.T
 
 // sec3Rows returns a workload's rows for all four §3 tables, built
 // from one analysis of its reference stream on first use. The rows are
-// memoized per workload, as Results are; the analyzer is not, so a
-// figure build holds one block map at a time.
+// memoized per workload; the analyzer is not, so a figure build holds
+// one block map at a time.
 func (c *Campaign) sec3Rows(w rnuca.Workload) *sec3Rows {
 	if rows := c.sec3[w.Name]; rows != nil {
 		return rows

@@ -28,11 +28,11 @@ func orderedWorkloads() []rnuca.Workload {
 func (c *Campaign) Fig7() *report.Table {
 	t := report.NewTable("Figure 7: total CPI breakdown (normalized to private design)",
 		"Workload", "Design", "Busy", "L1-to-L1", "L2", "Off-chip", "Other", "Re-class", "Total")
-	c.need(grid(orderedWorkloads(), evalDesigns...))
+	rs := c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
-		base := c.Result(w, rnuca.DesignPrivate).CPI()
+		base := rs.of(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
-			r := c.Result(w, id)
+			r := rs.of(w, id)
 			n := func(b sim.Bucket) float64 { return r.CPIStack[b] / base }
 			l2 := n(sim.BucketL2) + n(sim.BucketL2Coh)
 			t.AddRow(w.Name, string(id),
@@ -54,11 +54,11 @@ func (c *Campaign) Fig7() *report.Table {
 func (c *Campaign) Fig8() *report.Table {
 	t := report.NewTable("Figure 8: CPI of L1-to-L1 and shared-data L2 loads (normalized to private total)",
 		"Workload", "Design", "L1-to-L1", "L2 shared load coherence", "L2 shared load", "Sum")
-	c.need(grid(orderedWorkloads(), evalDesigns...))
+	rs := c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
-		base := c.Result(w, rnuca.DesignPrivate).CPI()
+		base := rs.of(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
-			r := c.Result(w, id)
+			r := rs.of(w, id)
 			l1 := r.ClassCycles[cache.ClassShared][sim.BucketL1toL1] / base
 			coh := r.ClassCycles[cache.ClassShared][sim.BucketL2Coh] / base
 			plain := r.ClassCycles[cache.ClassShared][sim.BucketL2] / base
@@ -87,11 +87,11 @@ func (c *Campaign) Fig10() *report.Table {
 }
 
 func (c *Campaign) classTable(t *report.Table, class cache.Class) *report.Table {
-	c.need(grid(orderedWorkloads(), evalDesigns...))
+	rs := c.need(grid(orderedWorkloads(), evalDesigns...))
 	for _, w := range orderedWorkloads() {
-		base := c.Result(w, rnuca.DesignPrivate).CPI()
+		base := rs.of(w, rnuca.DesignPrivate).CPI()
 		for _, id := range evalDesigns {
-			r := c.Result(w, id)
+			r := rs.of(w, id)
 			l2 := r.ClassCycles[class][sim.BucketL2] / base
 			coh := (r.ClassCycles[class][sim.BucketL2Coh] + r.ClassCycles[class][sim.BucketL1toL1]) / base
 			off := r.ClassCycles[class][sim.BucketOffChip] / base
@@ -115,11 +115,11 @@ func (c *Campaign) Fig11() *report.Table {
 			sweep = append(sweep, want{w: w, id: rnuca.DesignRNUCA, size: size})
 		}
 	}
-	c.need(sweep)
+	rs := c.need(sweep)
 	for _, w := range orderedWorkloads() {
-		base := c.RNUCAWithClusterSize(w, 1).CPI()
+		base := rs[cellKey{w.Name, rnuca.DesignRNUCA, 1}].CPI()
 		for _, size := range clusterSizes(w) {
-			r := c.RNUCAWithClusterSize(w, size)
+			r := rs[cellKey{w.Name, rnuca.DesignRNUCA, size}]
 			n := func(b sim.Bucket) float64 { return r.CPIStack[b] / base }
 			t.AddRow(w.Name, fmt.Sprint(size),
 				fmt.Sprintf("%.3f", n(sim.BucketBusy)),
@@ -157,13 +157,13 @@ func (c *Campaign) Fig12() *report.Table {
 	var server, all, mp agg
 	var nServer, nAll, nMP int
 	maxR := -1.0
-	c.need(grid(orderedWorkloads(), rnuca.AllDesigns()...))
+	rs := c.need(grid(orderedWorkloads(), rnuca.AllDesigns()...))
 	for _, w := range orderedWorkloads() {
-		base := c.Result(w, rnuca.DesignPrivate)
+		base := rs.of(w, rnuca.DesignPrivate)
 		row := []string{w.Name}
 		var rCI string
 		for _, id := range []rnuca.DesignID{rnuca.DesignPrivate, rnuca.DesignASR, rnuca.DesignShared, rnuca.DesignRNUCA, rnuca.DesignIdeal} {
-			r := c.Result(w, id)
+			r := rs.of(w, id)
 			sp := r.Speedup(base.Result)
 			row = append(row, fmt.Sprintf("%+.1f%%", 100*sp))
 			if id == rnuca.DesignRNUCA {
@@ -186,12 +186,12 @@ func (c *Campaign) Fig12() *report.Table {
 					mp.sumP += sp
 					nMP++
 				}
-				shared := c.Result(w, rnuca.DesignShared)
+				shared := rs.of(w, rnuca.DesignShared)
 				all.sumS += r.Speedup(shared.Result)
 				if w.Cores == 8 {
 					mp.sumS += r.Speedup(shared.Result)
 				}
-				ideal := c.Result(w, rnuca.DesignIdeal)
+				ideal := rs.of(w, rnuca.DesignIdeal)
 				all.sumI += ideal.Speedup(r.Result)
 			}
 		}
@@ -215,9 +215,9 @@ func (c *Campaign) Fig12() *report.Table {
 func (c *Campaign) ClassificationAccuracy() *report.Table {
 	t := report.NewTable("§5.2: classification accuracy at page granularity",
 		"Workload", "Accesses to multi-class pages", "Misclassified accesses")
-	c.need(grid(orderedWorkloads(), rnuca.DesignRNUCA))
+	rs := c.need(grid(orderedWorkloads(), rnuca.DesignRNUCA))
 	for _, w := range orderedWorkloads() {
-		r := c.Result(w, rnuca.DesignRNUCA)
+		r := rs.of(w, rnuca.DesignRNUCA)
 		mixed := float64(r.MixedPageAccesses) / float64(max64(r.Refs, 1))
 		mis := float64(r.MisclassifiedAccesses) / float64(max64(r.ClassifiedAccesses, 1))
 		t.AddRow(w.Name, pct(mixed), pct(mis))

@@ -51,13 +51,13 @@ func (c *Campaign) CompareIngested(ids []rnuca.DesignID) *report.Table {
 	}
 	cols = append(cols, fmt.Sprintf("R vs %s", ids[0]))
 	t := report.NewTable("Ingested corpora: design comparison (Figure 12 analysis)", cols...)
-	c.need(grid(c.IngestedWorkloads(), ids...))
+	rs := c.need(grid(c.IngestedWorkloads(), ids...))
 	for _, w := range c.IngestedWorkloads() {
-		base := c.Result(w, ids[0])
+		base := rs.of(w, ids[0])
 		row := []string{w.Name}
 		rSpeedup := ""
 		for _, id := range ids {
-			r := c.Result(w, id)
+			r := rs.of(w, id)
 			row = append(row, fmt.Sprintf("%.4f", r.CPI()))
 			if id == rnuca.DesignRNUCA {
 				rSpeedup = fmt.Sprintf("%+.1f%%", 100*r.Speedup(base.Result))

@@ -5,13 +5,12 @@
 // re-simulating it — and N concurrent requests for a cell that is still
 // computing share one computation instead of racing N.
 //
-// Keys are canonical strings built by Key: the design (plus methodology
-// suffix when it changes results), the reference source (a corpus
-// content digest or a canonicalized workload spec), and the
-// result-relevant subset of the job's RunOptions. Knobs that provably
-// cannot change results (decode sharding, progress callbacks) are excluded, so
-// a sharded replay hits the entry a sequential one populated. See key.go
-// for the exact canonicalization rules.
+// A cell's key is built by JobKey: "job|" followed by the canonical
+// JSON encoding of the single-design rnuca.Job (rnuca.Job.MarshalJSON).
+// Knobs that provably cannot change results (decode sharding, progress
+// callbacks) are not in that encoding, so a sharded replay hits the
+// entry a sequential one populated. See key.go for the exact
+// canonicalization rules.
 //
 // Values are opaque (any): the cache stores rnuca.Result for simulation
 // cells and whole rendered table sets for figure builds. Errors are
@@ -241,19 +240,15 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 
 // Run returns the Result of one cell, a single-design job. key is the
 // job the cell is cached under (JobKey) and job the one that runs;
-// they differ only where a Maker realizes the keyed methodology. On a
-// nil cache, or when key has no canonical encoding, job runs directly
-// on ctx. Otherwise Run joins or starts the key's flight through Do,
-// and a flight whose context ended stores nothing, since its Result
-// may be partial. A non-nil cache records the lookup as a cache.lookup
-// span on ctx's trace, with the cell's design and the outcome, and
-// adds the refs of every Result it computes to
-// rnuca_engine_refs_simulated_total; hits and shared joins add none.
+// they differ only where a Maker realizes the keyed methodology. When
+// key has no canonical encoding, job runs directly on ctx. Otherwise
+// Run joins or starts the key's flight through Do, and a flight whose
+// context ended stores nothing, since its Result may be partial. Run
+// records the lookup as a cache.lookup span on ctx's trace, with the
+// cell's design and the outcome, and adds the refs of every Result it
+// computes to rnuca_engine_refs_simulated_total; hits and shared joins
+// add none.
 func (c *Cache) Run(ctx context.Context, key, job rnuca.Job) (rnuca.Result, Outcome, error) {
-	if c == nil {
-		r, err := job.Run(ctx)
-		return r, Miss, err
-	}
 	sp := obs.StartSpan(ctx, "cache.lookup")
 	defer sp.End()
 	if len(key.Designs) > 0 {

@@ -206,8 +206,8 @@ func TestLRUEviction(t *testing.T) {
 
 // Keys canonicalize: result-neutral knobs (Sharded, Progress) are
 // excluded by construction, result-relevant ones are not, and jobs
-// with no canonical encoding (source inputs, Maker jobs, unbound
-// corpus names) defeat caching.
+// with no canonical encoding (Maker jobs, unbound corpus names) defeat
+// caching.
 func TestJobKeyCanonicalization(t *testing.T) {
 	dig := strings.Repeat("ab", 32)
 	cellJob := func(in rnuca.Input, design rnuca.DesignID, o rnuca.RunOptions) rnuca.Job {
@@ -250,10 +250,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		}
 	}
 
-	src := cellJob(rnuca.FromSource(func(batch int) rnuca.RefSource { return nil }), "R", rnuca.RunOptions{})
-	if _, ok := JobKey(src); ok {
-		t.Fatal("source input must defeat caching")
-	}
 	maker := base
 	maker.Maker = func(ch *sim.Chassis) sim.Design { return nil }
 	if _, ok := JobKey(maker); ok {
@@ -406,23 +402,6 @@ func TestRunMakerJobRunsDirectly(t *testing.T) {
 	}
 	if got := c.obsRefs.Value(); got != r.Refs {
 		t.Fatalf("refs counter %d, want the computed %d", got, r.Refs)
-	}
-}
-
-// A nil cache runs the cell directly, with the Result Job.Run gives.
-func TestRunNilCache(t *testing.T) {
-	var c *Cache
-	job := runJob()
-	r, outcome, err := c.Run(context.Background(), job, job)
-	if err != nil || outcome != Miss {
-		t.Fatalf("nil cache: %v, %v", outcome, err)
-	}
-	want, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Result != want.Result {
-		t.Fatalf("nil-cache Run diverged from Job.Run:\n%+v\n%+v", r.Result, want.Result)
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 //     "the default split", itself a deterministic function of the
 //     source, so "0" and the spelled-out default are distinct keys for
 //     identical results — a missed dedup, never a wrong hit.
-//   - Source-backed inputs, Maker jobs, and unresolved corpus names
-//     have no canonical encoding; JobKey reports ok=false and the
-//     caller must skip the cache.
+//   - Maker jobs and unresolved corpus names have no canonical
+//     encoding; JobKey reports ok=false and the caller must skip the
+//     cache.
 //
 // Methodology variants that share a DesignID but differ in results
 // (the campaign's single-variant ASR versus the paper's best-of-six)

@@ -107,7 +107,7 @@ type Engine struct {
 
 	clocks []float64
 
-	// Progress, when non-nil, is observed every ProgressEvery consumed
+	// Progress, when non-nil, is observed every progressEvery consumed
 	// references (warmup included) with the count consumed so far; a
 	// false return stops the run early, leaving partial accounting in
 	// the Result. The callback only reads the loop counter, so its
@@ -116,9 +116,6 @@ type Engine struct {
 	// unobserved one. The serving layer (internal/serve) uses it for
 	// job cancellation and live progress.
 	Progress func(consumed int) bool
-	// ProgressEvery is the observation period; 0 means
-	// DefaultProgressEvery.
-	ProgressEvery int
 
 	// Flight, when non-nil, receives a cumulative counter snapshot every
 	// Flight.Every() *measured* references (plus a final partial flush).
@@ -133,10 +130,11 @@ type Engine struct {
 	pageCount map[uint64]uint64
 }
 
-// DefaultProgressEvery is the default Progress observation period, in
-// consumed references: frequent enough that cancellation lands within
-// milliseconds, rare enough to stay invisible in profiles.
-const DefaultProgressEvery = 8192
+// progressEvery is the Progress observation period, in consumed
+// references: frequent enough that cancellation lands within
+// milliseconds, rare enough to stay invisible in profiles. It is a
+// power of two, so the per-reference modulo needs no division.
+const progressEvery = 8192
 
 // NewEngineSource builds an engine fed by a multiplexed RefSource (a
 // trace reader, a workload source, or any other implementation) instead
@@ -171,11 +169,6 @@ func (e *Engine) Run(warm, measure int) Result {
 	window := float64(e.ch.Cfg.WindowCycles)
 	var netStart struct{ msgs, flits uint64 }
 
-	tick := e.ProgressEvery
-	if tick <= 0 {
-		tick = DefaultProgressEvery
-	}
-
 	var fl *flightState
 	if e.Flight != nil {
 		fl = newFlightState(e)
@@ -187,7 +180,7 @@ func (e *Engine) Run(warm, measure int) Result {
 	// measurement-only map accounting).
 	//rnuca:hotpath
 	for i := 0; i < warm+measure; i++ {
-		if e.Progress != nil && i > 0 && i%tick == 0 && !e.Progress(i) {
+		if e.Progress != nil && i > 0 && i%progressEvery == 0 && !e.Progress(i) {
 			break
 		}
 		measuring := i >= warm

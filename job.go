@@ -120,7 +120,7 @@ func (g *ProgressGauge) Reset() {
 // returns its partial Result together with the context's error.
 type Job struct {
 	// Input is the reference stream (FromWorkload, FromTrace,
-	// FromCorpus, FromSource).
+	// FromCorpus).
 	Input Input
 	// Designs are the L2 organizations to evaluate. Run requires
 	// exactly one; Compare accepts any non-empty list without repeats.
@@ -149,7 +149,7 @@ func (j Job) Validate() error {
 		return err
 	}
 	if j.Input.kind == "" {
-		return fmt.Errorf("rnuca: job has no input (use FromWorkload, FromTrace, FromCorpus, or FromSource)")
+		return fmt.Errorf("rnuca: job has no input (use FromWorkload, FromTrace, or FromCorpus)")
 	}
 	if j.Maker == nil {
 		if len(j.Designs) == 0 {
@@ -192,13 +192,6 @@ func (j Job) Validate() error {
 	case InputWorkload:
 		if err := j.Input.workload.Validate(); err != nil {
 			return fmt.Errorf("rnuca: job workload: %w", err)
-		}
-	case InputSource:
-		if !j.Input.hasWorkload {
-			if j.Options.Config == nil {
-				return fmt.Errorf("rnuca: source input needs ForWorkload or an explicit Options.Config")
-			}
-			cores = j.Options.Config.Cores
 		}
 	default:
 		if j.Input.kind == InputCorpus && j.Input.path == "" {
@@ -252,8 +245,8 @@ func (j Job) Run(ctx context.Context) (Result, error) {
 // order, so the Results equal those of one Run per design. On a
 // generated input every cell of a batch reads one shared tape of the
 // batch's references instead of regenerating them, holding 8 bytes
-// per generated reference for each batch in flight; replay and source
-// inputs still decode once per cell. On error
+// per generated reference for each batch in flight; replay inputs
+// still decode once per cell. On error
 // (cancellation included) the returned map still holds whatever
 // results, partial or complete, the designs produced; a design whose
 // cells measured nothing before the context ended (none got a slot,
@@ -345,15 +338,13 @@ func (j Job) run(ctx context.Context, ids []DesignID) ([]Result, error) {
 }
 
 // makers returns the makers one design runs: the Maker when set; for
-// ASR on generated and trace inputs, the paper's best-of-six (§5.1),
-// reported as "A" with the lowest CPI (the first on ties); otherwise
-// the one design. A source input runs ASR's adaptive variant only, as
-// a sweep would pull each batch's source six times.
+// ASR, the paper's best-of-six (§5.1), reported as "A" with the lowest
+// CPI (the first on ties); otherwise the one design.
 func (j Job) makers(id DesignID, opt RunOptions) []maker {
 	switch {
 	case j.Maker != nil:
 		return []maker{j.Maker}
-	case id == DesignASR && j.Input.kind != InputSource:
+	case id == DesignASR:
 		ms := make([]maker, design.NumASRVariants)
 		for v := range ms {
 			v := v
@@ -381,8 +372,7 @@ func (j Job) lower(ctx context.Context) (feed, runOpts, error) {
 		}
 	}
 	in := j.Input
-	switch in.kind {
-	case InputTrace, InputCorpus:
+	if in.Replays() {
 		setup := obs.StartSpan(ctx, "replay.setup")
 		setup.SetAttr("path", in.path)
 		ro, w, err := replaySetup(in, j.Options)
@@ -398,22 +388,6 @@ func (j Job) lower(ctx context.Context) (feed, runOpts, error) {
 				return nil, nil, err
 			}
 			return trace.Demux(src, cores), done, nil
-		}}, opt, nil
-	case InputSource:
-		w := in.workload
-		if !in.hasWorkload {
-			// A bare source input: minimal timing parameters, chassis
-			// shape from the validated explicit Config.
-			w = Workload{Name: "source", Cores: j.Options.Config.Cores, OffChipMLP: 1}
-		}
-		opt.RunOptions = j.Options.withDefaults(w)
-		cores := opt.Config.Cores
-		return feed{w: w, what: "reading source", open: func(b int) ([]trace.Stream, func() error, error) {
-			src := in.source(b)
-			if src == nil {
-				return nil, nil, fmt.Errorf("rnuca: source input returned no RefSource for batch %d", b)
-			}
-			return trace.Demux(src, cores), nil, nil
 		}}, opt, nil
 	}
 	w := in.workload
@@ -463,8 +437,8 @@ type jobOptionsJSON struct {
 // POST /v1/jobs and the basis of result-cache keys. Two jobs whose
 // encodings are byte-identical are guaranteed to produce
 // bit-identical Results; knobs that provably cannot change results
-// (Sharded, Progress, Timeline) are excluded by construction. Maker-
-// and source-backed jobs have no canonical encoding and error.
+// (Sharded, Progress, Timeline) are excluded by construction. Maker
+// jobs have no canonical encoding and error.
 func (j Job) MarshalJSON() ([]byte, error) {
 	if j.Maker != nil {
 		return nil, fmt.Errorf("rnuca: a Maker job has no canonical encoding")

@@ -186,47 +186,32 @@ func TestJobRunTracesWorkloadSetup(t *testing.T) {
 	}
 }
 
-// funcSource is a RefSource that cannot rewind.
-type funcSource func() (trace.Ref, bool)
-
-func (f funcSource) Next() (trace.Ref, bool) { return f() }
-
-// A bad source is an error from Run and from Compare, never a crash:
-// source inputs go through the batch loop that turns a corrupt trace
-// into an error.
-func TestJobBadSourceErrors(t *testing.T) {
+// A trace that holds no refs for one of its cores is an error from Run
+// and from Compare, never a crash: the batch loop turns the demux's
+// "trace:" panic into an error.
+func TestJobReplayMissingCoreErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "starved.rnt")
+	fw, err := tracefile.Create(path, tracefile.Header{Workload: "starved", Cores: 16, Warm: 1000, Measure: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := fw.Write(trace.Ref{Core: i % 15, Addr: uint64(i) * 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "trace: source has no refs for core 15"
 	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		src  func(batch int) rnuca.RefSource
-		want string
-	}{
-		{"ref for core 99", func(int) rnuca.RefSource {
-			return funcSource(func() (trace.Ref, bool) { return trace.Ref{Core: 99}, true })
-		}, "demux ref for core 99 outside 0..15"},
-		{"finite, cannot rewind", func(int) rnuca.RefSource {
-			n := 0
-			return funcSource(func() (trace.Ref, bool) {
-				n++
-				return trace.Ref{Core: n % 16, Addr: uint64(n) * 64}, n <= 100
-			})
-		}, "no way to rewind"},
-		{"nil source", func(int) rnuca.RefSource { return nil }, "no RefSource for batch 0"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			job := rnuca.Job{
-				Input:   rnuca.FromSource(tc.src).ForWorkload(rnuca.OLTPDB2()),
-				Designs: []rnuca.DesignID{rnuca.DesignRNUCA},
-				Options: rnuca.RunOptions{Warm: 1000, Measure: 2000},
-			}
-			if _, err := job.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Run: err = %v, want substring %q", err, tc.want)
-			}
-			job.Designs = rnuca.AllDesigns()
-			if _, err := job.Compare(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Compare: err = %v, want substring %q", err, tc.want)
-			}
-		})
+	job := rnuca.Job{Input: rnuca.FromTrace(path), Designs: []rnuca.DesignID{rnuca.DesignRNUCA}}
+	if _, err := job.Run(ctx); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run: err = %v, want substring %q", err, want)
+	}
+	job.Designs = rnuca.AllDesigns()
+	if _, err := job.Compare(ctx); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Compare: err = %v, want substring %q", err, want)
 	}
 }
 
@@ -257,14 +242,10 @@ func TestJobValidationErrors(t *testing.T) {
 			Options: rnuca.RunOptions{Warm: 10, Measure: 10, Batches: 1 << 40}}, "Batches is 1099511627776, above 2147483647"},
 		{"window on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Window(1, 2),
 			Designs: []rnuca.DesignID{"R"}}, "Window on a workload input"},
-		{"sharded on source", rnuca.Job{
-			Input:   rnuca.FromSource(func(batch int) rnuca.RefSource { return nil }).Sharded(4),
-			Designs: []rnuca.DesignID{"R"}}, "Sharded on a source input"},
+		{"sharded on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Sharded(4),
+			Designs: []rnuca.DesignID{"R"}}, "Sharded on a workload input"},
 		{"unbound corpus", rnuca.Job{Input: rnuca.FromCorpusRef("some-name"),
 			Designs: []rnuca.DesignID{"R"}}, "unbound"},
-		{"bare source without config", rnuca.Job{
-			Input:   rnuca.FromSource(func(batch int) rnuca.RefSource { return nil }),
-			Designs: []rnuca.DesignID{"R"}}, "ForWorkload"},
 		{"multi-design Run", rnuca.Job{Input: rnuca.FromWorkload(w),
 			Designs: []rnuca.DesignID{"P", "R"}}, "use Compare"},
 		{"BusyPerRef above cap", rnuca.Job{Input: rnuca.FromWorkload(busy),
@@ -294,7 +275,6 @@ func TestJobValidateChassis(t *testing.T) {
 	cfg8, cfg16 := sim.Config8(), sim.Config16()
 	badGrid := sim.Config16()
 	badGrid.Cores = 12
-	noSource := func(int) rnuca.RefSource { return nil }
 	job := func(in rnuca.Input, o rnuca.RunOptions) rnuca.Job {
 		return rnuca.Job{Input: in, Designs: []rnuca.DesignID{rnuca.DesignRNUCA}, Options: o}
 	}
@@ -348,13 +328,10 @@ func TestJobValidateChassis(t *testing.T) {
 		{"private cluster 3", job(db2, rnuca.RunOptions{PrivateClusterSize: 3}), "private cluster size 3 not a power of two"},
 		{"private cluster 32", job(db2, rnuca.RunOptions{PrivateClusterSize: 32}), "private cluster size 32 exceeds 16 tiles"},
 		{"private cluster 2^20", job(db2, rnuca.RunOptions{PrivateClusterSize: 1 << 20}), "exceeds 16 tiles"},
-		{"source for 65 cores", job(rnuca.FromSource(noSource).ForWorkload(cores(65)), rnuca.RunOptions{}), "outside 1..64"},
-		{"bare source, invalid Config", job(rnuca.FromSource(noSource), rnuca.RunOptions{Config: &badGrid}),
-			"12 cores on 4x4 grid"},
-		{"bare source, cluster 3", job(rnuca.FromSource(noSource), rnuca.RunOptions{Config: &cfg8, InstrClusterSize: 3}),
-			"not a power of two"},
 		{"trace, invalid Config", job(rnuca.FromTrace("never-opened.rnt"), rnuca.RunOptions{Config: &badGrid}),
 			"12 cores on 4x4 grid"},
+		{"trace, cluster 3 on Config8", job(rnuca.FromTrace("never-opened.rnt"), rnuca.RunOptions{Config: &cfg8, InstrClusterSize: 3}),
+			"instruction cluster size 3 not a power of two"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"rnuca"
 	"rnuca/internal/design"
 	"rnuca/internal/sim"
-	"rnuca/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/results-golden.json from the current simulator")
@@ -25,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/results-golden.j
 // sim.Result, the batch statistics and the SHA-256 of the flight
 // timeline's JSON for every design on small fixed jobs, across both
 // topologies and both contention models, plus one cell per way a job
-// reaches the engine (record, replay, batches, windows, Makers, source
-// inputs). Floats are stored as IEEE-754 bits, as in
+// reaches the engine (record, replay, batches, windows, Makers, a
+// comparison). Floats are stored as IEEE-754 bits, as in
 // bench/testdata/golden.json.
 var goldenPath = filepath.Join("testdata", "results-golden.json")
 
@@ -78,10 +77,9 @@ func goldenEntry(t *testing.T, r rnuca.Result) map[string]any {
 // on OLTP-DB2 (MIX for batched ASR) at 5000/15000 references: a
 // recording with its trace's SHA-256; replays of that trace (each
 // design, two batches, a sharded window, a Maker); generated runs with
-// two batches, both cluster-size overrides and a Maker; and a source
-// input under every design with two batches. The source input yields
-// the generator's per-batch streams, so each cell but ASR (adaptive
-// only on a source) must equal the same job on FromWorkload.
+// two batches, both cluster-size overrides and a Maker; and a
+// two-batch comparison of P, S, R and I beside ASR's adaptive variant
+// alone, run as a Maker.
 func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	ctx := context.Background()
 	w := rnuca.OLTPDB2()
@@ -130,28 +128,17 @@ func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	got["generated/OLTP-DB2/private4"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.PrivateClusterSize = 4 }))}
 	got["generated/OLTP-DB2/maker"] = map[string]any{"A0.75": run(gen, A, asr75, opt)}
 
-	src := rnuca.FromSource(func(b int) rnuca.RefSource {
-		ws := w
-		ws.Seed = w.Seed + uint64(b)*0x9E37
-		return workload.Source(ws)
-	}).ForWorkload(w)
-	srcRes, err := rnuca.Job{Input: src, Designs: rnuca.AllDesigns(), Options: with(opt, batches2)}.Compare(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genRes, err := rnuca.Job{Input: gen, Designs: []rnuca.DesignID{rnuca.DesignPrivate, S, R, rnuca.DesignIdeal},
+	cmp, err := rnuca.Job{Input: gen, Designs: []rnuca.DesignID{rnuca.DesignPrivate, S, R, rnuca.DesignIdeal},
 		Options: with(opt, batches2)}.Compare(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := map[string]any{}
-	for id, r := range srcRes {
+	adaptive := func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(A, ch) }
+	cell := map[string]any{"A/adaptive": run(gen, A, adaptive, with(opt, batches2))}
+	for id, r := range cmp {
 		cell[string(id)] = goldenEntry(t, r)
-		if id != A && !reflect.DeepEqual(cell[string(id)], goldenEntry(t, genRes[id])) {
-			t.Errorf("source/OLTP-DB2/batches2 %s: a source input differs from the same job on FromWorkload", id)
-		}
 	}
-	got["source/OLTP-DB2/batches2"] = cell
+	got["generated/OLTP-DB2/batches2/compare"] = cell
 }
 
 // goldenPressureCells runs goldenWorkloads on the torus under both

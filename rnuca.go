@@ -40,10 +40,11 @@
 // FromWorkload(w) generates references statistically; FromTrace(path)
 // replays a recording, optionally .Window(start, n) sampling a record
 // range and .Sharded(n) fanning chunk decode across workers;
-// FromCorpus(store, ref) replays a content-addressed corpus object;
-// FromSource(fn) plugs in any reference stream. Record a generated
-// run for later replay with Job.Record — a same-design replay
-// reproduces the recording run's Result bit for bit.
+// FromCorpus(store, ref) replays a content-addressed corpus object.
+// Record a generated run for later replay with Job.Record — a
+// same-design replay reproduces the recording run's Result bit for
+// bit — and ingest an external address stream with rnuca-trace
+// convert.
 //
 // A Job has exactly one canonical JSON encoding (Job.MarshalJSON): it
 // is the wire format of the rnuca-serve job service (POST /v1/jobs)
@@ -92,10 +93,6 @@ import (
 	"rnuca/internal/tracefile"
 	"rnuca/internal/workload"
 )
-
-// RefSource is re-exported so callers can plug external reference
-// streams into FromSource without importing internal packages.
-type RefSource = trace.RefSource
 
 // DesignID names one of the five evaluated L2 organizations.
 type DesignID string
@@ -305,10 +302,9 @@ type feed struct {
 	open func(b int) (streams []trace.Stream, done func() error, err error)
 	// what names the input in the errors a bad stream becomes.
 	what string
-	// gen is the generated input behind open, nil for replay and source
-	// inputs: their references carry arbitrary addresses and busy
-	// counts, which a workload.Tape cannot pack, so they still decode
-	// once per cell.
+	// gen is the generated input behind open, nil for replay inputs:
+	// their references carry arbitrary addresses and busy counts, which
+	// a workload.Tape cannot pack, so they still decode once per cell.
 	gen *generated
 }
 
@@ -504,8 +500,8 @@ func runCell(in feed, opt runOpts, mk maker, b int) (c cellOut) {
 
 // runBatch runs batch b's cell. A bad stream surfaces as an error, not
 // a crash: a reader that failed mid-stream must not let the run pass
-// silently, and the demux's panics (a ref for a core outside the chip,
-// a finite source that cannot loop) are "trace:"-prefixed. Panics from
+// silently, and the demux's panics (a core the trace holds no refs
+// for, a trace that fails to rewind) are "trace:"-prefixed. Panics from
 // anywhere else (engine or design bugs) propagate.
 func runBatch(in feed, opt runOpts, mk maker, b int) (res sim.Result, err error) {
 	streams, done, err := in.open(b)
