@@ -77,9 +77,10 @@ func goldenEntry(t *testing.T, r rnuca.Result) map[string]any {
 // on OLTP-DB2 (MIX for batched ASR) at 5000/15000 references: a
 // recording with its trace's SHA-256; replays of that trace (each
 // design, two batches, a sharded window, a Maker); generated runs with
-// two batches, both cluster-size overrides and a Maker; and a
-// two-batch comparison of P, S, R and I beside ASR's adaptive variant
-// alone, run as a Maker.
+// two batches, instruction clusters of 1, 2, 8 and 16 slices (8 is the
+// fixed-center fallback on a 4x4 torus), private clusters of 4 and 8
+// slices, and a Maker; and a two-batch comparison of P, S, R and I
+// beside ASR's adaptive variant alone, run as a Maker.
 func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	ctx := context.Background()
 	w := rnuca.OLTPDB2()
@@ -124,8 +125,11 @@ func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	got["generated/OLTP-DB2/batches2"] = map[string]any{"R": run(gen, R, nil, with(opt, batches2))}
 	got["generated/MIX/batches2"] = map[string]any{"A": run(rnuca.FromWorkload(rnuca.MIX()), A, nil, with(opt, batches2))}
 	got["generated/OLTP-DB2/instr1"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 1 }))}
+	got["generated/OLTP-DB2/instr2"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 2 }))}
+	got["generated/OLTP-DB2/instr8"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 8 }))}
 	got["generated/OLTP-DB2/instr16"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.InstrClusterSize = 16 }))}
 	got["generated/OLTP-DB2/private4"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.PrivateClusterSize = 4 }))}
+	got["generated/OLTP-DB2/private8"] = map[string]any{"R": run(gen, R, nil, with(opt, func(o *rnuca.RunOptions) { o.PrivateClusterSize = 8 }))}
 	got["generated/OLTP-DB2/maker"] = map[string]any{"A0.75": run(gen, A, asr75, opt)}
 
 	cmp, err := rnuca.Job{Input: gen, Designs: []rnuca.DesignID{rnuca.DesignPrivate, S, R, rnuca.DesignIdeal},
