@@ -1,7 +1,6 @@
 package design
 
 import (
-	"rnuca/internal/cache"
 	"rnuca/internal/coherence"
 	"rnuca/internal/noc"
 	"rnuca/internal/sim"
@@ -52,8 +51,9 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 
 	if line, extra := d.probe(tile, addr); line != nil {
 		cost.L2 = float64(ch.Cfg.L2HitCycles) + extra
-		if r.IsWrite() {
-			cost.L2Coh += d.broadcastUpgrade(core, addr, line)
+		if r.IsWrite() && len(d.dirUpgrade(core, addr, line)) > 0 {
+			// Other holders are invalidated by a broadcast.
+			cost.L2Coh += d.broadcastCost(tile)
 		}
 		return cost
 	}
@@ -62,14 +62,7 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 	// round trip plus a remote tag probe; every tile is traversed, which
 	// the traffic accounting captures.
 	bcast := d.broadcastCost(tile)
-
-	var act coherence.Action
-	if r.IsWrite() {
-		act = d.dir.Write(addr, core, ch.HopsFrom(core))
-		d.drop(act.Invalidated, addr)
-	} else {
-		act = d.dir.Read(addr, core, ch.HopsFrom(core))
-	}
+	act := d.dirMiss(core, addr, r.IsWrite())
 
 	lat := float64(ch.Cfg.L2HitCycles) + bcast
 	switch {
@@ -108,23 +101,4 @@ func (d *PrivateBroadcast) broadcastCost(from noc.TileID) float64 {
 		}
 	}
 	return worst
-}
-
-// broadcastUpgrade invalidates remote copies of a locally written block.
-func (d *PrivateBroadcast) broadcastUpgrade(core int, addr cache.Addr, line *cache.Line) float64 {
-	line.State = cache.Modified
-	others := 0
-	if e, ok := d.dir.Lookup(addr); ok {
-		others = e.Sharers.Clear(core).Count()
-		if e.Owner >= 0 && e.Owner != core {
-			others++
-		}
-	}
-	tile := noc.TileID(core)
-	act := d.dir.Write(addr, core, d.ch.HopsFrom(core))
-	d.drop(act.Invalidated, addr)
-	if others == 0 {
-		return 0
-	}
-	return d.broadcastCost(tile)
 }

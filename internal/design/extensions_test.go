@@ -74,7 +74,7 @@ func TestPerThreadPrivatePlacement(t *testing.T) {
 		sizes[i] = 1
 	}
 	sizes[0] = 4 // core 0 spills over its size-4 cluster
-	d := NewReactivePerThreadPrivate(ch, sizes)
+	d := NewReactiveWithPrivateClusters(ch, sizes)
 
 	// Core 0's private blocks spread over its cluster (<= 1 hop).
 	used := map[noc.TileID]bool{}
@@ -109,7 +109,7 @@ func TestPerThreadPrivatePurgeCoversCluster(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 4
 	}
-	d := NewReactivePerThreadPrivate(ch, sizes)
+	d := NewReactiveWithPrivateClusters(ch, sizes)
 	page := uint64(0x5000000)
 	// Fill one page's blocks from core 3 (spread over its cluster).
 	for b := uint64(0); b < 8; b++ {
@@ -139,7 +139,7 @@ func TestPerThreadPrivateSizeMismatchPanics(t *testing.T) {
 			t.Fatal("size-count mismatch must panic")
 		}
 	}()
-	NewReactivePerThreadPrivate(chassis16(), []int{1, 2})
+	NewReactiveWithPrivateClusters(chassis16(), []int{1, 2})
 }
 
 // ---- Mesh chassis ----

@@ -49,7 +49,11 @@ func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 	if line, extra := d.probe(tile, addr); line != nil {
 		cost.L2 = float64(ch.Cfg.L2HitCycles) + extra
 		if r.IsWrite() {
-			cost.L2Coh += d.writeUpgrade(core, addr, line)
+			// Other holders are invalidated through the directory home.
+			if inval := d.dirUpgrade(core, addr, line); len(inval) > 0 {
+				home := d.home(addr)
+				cost.L2Coh += ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) + ch.InvalFanout(home, inval)
+			}
 		}
 		return cost, coherence.SourceNone
 	}
@@ -57,14 +61,9 @@ func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 	// Local miss: local tag probe, then the distributed directory.
 	home := d.home(addr)
 	lat := float64(ch.Cfg.L2HitCycles) + ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles)
-
-	var act coherence.Action
+	act := d.dirMiss(core, addr, r.IsWrite())
 	if r.IsWrite() {
-		act = d.dir.Write(addr, core, ch.HopsFrom(core))
-		d.drop(act.Invalidated, addr)
 		lat += ch.InvalFanout(home, act.Invalidated)
-	} else {
-		act = d.dir.Read(addr, core, ch.HopsFrom(core))
 	}
 
 	src := act.Source
@@ -100,30 +99,32 @@ func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 	return cost, src
 }
 
-// writeUpgrade invalidates other tiles' copies when a locally cached block
-// is written, returning the coherence latency.
-func (d *Private) writeUpgrade(core int, addr cache.Addr, line *cache.Line) float64 {
-	ch := d.ch
-	line.State = cache.Modified
-	e, ok := d.dir.Lookup(addr)
-	if !ok {
-		// Block is local-only (private data never registered remotely).
-		d.dir.Write(addr, core, nil)
-		return 0
+// dirMiss records a local L2 miss of core on addr in the directory: a
+// read joins the holders; a write takes ownership and drops every other
+// tile's copy. The action names the on-chip provider, if any, and the
+// tiles invalidated.
+//
+//rnuca:hotpath
+func (d *Private) dirMiss(core int, addr cache.Addr, write bool) coherence.Action {
+	if !write {
+		return d.dir.Read(addr, core, d.ch.HopsFrom(core))
 	}
-	others := e.Sharers.Clear(core).Count()
-	if e.Owner >= 0 && e.Owner != core {
-		others++
-	}
-	if others == 0 {
-		d.dir.Write(addr, core, nil)
-		return 0
-	}
-	tile := noc.TileID(core)
-	home := d.home(addr)
-	act := d.dir.Write(addr, core, ch.HopsFrom(core))
+	act := d.dir.Write(addr, core, d.ch.HopsFrom(core))
 	d.drop(act.Invalidated, addr)
-	return ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) + ch.InvalFanout(home, act.Invalidated)
+	return act
+}
+
+// dirUpgrade records core's write to addr, which its own slice holds as
+// line: the line turns Modified, the directory makes core the owner, and
+// every other tile's copy is dropped. It returns the tiles invalidated,
+// a view valid until the directory's next transaction.
+//
+//rnuca:hotpath
+func (d *Private) dirUpgrade(core int, addr cache.Addr, line *cache.Line) []int {
+	line.State = cache.Modified
+	act := d.dir.Write(addr, core, d.ch.HopsFrom(core))
+	d.drop(act.Invalidated, addr)
+	return act.Invalidated
 }
 
 // installLocal fills the block into the requestor's private slice. The

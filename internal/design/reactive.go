@@ -1,8 +1,6 @@
 package design
 
 import (
-	"fmt"
-
 	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 	"rnuca/internal/ospage"
@@ -30,12 +28,6 @@ type Reactive struct {
 	os    *ospage.System
 	place *placement.Placement
 
-	// privPlace is the placement engine for each core's private data:
-	// place, unless NewReactivePerThreadPrivate gave the core its own
-	// private-cluster size (§4.4: "a fixed-center cluster of appropriate
-	// size").
-	privPlace []*placement.Placement
-
 	lastClass    cache.Class
 	reclassCount uint64
 }
@@ -43,48 +35,24 @@ type Reactive struct {
 // NewReactive builds R-NUCA with the chassis's configured instruction
 // cluster size and size-1 private clusters (the paper's configuration).
 func NewReactive(ch *sim.Chassis) *Reactive {
-	return NewReactiveWithPrivateClusters(ch, 1)
+	return NewReactiveWithPrivateClusters(ch, nil)
 }
 
-// NewReactiveWithPrivateClusters builds R-NUCA whose private data spills
-// over fixed-center clusters of the given size (§4.4), for heterogeneous
-// workloads whose threads have very different footprints.
-func NewReactiveWithPrivateClusters(ch *sim.Chassis, privClusterSize int) *Reactive {
-	p, err := placement.NewPlacementWithPrivateClusters(
-		ch.Topo, ch.Cfg.InstrClusterSize, privClusterSize, ch.Cfg.InterleaveOffset(), 0)
+// NewReactiveWithPrivateClusters builds R-NUCA whose core i spills its
+// private data over a fixed-center cluster of sizes[i] slices (§4.4: "a
+// fixed-center cluster of appropriate size"), so cache-hungry threads
+// spill over their neighbors while compact threads keep local placement.
+// len(sizes) must equal the core count; nil is size 1 everywhere.
+func NewReactiveWithPrivateClusters(ch *sim.Chassis, sizes []int) *Reactive {
+	p, err := placement.NewPlacement(ch.Topo, ch.Cfg.InstrClusterSize, sizes, ch.Cfg.InterleaveOffset(), 0)
 	if err != nil {
 		panic(err)
 	}
-	d := &Reactive{
-		slices:    newSlices(ch),
-		os:        ospage.NewSystem(ch.Cfg.PageBytes, ch.Cfg.TLBEntries, ch.Cfg.Cores),
-		place:     p,
-		privPlace: make([]*placement.Placement, ch.Cfg.Cores),
+	return &Reactive{
+		slices: newSlices(ch),
+		os:     ospage.NewSystem(ch.Cfg.PageBytes, ch.Cfg.TLBEntries, ch.Cfg.Cores),
+		place:  p,
 	}
-	for core := range d.privPlace {
-		d.privPlace[core] = p
-	}
-	return d
-}
-
-// NewReactivePerThreadPrivate builds R-NUCA where each core's thread gets
-// its own private-cluster size (len(sizes) must equal the core count):
-// cache-hungry threads spill over neighbors while compact threads keep
-// pure local placement — the full form of the §4.4 extension.
-func NewReactivePerThreadPrivate(ch *sim.Chassis, sizes []int) *Reactive {
-	if len(sizes) != ch.Cfg.Cores {
-		panic(fmt.Sprintf("design: %d private sizes for %d cores", len(sizes), ch.Cfg.Cores))
-	}
-	d := NewReactive(ch)
-	for core, size := range sizes {
-		p, err := placement.NewPlacementWithPrivateClusters(
-			ch.Topo, ch.Cfg.InstrClusterSize, size, ch.Cfg.InterleaveOffset(), 0)
-		if err != nil {
-			panic(err)
-		}
-		d.privPlace[core] = p
-	}
-	return d
 }
 
 // Name implements sim.Design.
@@ -123,39 +91,22 @@ func (d *Reactive) Access(r trace.Ref) sim.Cost {
 
 	d.lastClass = res.Class
 	switch res.Class {
-	case cache.ClassPrivate:
-		// Size-1 clusters: the local slice, no network, no coherence.
-		// Larger private clusters (§4.4) interleave over the owner's
-		// neighborhood, at most one extra hop, still coherence-free
-		// because each block has exactly one location.
-		slice := d.privPlace[core].PrivateSliceFor(tile, uint64(addr))
-		d.serveAt(&cost, tile, slice, addr, stateFor(r), cache.ClassPrivate)
+	case cache.ClassPrivate, cache.ClassInstruction:
+		// One probe at one slice of the requestor's cluster for the
+		// class, with no coherence: a private block has exactly one
+		// location (its owner's local slice, or one slice of a larger
+		// §4.4 cluster), and an instruction block is read-only, so a
+		// per-cluster compulsory miss fetches from memory rather than
+		// from another cluster's replica (§4.2). A store never reaches
+		// here as an instruction access: it re-classifies the page
+		// shared first (§4.3).
+		slice := d.place.SliceFor(res.Class, tile, uint64(addr))
+		d.serveAt(&cost, tile, slice, addr, stateFor(r), res.Class)
 		if r.IsWrite() {
 			d.markModified(slice, addr)
 		}
-
-	case cache.ClassInstruction:
-		// Rotational-interleaved lookup: exactly one probe, at most one
-		// hop for size-4 clusters. A per-cluster compulsory miss fetches
-		// from memory rather than from another cluster's replica (§4.2).
-		slice := d.place.InstructionSlice(tile, uint64(addr))
-		d.serveAt(&cost, tile, slice, addr, cache.Shared, cache.ClassInstruction)
-
 	default: // shared data
-		home := d.place.SharedSlice(uint64(addr))
-		if l1.RemoteOwner >= 0 {
-			owner := noc.TileID(l1.RemoteOwner)
-			cost.L1toL1 = ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) +
-				ch.CtrlLatency(home, owner) + float64(ch.Cfg.L1HitCycles) +
-				ch.DataLatency(owner, tile)
-			d.ensure(home, addr, cache.Modified, cache.ClassShared)
-		} else {
-			d.serveAt(&cost, tile, home, addr, stateFor(r), cache.ClassShared)
-		}
-		if r.IsWrite() {
-			d.markModified(home, addr)
-			cost.L2Coh += ch.InvalFanout(home, l1.Invalidated)
-		}
+		d.serveHome(&cost, r, l1, cache.ClassShared)
 	}
 	return cost
 }
@@ -176,7 +127,7 @@ func (d *Reactive) shootdown(r trace.Ref, res ospage.Result) float64 {
 		if res.PrevOwner >= 0 {
 			// The page's blocks may sit anywhere in the previous owner's
 			// private cluster (one slice for size-1 clusters).
-			for _, t := range d.privPlace[res.PrevOwner].PrivateClusterTiles(noc.TileID(res.PrevOwner)) {
+			for _, t := range d.place.PrivateClusterTiles(noc.TileID(res.PrevOwner)) {
 				purged += d.purge(t, lo, hi)
 			}
 			purged += ch.L1PurgeRange(res.PrevOwner, lo, hi)

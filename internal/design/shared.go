@@ -1,8 +1,6 @@
 package design
 
 import (
-	"rnuca/internal/cache"
-	"rnuca/internal/noc"
 	"rnuca/internal/sim"
 	"rnuca/internal/trace"
 )
@@ -27,33 +25,8 @@ func (d *Shared) Name() string { return "S" }
 //rnuca:hotpath
 func (d *Shared) Access(r trace.Ref) sim.Cost {
 	var cost sim.Cost
-	ch := d.ch
-	tile := noc.TileID(r.Core)
-	addr := r.BlockAddr()
-	home := d.home(addr)
-
-	l1 := ch.L1Service(r.Core, r)
-
-	if l1.RemoteOwner >= 0 {
-		// Dirty copy in a remote L1: request goes to the home slice,
-		// which forwards to the owner; the owner's L1 supplies the data
-		// directly to the requestor (one L2 slice access total).
-		owner := noc.TileID(l1.RemoteOwner)
-		cost.L1toL1 = ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) +
-			ch.CtrlLatency(home, owner) + float64(ch.Cfg.L1HitCycles) +
-			ch.DataLatency(owner, tile)
-		// Ownership transfer leaves the home's L2 copy stale-but-present;
-		// ensure it exists so later readers hit at the home.
-		d.ensure(home, addr, cache.Modified, r.Class)
-		cost.L2Coh += ch.InvalFanout(home, l1.Invalidated)
-		return cost
-	}
-
-	d.serveAt(&cost, tile, home, addr, stateFor(r), r.Class)
-	if r.IsWrite() {
-		d.markModified(home, addr)
-	}
-	cost.L2Coh += ch.InvalFanout(home, l1.Invalidated)
+	l1 := d.ch.L1Service(r.Core, r)
+	d.serveHome(&cost, r, l1, r.Class)
 	return cost
 }
 

@@ -10,9 +10,12 @@
 // swaps victim hits back, a fill that spills the slice's LRU line into
 // the victim cache, write-invalidation drops, page purges, the
 // address-interleaved home, and serveAt, the cost of finding a block at
-// one known slice. Only slices touches a victim cache. Each design's
-// Access keeps only its placement and the network, directory and L1
-// legs it pays for.
+// one known slice. Only slices touches a victim cache. The transactions
+// built on them also have one copy each: serveHome serves a block whose
+// one L2 copy lives at its home (every block of S, R's shared data), and
+// Private's dirMiss and dirUpgrade keep the L2 directory for P, ASR and
+// Pb. Each design's Access keeps only its placement and the network,
+// directory and L1 legs it pays for.
 package design
 
 import (
@@ -148,6 +151,36 @@ func (s *slices) serveAt(cost *sim.Cost, tile, slice noc.TileID, addr cache.Addr
 	cost.OffChip = req + ch.Mem.Access(ch.Net, slice, uint64(addr)) + ch.DataLatency(slice, tile)
 	cost.OffChipMiss = true
 	s.fill(slice, addr, st, class)
+}
+
+// serveHome serves r for a block whose one L2 copy lives at its
+// address-interleaved home: the shared design's every block and R-NUCA's
+// shared data. A dirty copy in a remote L1 is forwarded through the
+// home, whose directory sends the request on to the owner; the owner's
+// L1 supplies the data straight to the requestor, and the home keeps (or
+// gains) a copy so later readers hit there. Otherwise serveAt charges
+// the home. A write marks the home copy Modified and fans the L1
+// invalidations in l1 out from the home. Fills carry class.
+//
+//rnuca:hotpath
+func (s *slices) serveHome(cost *sim.Cost, r trace.Ref, l1 sim.L1Info, class cache.Class) {
+	ch := s.ch
+	tile := noc.TileID(r.Core)
+	addr := r.BlockAddr()
+	home := s.home(addr)
+	if l1.RemoteOwner >= 0 {
+		owner := noc.TileID(l1.RemoteOwner)
+		cost.L1toL1 = ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles) +
+			ch.CtrlLatency(home, owner) + float64(ch.Cfg.L1HitCycles) +
+			ch.DataLatency(owner, tile)
+		s.ensure(home, addr, cache.Modified, class)
+	} else {
+		s.serveAt(cost, tile, home, addr, stateFor(r), class)
+	}
+	if r.IsWrite() {
+		s.markModified(home, addr)
+		cost.L2Coh += ch.InvalFanout(home, l1.Invalidated)
+	}
 }
 
 // stateFor is the state a reference fills its block in.

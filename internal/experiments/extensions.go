@@ -56,7 +56,7 @@ func (c *Campaign) PrivateClusterAblation() *report.Table {
 		}
 	}
 	cells = append(cells, makerCell(c.genCell(w, "R/per-thread", opt), func(ch *sim.Chassis) sim.Design {
-		return design.NewReactivePerThreadPrivate(ch, sizes)
+		return design.NewReactiveWithPrivateClusters(ch, sizes)
 	}))
 	names = append(names, "per-thread {2,1,...}")
 	for i, r := range c.runAll(cells) {

@@ -43,7 +43,7 @@ func FuzzPlacementClasses(f *testing.F) {
 	f.Add(uint64(0x1000), uint8(3))
 	f.Add(uint64(0xFFFFFFFFFFFF), uint8(12))
 	topo := noc.NewFoldedTorus2D(4, 4)
-	p, err := NewPlacement(topo, 4, 16, 0)
+	p, err := NewPlacement(topo, 4, nil, 16, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -4,18 +4,22 @@ import (
 	"fmt"
 	"sort"
 
+	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 )
 
 // Placement is the R-NUCA placement engine (§4.2). Given a classified
-// access it returns the single L2 slice that holds the block:
+// access it returns the single L2 slice that holds the block. Each class
+// lives in a fixed-center cluster of its own size, centered at the
+// requestor:
 //
-//   - private data  -> the size-1 cluster: the requestor's local slice;
+//   - private data  -> the size-1 cluster: the requestor's local slice
+//     (§4.4 lets a thread spill over a larger private cluster);
 //   - shared data   -> the size-(all tiles) cluster: standard address
 //     interleaving across every slice;
-//   - instructions  -> the size-n fixed-center cluster centered at the
-//     requestor, indexed with rotational interleaving (n = 4 in the
-//     paper's configuration), replicated across the chip.
+//   - instructions  -> the size-n cluster indexed with rotational
+//     interleaving (n = 4 in the paper's configuration), replicated
+//     across the chip.
 //
 // Every modifiable block (private or shared) maps to exactly one slice, so
 // no L2 coherence mechanism is needed; only read-only instruction blocks
@@ -23,26 +27,37 @@ import (
 type Placement struct {
 	topo noc.Topology
 
-	// instrSize is the instruction cluster size (1, 2, 4, 8 or 16).
-	instrSize int
-	// rid is the rotational map when instrSize supports rotational
-	// interleaving, nil when the fixed-center standard fallback is used.
-	rid *RIDMap
-	// fallback provides fixed-center standard-interleaved clusters for
-	// sizes (like 8 on a 4x4 torus) where no rotational assignment exists.
-	fallback *FixedCenterStandard
-
 	// k is the bit offset of the interleaving field: the address bits
 	// immediately above the L2 slice's set-index bits (§4.1).
 	k uint
 
-	// Private-data clusters (§4.4 extension): size-1 in the paper's main
-	// configuration; heterogeneous workloads may use larger fixed-center
-	// clusters to spill a thread's private data to neighboring slices
-	// while keeping single-probe lookup.
-	privSize     int
-	privRid      *RIDMap
-	privFallback *FixedCenterStandard
+	// instr is the instruction cluster; priv holds each core's private
+	// cluster, size 1 everywhere in the paper's main configuration.
+	instr cluster
+	priv  []cluster
+}
+
+// cluster is one fixed-center cluster size and the map that indexes a
+// cluster of that size: rotational interleaving where the size admits
+// it, fixed-center standard interleaving otherwise (size 8 on a 4x4
+// torus). A single slice and the whole chip need neither: the first is
+// the center itself, the second the address interleaving of shared data.
+type cluster struct {
+	size     int
+	rid      *RIDMap
+	fallback *FixedCenterStandard
+}
+
+func newCluster(topo noc.Topology, size int, origin noc.TileID) cluster {
+	c := cluster{size: size}
+	switch {
+	case size == 1 || size == topo.Tiles():
+	case coversAllResidues(topo, size):
+		c.rid = NewRIDMap(topo, size, origin)
+	default:
+		c.fallback = NewFixedCenterStandard(topo, size)
+	}
+	return c
 }
 
 // CheckClusterSize reports whether a cluster of n slices can be built
@@ -60,51 +75,87 @@ func CheckClusterSize(kind string, n, tiles int) error {
 }
 
 // NewPlacement builds a placement engine. instrClusterSize selects the
-// instruction cluster size; k is the interleaving bit offset (block-offset
-// bits + slice set-index bits). origin seeds RID 0 (the OS picks a random
-// tile; simulations pass a fixed origin for determinism).
-func NewPlacement(topo noc.Topology, instrClusterSize int, k uint, origin noc.TileID) (*Placement, error) {
-	if err := CheckClusterSize("instruction", instrClusterSize, topo.Tiles()); err != nil {
+// instruction cluster size. privSizes gives each core's private cluster
+// size, one per tile (§4.4: "heterogeneous workloads ... may favor a
+// fixed-center cluster of appropriate size for private data, effectively
+// spilling blocks to the neighboring slices to lower cache capacity
+// pressure while retaining fast lookup"); nil is the paper's size 1
+// everywhere. k is the interleaving bit offset (block-offset bits +
+// slice set-index bits). origin seeds RID 0 (the OS picks a random tile;
+// simulations pass a fixed origin for determinism).
+func NewPlacement(topo noc.Topology, instrClusterSize int, privSizes []int, k uint, origin noc.TileID) (*Placement, error) {
+	tiles := topo.Tiles()
+	if err := CheckClusterSize("instruction", instrClusterSize, tiles); err != nil {
 		return nil, err
 	}
-	p := &Placement{topo: topo, instrSize: instrClusterSize, k: k, privSize: 1}
-	switch {
-	case instrClusterSize == topo.Tiles():
-		// A full-chip cluster degenerates to standard address
-		// interleaving over all slices: no RID map needed, and lookup is
-		// identical to the shared-data path.
-	case coversAllResidues(topo, instrClusterSize):
-		p.rid = NewRIDMap(topo, instrClusterSize, origin)
-	default:
-		p.fallback = NewFixedCenterStandard(topo, instrClusterSize)
+	if privSizes != nil && len(privSizes) != tiles {
+		return nil, fmt.Errorf("rnuca: %d private cluster sizes for %d tiles", len(privSizes), tiles)
+	}
+	for _, n := range privSizes {
+		if err := CheckClusterSize("private", n, tiles); err != nil {
+			return nil, err
+		}
+	}
+	built := map[int]cluster{instrClusterSize: newCluster(topo, instrClusterSize, origin)}
+	p := &Placement{topo: topo, k: k, instr: built[instrClusterSize], priv: make([]cluster, tiles)}
+	for t := range p.priv {
+		size := 1
+		if privSizes != nil {
+			size = privSizes[t]
+		}
+		if _, ok := built[size]; !ok {
+			built[size] = newCluster(topo, size, origin)
+		}
+		p.priv[t] = built[size]
 	}
 	return p, nil
 }
 
-// NewPlacementWithPrivateClusters builds a placement engine whose private
-// data spills over fixed-center clusters of privClusterSize slices (§4.4:
-// "heterogeneous workloads ... may favor a fixed-center cluster of
-// appropriate size for private data, effectively spilling blocks to the
-// neighboring slices to lower cache capacity pressure while retaining
-// fast lookup"). privClusterSize 1 reproduces the paper's main
-// configuration.
-func NewPlacementWithPrivateClusters(topo noc.Topology, instrClusterSize, privClusterSize int, k uint, origin noc.TileID) (*Placement, error) {
-	p, err := NewPlacement(topo, instrClusterSize, k, origin)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckClusterSize("private", privClusterSize, topo.Tiles()); err != nil {
-		return nil, err
-	}
-	p.privSize = privClusterSize
+// slice returns the member of c's cluster centered at center that holds
+// addr.
+func (p *Placement) slice(c *cluster, center noc.TileID, addr uint64) noc.TileID {
 	switch {
-	case privClusterSize == 1 || privClusterSize == topo.Tiles():
-	case coversAllResidues(topo, privClusterSize):
-		p.privRid = NewRIDMap(topo, privClusterSize, origin)
+	case c.size == 1:
+		return center
+	case c.rid != nil:
+		return c.rid.SliceFor(center, addr, p.k)
+	case c.fallback != nil:
+		return c.fallback.SliceFor(center, addr, p.k)
 	default:
-		p.privFallback = NewFixedCenterStandard(topo, privClusterSize)
+		return p.SharedSlice(addr)
 	}
-	return p, nil
+}
+
+// members returns the slices of c's cluster centered at center.
+func (p *Placement) members(c *cluster, center noc.TileID) []noc.TileID {
+	switch {
+	case c.size == 1:
+		return []noc.TileID{center}
+	case c.rid != nil:
+		return c.rid.ClusterTiles(center)
+	case c.fallback != nil:
+		return c.fallback.Members(center)
+	default:
+		all := make([]noc.TileID, p.topo.Tiles())
+		for i := range all {
+			all[i] = noc.TileID(i)
+		}
+		return all
+	}
+}
+
+// SliceFor returns the one slice that holds addr for a requestor at req
+// when the block's page has the given class: a slice of the requestor's
+// private or instruction cluster, or the shared data's interleaved home.
+func (p *Placement) SliceFor(class cache.Class, req noc.TileID, addr uint64) noc.TileID {
+	switch class {
+	case cache.ClassPrivate:
+		return p.slice(&p.priv[req], req, addr)
+	case cache.ClassInstruction:
+		return p.slice(&p.instr, req, addr)
+	default:
+		return p.SharedSlice(addr)
+	}
 }
 
 // PrivateSliceFor returns the slice holding a private block owned by the
@@ -114,35 +165,13 @@ func NewPlacementWithPrivateClusters(topo noc.Topology, instrClusterSize, privCl
 // replicate: each (owner, address) pair has exactly one location, so no
 // coherence is needed.
 func (p *Placement) PrivateSliceFor(owner noc.TileID, addr uint64) noc.TileID {
-	switch {
-	case p.privSize == 1:
-		return owner
-	case p.privRid != nil:
-		return p.privRid.SliceFor(owner, addr, p.k)
-	case p.privFallback != nil:
-		return p.privFallback.SliceFor(owner, addr, p.k)
-	default:
-		return p.SharedSlice(addr)
-	}
+	return p.slice(&p.priv[owner], owner, addr)
 }
 
 // PrivateClusterTiles returns the slices a private page owned at owner may
 // occupy, for purge on re-classification.
 func (p *Placement) PrivateClusterTiles(owner noc.TileID) []noc.TileID {
-	switch {
-	case p.privSize == 1:
-		return []noc.TileID{owner}
-	case p.privRid != nil:
-		return p.privRid.ClusterTiles(owner)
-	case p.privFallback != nil:
-		return p.privFallback.Members(owner)
-	default:
-		all := make([]noc.TileID, p.topo.Tiles())
-		for i := range all {
-			all[i] = noc.TileID(i)
-		}
-		return all
-	}
+	return p.members(&p.priv[owner], owner)
 }
 
 // SharedSlice returns the slice for shared data: standard address
@@ -156,16 +185,7 @@ func (p *Placement) SharedSlice(addr uint64) noc.TileID {
 // of the requestor's fixed-center cluster selected by rotational
 // interleaving (or standard interleaving for fallback sizes).
 func (p *Placement) InstructionSlice(req noc.TileID, addr uint64) noc.TileID {
-	switch {
-	case p.instrSize == 1:
-		return req
-	case p.rid != nil:
-		return p.rid.SliceFor(req, addr, p.k)
-	case p.fallback != nil:
-		return p.fallback.SliceFor(req, addr, p.k)
-	default:
-		return p.SharedSlice(addr)
-	}
+	return p.slice(&p.instr, req, addr)
 }
 
 // InstructionReplicaSlices returns every slice on the chip that may hold a

@@ -6,13 +6,25 @@ import (
 	"rnuca/internal/noc"
 )
 
+// uniform gives every core of a 16-tile chip a private cluster of n
+// slices.
+func uniform(n int) []int {
+	sizes := make([]int, 16)
+	for i := range sizes {
+		sizes[i] = n
+	}
+	return sizes
+}
+
 func TestPrivateClustersDefaultSizeOne(t *testing.T) {
-	p, err := NewPlacement(torus16(), 4, 16, 0)
+	p, err := NewPlacement(torus16(), 4, nil, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.privSize != 1 {
-		t.Fatalf("default private cluster size = %d", p.privSize)
+	for owner, c := range p.priv {
+		if c.size != 1 {
+			t.Fatalf("default private cluster size of core %d = %d", owner, c.size)
+		}
 	}
 	for owner := 0; owner < 16; owner++ {
 		for a := uint64(0); a < 8; a++ {
@@ -28,7 +40,7 @@ func TestPrivateClustersDefaultSizeOne(t *testing.T) {
 }
 
 func TestPrivateClustersSizeFour(t *testing.T) {
-	p, err := NewPlacementWithPrivateClusters(torus16(), 4, 4, 16, 0)
+	p, err := NewPlacement(torus16(), 4, uniform(4), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +75,7 @@ func TestPrivateClustersSizeFour(t *testing.T) {
 // *within each owner's cluster*, and that is fine because ownership is
 // exclusive (a block has exactly one owner at a time).
 func TestPrivateClustersDeterministicPerOwner(t *testing.T) {
-	p, err := NewPlacementWithPrivateClusters(torus16(), 4, 4, 16, 0)
+	p, err := NewPlacement(torus16(), 4, uniform(4), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +89,7 @@ func TestPrivateClustersDeterministicPerOwner(t *testing.T) {
 }
 
 func TestPrivateClustersFullChip(t *testing.T) {
-	p, err := NewPlacementWithPrivateClusters(torus16(), 4, 16, 16, 0)
+	p, err := NewPlacement(torus16(), 4, uniform(16), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,7 @@ func TestPrivateClustersFullChip(t *testing.T) {
 }
 
 func TestPrivateClustersSizeEightFallback(t *testing.T) {
-	p, err := NewPlacementWithPrivateClusters(torus16(), 4, 8, 16, 0)
+	p, err := NewPlacement(torus16(), 4, uniform(8), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,21 +126,24 @@ func TestPrivateClustersSizeEightFallback(t *testing.T) {
 }
 
 func TestPrivateClusterErrors(t *testing.T) {
-	if _, err := NewPlacementWithPrivateClusters(torus16(), 4, 3, 16, 0); err == nil {
+	if _, err := NewPlacement(torus16(), 4, uniform(3), 16, 0); err == nil {
 		t.Fatal("non-power-of-two private size accepted")
 	}
-	if _, err := NewPlacementWithPrivateClusters(torus16(), 4, 32, 16, 0); err == nil {
+	if _, err := NewPlacement(torus16(), 4, uniform(32), 16, 0); err == nil {
 		t.Fatal("oversized private cluster accepted")
 	}
-	if _, err := NewPlacementWithPrivateClusters(torus16(), 3, 4, 16, 0); err == nil {
+	if _, err := NewPlacement(torus16(), 3, uniform(4), 16, 0); err == nil {
 		t.Fatal("invalid instruction size accepted")
+	}
+	if _, err := NewPlacement(torus16(), 4, []int{1, 2}, 16, 0); err == nil {
+		t.Fatal("two private sizes accepted for 16 tiles")
 	}
 }
 
 // Rotational private clusters preserve the capacity-neutrality invariant:
 // overlapping owners' clusters agree on which slice serves which residue.
 func TestPrivateClusterInvariantSharedWithInstructionPath(t *testing.T) {
-	p, err := NewPlacementWithPrivateClusters(torus16(), 4, 4, 16, 0)
+	p, err := NewPlacement(torus16(), 4, uniform(4), 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,16 @@
 //   - rotational-ID (RID) assignment over the tile grid (§4.1),
 //   - the boolean rotational-interleaving indexing function that locates a
 //     block in a fixed-center cluster with exactly one cache probe,
-//   - cluster abstractions (size-1, size-4, size-16 fixed-center clusters,
-//     plus the fixed-boundary clusters of §4.4), and
+//   - fixed-center clusters, one type for every size: size 1 (a core's
+//     private data), size n indexed by rotational interleaving (n = 4 for
+//     instructions), size n indexed by standard interleaving where no RID
+//     assignment exists (size 8 on a 4x4 torus), and the whole chip
+//     (shared data), plus the fixed-boundary clusters of §4.4, and
 //   - the placement engine that maps a classified access to the L2 slice
-//     that holds the block.
+//     that holds the block: instructions to the instruction cluster,
+//     private data to its owner's private cluster (size 1 in the paper's
+//     configuration, any size per core under §4.4), shared data to the
+//     whole chip.
 //
 // The key invariant (verified by tests): a slice with rotational ID r
 // stores exactly the blocks whose interleaving bits a satisfy

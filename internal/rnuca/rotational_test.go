@@ -119,7 +119,7 @@ func TestClusterCoversAllResidues(t *testing.T) {
 // instruction block has exactly 4 replica locations (16/4), and each slice
 // stores exactly 1/4 of the residues.
 func TestReplicationDegree(t *testing.T) {
-	p, err := NewPlacement(torus16(), 4, 6, 0)
+	p, err := NewPlacement(torus16(), 4, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestValidClusterSizes4x4(t *testing.T) {
 }
 
 func TestSize8FallsBackToStandardInterleaving(t *testing.T) {
-	p, err := NewPlacement(torus16(), 8, 6, 0)
+	p, err := NewPlacement(torus16(), 8, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.rid != nil {
+	if p.instr.rid != nil {
 		t.Fatal("size-8 clusters must use the fixed-center standard fallback on a 4x4 torus")
 	}
 	// Every lookup must land within the 8 nearest tiles of the requestor.
@@ -207,7 +207,7 @@ func TestQuickCapacityNeutrality(t *testing.T) {
 }
 
 func TestPlacementByClass(t *testing.T) {
-	p, err := NewPlacement(torus16(), 4, 6, 0)
+	p, err := NewPlacement(torus16(), 4, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,16 +281,16 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := NewFixedBoundaryCluster(topo, 3, 3, 2, 2); err == nil {
 		t.Fatal("rectangle overflowing the grid must be rejected")
 	}
-	if _, err := NewPlacement(topo, 3, 6, 0); err == nil {
+	if _, err := NewPlacement(topo, 3, nil, 6, 0); err == nil {
 		t.Fatal("non-power-of-two cluster size must be rejected")
 	}
-	if _, err := NewPlacement(topo, 32, 6, 0); err == nil {
+	if _, err := NewPlacement(topo, 32, nil, 6, 0); err == nil {
 		t.Fatal("cluster size above tile count must be rejected")
 	}
 }
 
 func TestInterleaveOffsetRespected(t *testing.T) {
-	p, err := NewPlacement(torus16(), 4, 16, 0)
+	p, err := NewPlacement(torus16(), 4, nil, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

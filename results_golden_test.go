@@ -180,7 +180,7 @@ func goldenPressureCells(t *testing.T, got map[string]map[string]any) {
 			}
 			for name, mk := range map[string]func(*sim.Chassis) sim.Design{
 				"Pb":           func(ch *sim.Chassis) sim.Design { return design.NewPrivateBroadcast(ch) },
-				"R/private124": func(ch *sim.Chassis) sim.Design { return design.NewReactivePerThreadPrivate(ch, sizes) },
+				"R/private124": func(ch *sim.Chassis) sim.Design { return design.NewReactiveWithPrivateClusters(ch, sizes) },
 				"A0.25":        func(ch *sim.Chassis) sim.Design { return design.NewASR(ch, 0.25, 0xA5A5) },
 			} {
 				mj := job

@@ -287,7 +287,11 @@ func designMaker(id DesignID, opt RunOptions) maker {
 	if id == DesignRNUCA && opt.PrivateClusterSize > 1 {
 		size := opt.PrivateClusterSize
 		return func(ch *sim.Chassis) sim.Design {
-			return design.NewReactiveWithPrivateClusters(ch, size)
+			sizes := make([]int, ch.Cfg.Cores)
+			for i := range sizes {
+				sizes[i] = size
+			}
+			return design.NewReactiveWithPrivateClusters(ch, sizes)
 		}
 	}
 	return func(ch *sim.Chassis) sim.Design { return NewDesign(id, ch) }
