@@ -18,10 +18,12 @@
 // the flight recorder to every simulation cell the campaign runs and
 // writes every recorded timeline (per-core CPI sparklines,
 // bank-pressure heatmap, classification churn, hottest links) to FILE:
-// text, one section per workload/design cell in sorted order, or a
-// JSON object keyed "workload/design" when FILE ends in .json; "-"
-// writes the text to stdout. -epoch sets the epoch length in measured
-// refs (default 64Ki). Recording never changes the tables.
+// text, one section per cell in sorted order, or a JSON object keyed
+// by cell when FILE ends in .json; "-" writes the text to stdout. A
+// cell's key is "workload/design", plus the value a sweep varies
+// ("OLTP-DB2/R/instr8", "OLTP-DB2/S/mesh"). -epoch sets the epoch
+// length in measured refs (default 64Ki). Recording never changes the
+// tables.
 package main
 
 import (

@@ -68,7 +68,7 @@ type Campaign struct {
 	runCtx context.Context      // cancellation path, optional
 	gauge  *rnuca.ProgressGauge // per-cell observation gauge, optional
 	tlCfg  *rnuca.TimelineConfig
-	tl     map[string]*rnuca.Timeline // "workload/design" -> cell timeline
+	tl     map[string]*rnuca.Timeline // "workload/label" -> cell timeline
 }
 
 // NewCampaign builds an empty campaign at the given scale.
@@ -131,27 +131,29 @@ func (c *Campaign) ctx() context.Context {
 }
 
 // SetTimeline attaches a flight-recorder config: every simulation
-// cell the campaign runs records a per-epoch timeline, retrievable by
-// "workload/design" key from Timelines. Pure observation, like
+// cell the campaign runs records a per-epoch timeline, retrievable from
+// Timelines by "workload/label" key. A label is the cell's design, plus
+// the value a sweep varies ("OLTP-DB2/R/mesh", "OLTP-DB2/R/instr8"), so
+// every cell of a figure keeps its own timeline. Pure observation, like
 // SetProgress — results and cache keys are untouched. Cells answered
 // from a shared result cache carry the timeline their original
 // execution recorded.
 func (c *Campaign) SetTimeline(cfg *rnuca.TimelineConfig) { c.tlCfg = cfg }
 
 // Timelines returns the flight timelines recorded so far, keyed
-// "workload/design". Nil-valued entries never appear; the map is
+// "workload/label". Nil-valued entries never appear; the map is
 // shared, not copied.
 func (c *Campaign) Timelines() map[string]*rnuca.Timeline { return c.tl }
 
 // saveTimeline stores a finished cell's timeline under its key.
-func (c *Campaign) saveTimeline(workloadName, designKey string, t *rnuca.Timeline) {
+func (c *Campaign) saveTimeline(workloadName, label string, t *rnuca.Timeline) {
 	if t == nil {
 		return
 	}
 	if c.tl == nil {
 		c.tl = map[string]*rnuca.Timeline{}
 	}
-	c.tl[workloadName+"/"+designKey] = t
+	c.tl[workloadName+"/"+label] = t
 }
 
 // SetResultCache replaces the campaign's own result cache with a
@@ -193,6 +195,16 @@ func (c *Campaign) newCell(w rnuca.Workload, in rnuca.Input, id rnuca.DesignID, 
 	}
 	j.Options.Timeline = c.tlCfg
 	return cell{workload: w.Name, label: string(id), key: j, job: j}
+}
+
+// vary appends suffix, the value a sweep varies ("mesh", "cores32"), to
+// each cell's label, so cells that share a design on one workload keep
+// their own timelines. Jobs and cache keys are untouched.
+func vary(suffix string, cells ...cell) []cell {
+	for i := range cells {
+		cells[i].label += "/" + suffix
+	}
+	return cells
 }
 
 // makerCell turns a cell into an ablation whose Maker builds the
@@ -298,6 +310,9 @@ func (c *Campaign) need(ws []want) results {
 		if id != x.id {
 			cl.job.Designs = nil
 			cl.job.Maker = func(ch *sim.Chassis) sim.Design { return rnuca.NewDesign(rnuca.DesignASR, ch) }
+		}
+		if x.size != 0 {
+			cl.label += fmt.Sprintf("/instr%d", x.size)
 		}
 		cells[i] = cl
 	}

@@ -41,7 +41,7 @@ func (c *Campaign) PrivateClusterAblation() *report.Table {
 	var names []string
 	for _, size := range []int{1, 2, 4} {
 		opt.PrivateClusterSize = size
-		cells = append(cells, c.genCell(w, rnuca.DesignRNUCA, opt))
+		cells = append(cells, vary(fmt.Sprintf("private%d", size), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 		names = append(names, fmt.Sprintf("size-%d", size))
 	}
 	// Per-thread sizing: the big threads (even cores) spill over size-2
@@ -86,7 +86,8 @@ func (c *Campaign) TechnologyScaling() *report.Table {
 		w.Cores = cores
 		cfg := rnuca.ConfigFor(w)
 		opt.Config = &cfg
-		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+		cells = append(cells, vary(fmt.Sprintf("cores%d", cores),
+			c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 		cfgs = append(cfgs, cfg)
 	}
 	rs := c.runAll(cells)
@@ -106,15 +107,16 @@ func (c *Campaign) MeshVsTorus() *report.Table {
 		"Topology", "S CPI", "R CPI")
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
+	topos := []string{"torus", "mesh"}
 	var cells []cell
-	for _, mesh := range []bool{false, true} {
+	for _, name := range topos {
 		cfg := rnuca.ConfigFor(w)
-		cfg.Mesh = mesh
+		cfg.Mesh = name == "mesh"
 		opt.Config = &cfg
-		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+		cells = append(cells, vary(name, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 	}
 	rs := c.runAll(cells)
-	for i, name := range []string{"torus", "mesh"} {
+	for i, name := range topos {
 		s, r := rs[2*i], rs[2*i+1]
 		t.AddRow(name, fmt.Sprintf("%.3f", s.CPI()), fmt.Sprintf("%.3f", r.CPI()))
 	}
@@ -139,7 +141,7 @@ func (c *Campaign) MemLatencySweep() *report.Table {
 		cfg.MemAccessCycles = lat
 		opt.Config = &cfg
 		for _, id := range []rnuca.DesignID{rnuca.DesignPrivate, rnuca.DesignShared, rnuca.DesignRNUCA} {
-			cells = append(cells, c.genCell(w, id, opt))
+			cells = append(cells, vary(fmt.Sprintf("mem%d", lat), c.genCell(w, id, opt))...)
 		}
 	}
 	rs := c.runAll(cells)
@@ -196,7 +198,11 @@ func (c *Campaign) ContentionModelAblation() *report.Table {
 		cfg := rnuca.ConfigFor(w)
 		cfg.LinkQueues = queued
 		opt.Config = &cfg
-		cells = append(cells, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))
+		model := "analytic"
+		if queued {
+			model = "linkqueue"
+		}
+		cells = append(cells, vary(model, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 	}
 	rs := c.runAll(cells)
 	for i, queued := range []bool{false, true} {

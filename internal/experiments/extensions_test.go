@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"rnuca"
 )
 
 func TestTechnologyScaling(t *testing.T) {
@@ -145,4 +148,31 @@ func TestContentionModelAblation(t *testing.T) {
 // sscan parses a float out of a table cell.
 func sscan(cell string, v *float64) (int, error) {
 	return fmt.Sscan(cell, v)
+}
+
+// TestTimelinePerCell checks that a sweep whose cells share a design on
+// one workload, varying only the configuration or options, saves one
+// flight timeline per cell instead of letting one cell's timeline
+// replace another's.
+func TestTimelinePerCell(t *testing.T) {
+	scale := Scale{Warm: 500, Measure: 1500, TraceRefs: 1000, Batches: 1}
+	for _, sweep := range []struct {
+		name  string
+		cells func(*Campaign) int
+	}{
+		{"MeshVsTorus", func(c *Campaign) int { return 2 * len(c.MeshVsTorus().Rows) }},
+		{"Fig11", func(c *Campaign) int { return len(c.Fig11().Rows) }},
+	} {
+		c := NewCampaign(scale)
+		c.SetTimeline(&rnuca.TimelineConfig{Every: 256})
+		cells := sweep.cells(c)
+		if got := len(c.Timelines()); got != cells {
+			keys := make([]string, 0, got)
+			for k := range c.Timelines() {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			t.Errorf("%s: %d timelines for %d cells: %v", sweep.name, got, cells, keys)
+		}
+	}
 }
