@@ -386,30 +386,12 @@ func (c *Campaign) records(w rnuca.Workload) (src trace.RefSource, what string, 
 		return workload.Source(w), w.Name, func() {}
 	}
 	path := in.TracePath()
-	fail := func(err error) {
+	start, refs := in.WindowRange()
+	src, done, err := tracefile.OpenRange(path, start, refs, 1)
+	if err != nil {
 		panic(fmt.Sprintf("experiments: analyzing %s: %v", path, err))
 	}
-	start, refs := in.WindowRange()
-	if start == 0 && refs == 0 {
-		f, err := tracefile.Open(path)
-		if err != nil {
-			fail(err)
-		}
-		return f, path, func() { f.Close() }
-	}
-	x, err := tracefile.OpenIndexed(path)
-	if err != nil {
-		fail(err)
-	}
-	if refs == 0 {
-		refs = x.Refs() - start
-	}
-	cur, err := x.Window(start, refs)
-	if err != nil || refs == 0 {
-		x.Close()
-		panic(fmt.Sprintf("experiments: analyzing %s window [%d,+%d): %v", path, start, refs, err))
-	}
-	return cur, path, func() { x.Close() }
+	return src, path, func() { done() }
 }
 
 // pct formats a fraction as a percentage.

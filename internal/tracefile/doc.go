@@ -3,12 +3,14 @@
 // one: reference streams can be captured once (from the statistical
 // generators or any other trace.RefSource), stored as deterministic
 // regression corpora, and replayed under any design without paying the
-// generation cost again. Version 2 adds a chunk index and footer, so a
-// trace is also seekable (IndexedReader.Seek), windowable (Window),
-// shardable across workers (Shard, Parallel), and safe for any number of
-// concurrent readers over one file descriptor. cmd/rnuca-trace is the
-// command-line front end; in the library, rnuca's Job.Record writes a
-// trace and a Job over FromTrace or FromCorpus replays one.
+// generation cost again. Version 2 adds a chunk index and footer, so any
+// record range of a trace opens as a cursor (IndexedReader.Window) or
+// decodes across parallel workers (Parallel), and any number of readers
+// may share one file descriptor. OpenRange is the one way to open a
+// range: the whole trace streams through a File, any other range through
+// the index. cmd/rnuca-trace is the command-line front end; in the
+// library, rnuca's Job.Record writes a trace and a Job over FromTrace or
+// FromCorpus replays one.
 //
 // # On-disk format
 //

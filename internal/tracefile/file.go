@@ -71,6 +71,44 @@ func Open(path string) (*File, error) {
 	return &File{Reader: r, f: f, path: path}, nil
 }
 
+// OpenRange opens records [start, start+n) of the trace at path, n 0
+// meaning to the end. The whole trace read by one decoder opens as a
+// streaming File, which also reads v1 traces; any other range opens as
+// a Cursor over the chunk index, and shards > 1 decodes the range with
+// that many parallel workers. Every source it returns is a
+// trace.Rewinder. done reports the reader's error and releases it; it
+// is safe to call after exhaustion.
+func OpenRange(path string, start, n uint64, shards int) (src trace.RefSource, done func() error, err error) {
+	if start == 0 && n == 0 && shards <= 1 {
+		f, err := Open(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return f, func() error { defer f.Close(); return f.Err() }, nil
+	}
+	x, err := OpenIndexed(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n == 0 && start <= x.Refs() {
+		n = x.Refs() - start
+	}
+	if shards > 1 {
+		p, err := x.Parallel(shards, start, n)
+		if err != nil {
+			x.Close()
+			return nil, nil, err
+		}
+		return p, func() error { defer x.Close(); defer p.Close(); return p.Err() }, nil
+	}
+	c, err := x.Window(start, n)
+	if err != nil {
+		x.Close()
+		return nil, nil, err
+	}
+	return c, func() error { defer x.Close(); return c.Err() }, nil
+}
+
 // Rewind implements trace.Rewinder by reopening the file, so a finite
 // trace can be looped without buffering it. It refuses after a read
 // error: a damaged trace must not recycle its readable prefix.

@@ -92,7 +92,7 @@ func FuzzIndexedReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cur, err := x.Seek(0)
+		cur, err := x.Window(0, x.Refs())
 		if err != nil {
 			return
 		}
@@ -120,12 +120,13 @@ func FuzzIndexedReader(f *testing.F) {
 				t.Fatalf("ref %d: cursor %#x, sequential %#x", i, got[i], seq[i].Addr)
 			}
 		}
-		// Shards must union to the same count without panicking.
+		// Three windows that tile the trace must union to the same count
+		// without panicking.
 		var n uint64
 		for i := 0; i < 3; i++ {
-			s, err := x.Shard(i, 3)
+			s, err := part(x, i, 3)
 			if err != nil {
-				t.Fatalf("shard %d: %v", i, err)
+				t.Fatalf("window %d of 3: %v", i, err)
 			}
 			for {
 				if _, ok := s.Next(); !ok {
@@ -138,7 +139,7 @@ func FuzzIndexedReader(f *testing.F) {
 			}
 		}
 		if n != uint64(len(got)) {
-			t.Fatalf("shards decoded %d of %d refs", n, len(got))
+			t.Fatalf("windows decoded %d of %d refs", n, len(got))
 		}
 	})
 }

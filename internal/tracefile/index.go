@@ -18,8 +18,8 @@ import (
 var ErrNoIndex = errors.New("tracefile: trace has no chunk index (v1 format; rewrite with rnuca-trace index -upgrade)")
 
 // IndexedReader provides random access to a v2 trace through its chunk
-// index: Seek, Window, and Shard return independent cursors over record
-// ranges, and Parallel fans chunk decoding across workers while
+// index: Window returns independent cursors over record ranges, and
+// Parallel fans chunk decoding across workers while
 // preserving record order. Every read goes through an io.ReaderAt, and
 // cursors carry their own decode state, so any number of cursors and
 // parallel sources may run concurrently over one IndexedReader
@@ -183,15 +183,6 @@ func (x *IndexedReader) chunkFor(n uint64) int {
 	})
 }
 
-// Seek returns a cursor positioned at record n, streaming to the end of
-// the trace.
-func (x *IndexedReader) Seek(n uint64) (*Cursor, error) {
-	if n > x.total {
-		return nil, fmt.Errorf("tracefile: seek to record %d of %d", n, x.total)
-	}
-	return x.Window(n, x.total-n)
-}
-
 // Window returns a cursor over records [start, start+n).
 func (x *IndexedReader) Window(start, n uint64) (*Cursor, error) {
 	if start > x.total || n > x.total-start {
@@ -206,30 +197,6 @@ func (x *IndexedReader) Window(start, n uint64) (*Cursor, error) {
 		x: x, start: start, limit: start + n, next: start, chunk: -1,
 		dec: chunkDecoder{lastAddr: make([]uint64, cores)},
 	}, nil
-}
-
-// Shard splits the trace into k contiguous record ranges and returns a
-// cursor over the i-th; the union of all k shards is exactly the full
-// trace, in order, with ranges differing in length by at most one
-// record.
-func (x *IndexedReader) Shard(i, k int) (*Cursor, error) {
-	if k <= 0 || i < 0 || i >= k {
-		return nil, fmt.Errorf("tracefile: shard %d of %d", i, k)
-	}
-	per, rem := x.total/uint64(k), x.total%uint64(k)
-	start := uint64(i)*per + min64(uint64(i), rem)
-	n := per
-	if uint64(i) < rem {
-		n++
-	}
-	return x.Window(start, n)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Cursor streams a record range of an indexed trace. It implements

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -41,8 +42,8 @@ func drainCursor(t *testing.T, c *Cursor) []trace.Ref {
 }
 
 // The index matches the chunks: offsets, record ranges, and per-core
-// snapshots all line up, and seeking to every chunk boundary (and the
-// records around it) reproduces the sequential stream.
+// snapshots all line up, and a window from every chunk boundary (and the
+// records around it) to the end reproduces the sequential stream.
 func TestIndexSeekEveryBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	refs := randRefs(rng, 1500, 5)
@@ -63,7 +64,7 @@ func TestIndexSeekEveryBoundary(t *testing.T) {
 			if at > x.Refs() {
 				continue
 			}
-			cur, err := x.Seek(at)
+			cur, err := x.Window(at, x.Refs()-at)
 			if err != nil {
 				t.Fatalf("seek %d: %v", at, err)
 			}
@@ -114,9 +115,9 @@ func TestIndexWindows(t *testing.T) {
 	}
 }
 
-// Shard(i, k) ranges are disjoint, contiguous, and their union is the
-// full trace in order — the property sharded replay relies on. Shards
-// are drained concurrently to exercise the shared-IndexedReader path.
+// k contiguous windows that tile the trace decode to the full trace in
+// order, whatever their chunk alignment. The windows are drained
+// concurrently to exercise the shared-IndexedReader path.
 func TestIndexShardUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	refs := randRefs(rng, 997, 4) // prime length: uneven shard split
@@ -125,7 +126,7 @@ func TestIndexShardUnion(t *testing.T) {
 		parts := make([][]trace.Ref, k)
 		var wg sync.WaitGroup
 		for i := 0; i < k; i++ {
-			cur, err := x.Shard(i, k)
+			cur, err := part(x, i, k)
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", i, k, err)
 			}
@@ -155,9 +156,12 @@ func TestIndexShardUnion(t *testing.T) {
 			}
 		}
 	}
-	if _, err := x.Shard(3, 3); err == nil {
-		t.Fatal("shard index == k accepted")
-	}
+}
+
+// part returns the i-th of k contiguous windows that tile x's records.
+func part(x *IndexedReader, i, k int) (*Cursor, error) {
+	lo, hi := x.Refs()*uint64(i)/uint64(k), x.Refs()*uint64(i+1)/uint64(k)
+	return x.Window(lo, hi-lo)
 }
 
 // The parallel source yields the byte-identical stream a sequential read
@@ -291,7 +295,7 @@ func TestOpenIndexedFromDisk(t *testing.T) {
 	defer x.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
-		cur, err := x.Shard(g%3, 3)
+		cur, err := part(x, g%3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,6 +306,81 @@ func TestOpenIndexedFromDisk(t *testing.T) {
 		}(cur)
 	}
 	wg.Wait()
+}
+
+// OpenRange streams the whole trace, v1 included, and opens any other
+// range, and any sharded read, through the index. Every source it
+// returns rewinds to its range's start.
+func TestOpenRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	refs := randRefs(rng, 900, 4)
+	hdr := Header{Workload: "range", Cores: 4}
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "v2.rnt")
+	if err := os.WriteFile(v2, writeTrace(t, hdr, refs, 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := newWriterVersion(&buf, hdr, versionV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		w.Write(r)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(dir, "v1.rnt")
+	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path     string
+		start, n uint64
+		shards   int
+	}{
+		{v1, 0, 0, 1}, {v2, 0, 0, 1}, {v2, 0, 0, 3}, {v2, 250, 0, 1}, {v2, 250, 400, 1}, {v2, 0, 400, 2},
+	} {
+		src, done, err := OpenRange(c.path, c.start, c.n, c.shards)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		want := refs[c.start:]
+		if c.n > 0 {
+			want = want[:c.n]
+		}
+		for pass := 0; pass < 2; pass++ {
+			var got []trace.Ref
+			for {
+				r, ok := src.Next()
+				if !ok {
+					break
+				}
+				got = append(got, r)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%+v pass %d: read %d of %d refs", c, pass, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v pass %d ref %d: %+v != %+v", c, pass, i, got[i], want[i])
+				}
+			}
+			if err := src.(trace.Rewinder).Rewind(); err != nil {
+				t.Fatalf("%+v: rewind: %v", c, err)
+			}
+		}
+		if err := done(); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	}
+	if _, _, err := OpenRange(v1, 10, 0, 1); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("window of a v1 trace: %v, want ErrNoIndex", err)
+	}
+	if _, _, err := OpenRange(v2, 901, 0, 1); err == nil {
+		t.Fatal("window past the end accepted")
+	}
 }
 
 // Flipping bytes inside a chunk payload must surface through the cursor
@@ -323,7 +402,7 @@ func TestIndexDetectsCorruptChunk(t *testing.T) {
 		if err != nil {
 			continue // damage caught at open time: fine
 		}
-		cur, err := bx.Seek(0)
+		cur, err := bx.Window(0, bx.Refs())
 		if err != nil {
 			continue
 		}
@@ -464,7 +543,7 @@ func benchDecode(b *testing.B, workers int) {
 		var src trace.RefSource
 		var done func()
 		if workers == 1 {
-			c, err := x.Seek(0)
+			c, err := x.Window(0, x.Refs())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,28 +2,6 @@ package tracefile
 
 import "rnuca/internal/trace"
 
-// Recorder tees a RefSource to a Writer: every ref pulled through it is
-// also appended to the trace. Write errors latch in the Writer (surfaced
-// by its Close/Err) rather than interrupting the simulation.
-type Recorder struct {
-	src trace.RefSource
-	w   *Writer
-}
-
-// NewRecorder wraps src so its output is recorded to w.
-func NewRecorder(src trace.RefSource, w *Writer) *Recorder {
-	return &Recorder{src: src, w: w}
-}
-
-// Next implements trace.RefSource.
-func (r *Recorder) Next() (trace.Ref, bool) {
-	ref, ok := r.src.Next()
-	if ok {
-		_ = r.w.Write(ref)
-	}
-	return ref, ok
-}
-
 // RecordStreams wraps per-core streams so every ref any of them produces
 // is teed to w in consumption order. Feeding the wrapped streams to the
 // engine captures exactly the refs a run consumed, per core, in order —

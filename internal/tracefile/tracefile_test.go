@@ -209,8 +209,9 @@ func TestFileRewind(t *testing.T) {
 	}
 }
 
-// The Recorder tees a source without altering what flows through it.
-func TestRecorderTee(t *testing.T) {
+// RecordStreams tees per-core streams to a writer without altering what
+// flows through them, recording refs in consumption order.
+func TestRecordStreamsTee(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	refs := randRefs(rng, 500, 3)
 	var buf bytes.Buffer
@@ -219,17 +220,12 @@ func TestRecorderTee(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.ChunkRefs = 64
-	rec := NewRecorder(trace.NewSliceSource(refs), w)
-	for i := 0; ; i++ {
-		r, ok := rec.Next()
-		if !ok {
-			if i != len(refs) {
-				t.Fatalf("source ended after %d of %d refs", i, len(refs))
-			}
-			break
-		}
-		if r != refs[i] {
-			t.Fatalf("ref %d altered in flight: %+v != %+v", i, r, refs[i])
+	streams := trace.Demux(trace.NewSliceSource(refs), 3)
+	teed := RecordStreams(w, streams)
+	// Consume in trace order, so the recording must equal refs.
+	for i, want := range refs {
+		if r := teed[want.Core].Next(); r != want {
+			t.Fatalf("ref %d altered in flight: %+v != %+v", i, r, want)
 		}
 	}
 	if err := w.Close(); err != nil {

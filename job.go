@@ -383,7 +383,7 @@ func (j Job) lower(ctx context.Context) (feed, runOpts, error) {
 		opt.RunOptions = ro
 		cores := ro.Config.Cores
 		return feed{w: w, what: "replaying " + in.path, open: func(int) ([]trace.Stream, func() error, error) {
-			src, done, err := openReplaySource(in)
+			src, done, err := tracefile.OpenRange(in.path, in.windowStart, in.windowRefs, in.shards)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -626,42 +626,6 @@ func replaySetup(in Input, opt RunOptions) (RunOptions, Workload, error) {
 	return opt, w, nil
 }
 
-// openReplaySource opens one batch's view of the trace: a plain
-// streaming reader by default, an indexed window cursor or parallel
-// sharded decoder when the input asks for one. done reports the
-// reader's error and releases it; it is safe to call after exhaustion.
-func openReplaySource(in Input) (src trace.RefSource, done func() error, err error) {
-	if in.shards <= 1 && !in.windowed() {
-		f, err := tracefile.Open(in.path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, func() error { defer f.Close(); return f.Err() }, nil
-	}
-	ix, err := tracefile.OpenIndexed(in.path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rnuca: replaying %s with shards/window: %w", in.path, err)
-	}
-	start, n := in.windowStart, in.windowRefs
-	if n == 0 {
-		n = ix.Refs() - start
-	}
-	if in.shards > 1 {
-		p, err := ix.Parallel(in.shards, start, n)
-		if err != nil {
-			ix.Close()
-			return nil, nil, err
-		}
-		return p, func() error { defer ix.Close(); defer p.Close(); return p.Err() }, nil
-	}
-	c, err := ix.Window(start, n)
-	if err != nil {
-		ix.Close()
-		return nil, nil, err
-	}
-	return c, func() error { defer ix.Close(); return c.Err() }, nil
-}
-
 // TraceWorkload reconstructs the workload a trace file describes: the
 // catalog entry when the header's name resolves, otherwise a minimal
 // spec carrying the header's core count and timing parameters. It is
