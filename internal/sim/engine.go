@@ -124,10 +124,16 @@ type Engine struct {
 	// is bit-identical to a bare one.
 	Flight *flight.Recorder
 
-	// Page-class tracking for the §5.2 experiment: ground-truth classes
-	// observed per page, and measured accesses per page.
-	pageMask  map[uint64]uint8
-	pageCount map[uint64]uint64
+	// pages is the §5.2 experiment's per-page record of measured
+	// accesses.
+	pages map[uint64]pageRecord
+}
+
+// pageRecord is one page's measured accesses and the ground-truth
+// classes they carried, one bit per cache.Class.
+type pageRecord struct {
+	accesses uint64
+	classes  uint8
 }
 
 // progressEvery is the Progress observation period, in consumed
@@ -153,8 +159,7 @@ func NewEngine(ch *Chassis, d Design, streams []trace.Stream) *Engine {
 		ch: ch, design: d, streams: streams,
 		OffChipMLP: 1,
 		clocks:     make([]float64, ch.Cfg.Cores),
-		pageMask:   make(map[uint64]uint8),
-		pageCount:  make(map[uint64]uint64),
+		pages:      make(map[uint64]pageRecord),
 	}
 }
 
@@ -250,9 +255,11 @@ func (e *Engine) Run(warm, measure int) Result {
 			// class set is known.
 			page := r.Addr / uint64(e.ch.Cfg.PageBytes)
 			//rnuca:alloc-ok §5.2 accuracy accounting needs per-page ground truth; pages are sparse in the address space so a map is the honest structure
-			e.pageMask[page] |= 1 << uint(r.Class)
-			//rnuca:alloc-ok same sparse per-page accounting as the mask above
-			e.pageCount[page]++
+			pr := e.pages[page]
+			pr.accesses++
+			pr.classes |= 1 << uint(r.Class)
+			//rnuca:alloc-ok the same per-page record, written back
+			e.pages[page] = pr
 			if hasClassifier {
 				res.ClassifiedAccesses++
 				//rnuca:alloc-ok Classifier is an optional capability interface; only R-NUCA implements it and the call is one predicted branch
@@ -304,9 +311,9 @@ func (e *Engine) Run(warm, measure int) Result {
 
 	// Accesses to pages holding more than one class, over the whole
 	// measurement (the paper reports 6-26% for its workloads).
-	for page, mask := range e.pageMask {
-		if mask&(mask-1) != 0 {
-			res.MixedPageAccesses += e.pageCount[page]
+	for _, pr := range e.pages {
+		if pr.classes&(pr.classes-1) != 0 {
+			res.MixedPageAccesses += pr.accesses
 		}
 	}
 
