@@ -307,7 +307,7 @@ func TestReactiveInstructionReplication(t *testing.T) {
 	}
 	// Every fetch must be at most one hop away.
 	for c := 0; c < 16; c++ {
-		slice := d.Placement().InstructionSlice(noc.TileID(c), addr)
+		slice := d.Placement().SliceFor(cache.ClassInstruction, noc.TileID(c), addr)
 		if ch.Topo.Hops(noc.TileID(c), slice) > 1 {
 			t.Fatalf("instruction slice %d more than one hop from core %d", slice, c)
 		}

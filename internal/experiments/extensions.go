@@ -194,14 +194,10 @@ func (c *Campaign) ContentionModelAblation() *report.Table {
 	opt := c.opts()
 	w := rnuca.OLTPDB2()
 	var cells []cell
-	for _, queued := range []bool{false, true} {
+	for _, model := range []string{"analytic", "linkqueue"} {
 		cfg := rnuca.ConfigFor(w)
-		cfg.LinkQueues = queued
+		cfg.LinkQueues = model == "linkqueue"
 		opt.Config = &cfg
-		model := "analytic"
-		if queued {
-			model = "linkqueue"
-		}
 		cells = append(cells, vary(model, c.genCell(w, rnuca.DesignShared, opt), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 	}
 	rs := c.runAll(cells)

@@ -3,6 +3,7 @@ package rnuca
 import (
 	"testing"
 
+	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 )
 
@@ -49,14 +50,14 @@ func FuzzPlacementClasses(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, addr uint64, reqRaw uint8) {
 		req := noc.TileID(int(reqRaw) % 16)
-		if got := p.PrivateSliceFor(req, addr); got != req {
+		if got := p.SliceFor(cache.ClassPrivate, req, addr); got != req {
 			t.Fatalf("private data escaped local slice: %d", got)
 		}
 		s := p.SharedSlice(addr)
 		if s < 0 || int(s) >= topo.Tiles() {
 			t.Fatalf("shared slice %d out of range", s)
 		}
-		i := p.InstructionSlice(req, addr)
+		i := p.SliceFor(cache.ClassInstruction, req, addr)
 		if topo.Hops(req, i) > 1 {
 			t.Fatalf("instruction slice %d more than one hop from %d", i, req)
 		}

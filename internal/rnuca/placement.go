@@ -126,27 +126,16 @@ func (p *Placement) slice(c *cluster, center noc.TileID, addr uint64) noc.TileID
 	}
 }
 
-// members returns the slices of c's cluster centered at center.
-func (p *Placement) members(c *cluster, center noc.TileID) []noc.TileID {
-	switch {
-	case c.size == 1:
-		return []noc.TileID{center}
-	case c.rid != nil:
-		return c.rid.ClusterTiles(center)
-	case c.fallback != nil:
-		return c.fallback.Members(center)
-	default:
-		all := make([]noc.TileID, p.topo.Tiles())
-		for i := range all {
-			all[i] = noc.TileID(i)
-		}
-		return all
-	}
-}
-
 // SliceFor returns the one slice that holds addr for a requestor at req
-// when the block's page has the given class: a slice of the requestor's
-// private or instruction cluster, or the shared data's interleaved home.
+// when the block's page has the given class:
+//
+//   - private: a member of the requestor's private cluster, its local
+//     slice at size 1. Private clusters never replicate: each (owner,
+//     address) pair has exactly one location, so no coherence is needed;
+//   - instruction: the member of the requestor's instruction cluster
+//     that rotational interleaving (or standard interleaving, for
+//     fallback sizes) selects, one replica per cluster;
+//   - shared, or any other class: the address-interleaved home.
 func (p *Placement) SliceFor(class cache.Class, req noc.TileID, addr uint64) noc.TileID {
 	switch class {
 	case cache.ClassPrivate:
@@ -158,20 +147,23 @@ func (p *Placement) SliceFor(class cache.Class, req noc.TileID, addr uint64) noc
 	}
 }
 
-// PrivateSliceFor returns the slice holding a private block owned by the
-// thread running at owner. With size-1 clusters this is the owner's local
-// slice; larger clusters interleave the thread's data over the owner's
-// fixed-center neighborhood. Unlike instructions, private clusters never
-// replicate: each (owner, address) pair has exactly one location, so no
-// coherence is needed.
-func (p *Placement) PrivateSliceFor(owner noc.TileID, addr uint64) noc.TileID {
-	return p.slice(&p.priv[owner], owner, addr)
-}
-
 // PrivateClusterTiles returns the slices a private page owned at owner may
 // occupy, for purge on re-classification.
 func (p *Placement) PrivateClusterTiles(owner noc.TileID) []noc.TileID {
-	return p.members(&p.priv[owner], owner)
+	switch c := &p.priv[owner]; {
+	case c.size == 1:
+		return []noc.TileID{owner}
+	case c.rid != nil:
+		return c.rid.ClusterTiles(owner)
+	case c.fallback != nil:
+		return c.fallback.Members(owner)
+	default:
+		all := make([]noc.TileID, p.topo.Tiles())
+		for i := range all {
+			all[i] = noc.TileID(i)
+		}
+		return all
+	}
 }
 
 // SharedSlice returns the slice for shared data: standard address
@@ -179,13 +171,6 @@ func (p *Placement) PrivateClusterTiles(owner noc.TileID) []noc.TileID {
 // configuration, which all sharers fully overlap).
 func (p *Placement) SharedSlice(addr uint64) noc.TileID {
 	return noc.TileID((addr >> p.k) % uint64(p.topo.Tiles()))
-}
-
-// InstructionSlice returns the slice for an instruction block: the member
-// of the requestor's fixed-center cluster selected by rotational
-// interleaving (or standard interleaving for fallback sizes).
-func (p *Placement) InstructionSlice(req noc.TileID, addr uint64) noc.TileID {
-	return p.slice(&p.instr, req, addr)
 }
 
 // InstructionReplicaSlices returns every slice on the chip that may hold a
@@ -196,7 +181,7 @@ func (p *Placement) InstructionReplicaSlices(addr uint64) []noc.TileID {
 	seen := make(map[noc.TileID]bool)
 	var out []noc.TileID
 	for t := 0; t < p.topo.Tiles(); t++ {
-		s := p.InstructionSlice(noc.TileID(t), addr)
+		s := p.slice(&p.instr, noc.TileID(t), addr)
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)

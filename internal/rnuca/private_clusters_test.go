@@ -3,6 +3,7 @@ package rnuca
 import (
 	"testing"
 
+	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 )
 
@@ -28,7 +29,7 @@ func TestPrivateClustersDefaultSizeOne(t *testing.T) {
 	}
 	for owner := 0; owner < 16; owner++ {
 		for a := uint64(0); a < 8; a++ {
-			if got := p.PrivateSliceFor(noc.TileID(owner), a<<16); got != noc.TileID(owner) {
+			if got := p.SliceFor(cache.ClassPrivate, noc.TileID(owner), a<<16); got != noc.TileID(owner) {
 				t.Fatalf("size-1 private slice for owner %d = %d", owner, got)
 			}
 		}
@@ -48,7 +49,7 @@ func TestPrivateClustersSizeFour(t *testing.T) {
 	for owner := 0; owner < 16; owner++ {
 		seen := map[noc.TileID]bool{}
 		for a := uint64(0); a < 64; a++ {
-			s := p.PrivateSliceFor(noc.TileID(owner), a<<16)
+			s := p.SliceFor(cache.ClassPrivate, noc.TileID(owner), a<<16)
 			seen[s] = true
 			if topo.Hops(noc.TileID(owner), s) > 1 {
 				t.Fatalf("private slice %d more than one hop from owner %d", s, owner)
@@ -80,8 +81,8 @@ func TestPrivateClustersDeterministicPerOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := uint64(0); a < 32; a++ {
-		s1 := p.PrivateSliceFor(3, a<<16)
-		s2 := p.PrivateSliceFor(3, a<<16)
+		s1 := p.SliceFor(cache.ClassPrivate, 3, a<<16)
+		s2 := p.SliceFor(cache.ClassPrivate, 3, a<<16)
 		if s1 != s2 {
 			t.Fatal("private placement not deterministic")
 		}
@@ -96,7 +97,7 @@ func TestPrivateClustersFullChip(t *testing.T) {
 	// Full-chip private clusters degenerate to standard interleaving.
 	used := map[noc.TileID]bool{}
 	for a := uint64(0); a < 64; a++ {
-		used[p.PrivateSliceFor(5, a<<16)] = true
+		used[p.SliceFor(cache.ClassPrivate, 5, a<<16)] = true
 	}
 	if len(used) != 16 {
 		t.Fatalf("full-chip private cluster uses %d slices", len(used))
@@ -114,7 +115,7 @@ func TestPrivateClustersSizeEightFallback(t *testing.T) {
 	topo := torus16()
 	used := map[noc.TileID]bool{}
 	for a := uint64(0); a < 64; a++ {
-		s := p.PrivateSliceFor(9, a<<16)
+		s := p.SliceFor(cache.ClassPrivate, 9, a<<16)
 		used[s] = true
 		if topo.Hops(9, s) > 2 {
 			t.Fatalf("size-8 member %d too far from owner", s)
@@ -150,7 +151,7 @@ func TestPrivateClusterInvariantSharedWithInstructionPath(t *testing.T) {
 	m := NewRIDMap(torus16(), 4, 0)
 	for owner := 0; owner < 16; owner++ {
 		for a := uint64(0); a < 64; a++ {
-			s := p.PrivateSliceFor(noc.TileID(owner), a<<16)
+			s := p.SliceFor(cache.ClassPrivate, noc.TileID(owner), a<<16)
 			if !m.StoresResidue(s, m.InterleaveBits(a<<16, 16)) {
 				t.Fatalf("private placement violates residue invariant at owner %d", owner)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rnuca/internal/cache"
 	"rnuca/internal/noc"
 )
 
@@ -156,7 +157,7 @@ func TestSize8FallsBackToStandardInterleaving(t *testing.T) {
 	topo := torus16()
 	for req := 0; req < 16; req++ {
 		for a := uint64(0); a < 32; a++ {
-			s := p.InstructionSlice(noc.TileID(req), a<<6)
+			s := p.SliceFor(cache.ClassInstruction, noc.TileID(req), a<<6)
 			if h := topo.Hops(noc.TileID(req), s); h > 2 {
 				t.Fatalf("size-8 member %d is %d hops from %d", s, h, req)
 			}
@@ -213,7 +214,7 @@ func TestPlacementByClass(t *testing.T) {
 	}
 	// Private data goes to the local slice.
 	for req := 0; req < 16; req++ {
-		if got := p.PrivateSliceFor(noc.TileID(req), uint64(req)<<16); got != noc.TileID(req) {
+		if got := p.SliceFor(cache.ClassPrivate, noc.TileID(req), uint64(req)<<16); got != noc.TileID(req) {
 			t.Fatalf("private slice for %d = %d", req, got)
 		}
 	}
@@ -223,6 +224,9 @@ func TestPlacementByClass(t *testing.T) {
 	for a := uint64(0); a < 64; a++ {
 		s := p.SharedSlice(a << 6)
 		used[s] = true
+		if got := p.SliceFor(cache.ClassShared, noc.TileID(a%16), a<<6); got != s {
+			t.Fatalf("shared block %d placed at %d, home %d", a, got, s)
+		}
 	}
 	if len(used) != 16 {
 		t.Fatalf("shared interleaving uses %d slices, want 16", len(used))
@@ -231,7 +235,7 @@ func TestPlacementByClass(t *testing.T) {
 	topo := p.topo
 	for req := 0; req < 16; req++ {
 		for a := uint64(0); a < 64; a++ {
-			s := p.InstructionSlice(noc.TileID(req), a<<6)
+			s := p.SliceFor(cache.ClassInstruction, noc.TileID(req), a<<6)
 			if topo.Hops(noc.TileID(req), s) > 1 {
 				t.Fatalf("instruction slice %d more than one hop from %d", s, req)
 			}
@@ -296,9 +300,9 @@ func TestInterleaveOffsetRespected(t *testing.T) {
 	}
 	// Addresses differing only below bit 16 must map to the same slice.
 	base := uint64(0x1230000)
-	s0 := p.InstructionSlice(5, base)
+	s0 := p.SliceFor(cache.ClassInstruction, 5, base)
 	for off := uint64(0); off < 1<<16; off += 4096 {
-		if s := p.InstructionSlice(5, base|off); s != s0 {
+		if s := p.SliceFor(cache.ClassInstruction, 5, base|off); s != s0 {
 			t.Fatalf("low-order bits changed the slice: %d vs %d", s, s0)
 		}
 	}
