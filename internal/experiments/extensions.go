@@ -230,9 +230,9 @@ func (c *Campaign) MigrationStress() *report.Table {
 		opt.Warm, opt.Measure = 128_000, 256_000
 	}
 	ws := []rnuca.Workload{workload.MIX(), workload.MIXMigrating()}
-	cells := make([]cell, len(ws))
-	for i, w := range ws {
-		cells[i] = c.genCell(w, rnuca.DesignRNUCA, opt)
+	var cells []cell
+	for _, w := range ws {
+		cells = append(cells, vary(fmt.Sprintf("measure%d", opt.Measure), c.genCell(w, rnuca.DesignRNUCA, opt))...)
 	}
 	for i, r := range c.runAll(cells) {
 		w := ws[i]

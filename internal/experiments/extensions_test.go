@@ -153,7 +153,8 @@ func sscan(cell string, v *float64) (int, error) {
 // TestTimelinePerCell checks that a sweep whose cells share a design on
 // one workload, varying only the configuration or options, saves one
 // flight timeline per cell instead of letting one cell's timeline
-// replace another's.
+// replace another's, within the sweep or beside a figure's default
+// cell.
 func TestTimelinePerCell(t *testing.T) {
 	scale := Scale{Warm: 500, Measure: 1500, TraceRefs: 1000, Batches: 1}
 	for _, sweep := range []struct {
@@ -162,6 +163,10 @@ func TestTimelinePerCell(t *testing.T) {
 	}{
 		{"MeshVsTorus", func(c *Campaign) int { return 2 * len(c.MeshVsTorus().Rows) }},
 		{"Fig11", func(c *Campaign) int { return len(c.Fig11().Rows) }},
+		{"MigrationStress beside MIX's R cell", func(c *Campaign) int {
+			c.need(grid([]rnuca.Workload{rnuca.MIX()}, rnuca.DesignRNUCA))
+			return 1 + len(c.MigrationStress().Rows)
+		}},
 	} {
 		c := NewCampaign(scale)
 		c.SetTimeline(&rnuca.TimelineConfig{Every: 256})
