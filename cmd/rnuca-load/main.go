@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"rnuca/internal/loadgen"
+	"rnuca/internal/obs"
 )
 
 func main() {
@@ -116,8 +117,8 @@ func main() {
 	if stats, serr := loadgen.FetchServerStats(ctx, nil, *url); serr != nil {
 		fmt.Fprintf(os.Stderr, "rnuca-load: fetching /v1/stats: %v\n", serr)
 	} else {
-		if server, ok := stats.Kind("sim"); ok {
-			ct := loadgen.CompareTable(res.Latency["all"], server)
+		if sim, ok := stats.Jobs["sim"]; ok {
+			ct := loadgen.CompareTable(res.Latency["all"], obs.Snapshot(sim.Latency))
 			if *csv {
 				ct.CSV(os.Stdout)
 			} else {

@@ -16,7 +16,7 @@
 //	rnuca-trace info trace.rnt
 //	rnuca-trace index [-upgrade OUT] [-stats] trace.rnt
 //	rnuca-trace replay [-design R | -design P,A,S,R,I | -design all]
-//	            [-warm N] [-measure N] [-batches B] [-shards N]
+//	            [-warm N] [-measure N] [-shards N]
 //	            [-window START:N] [-trace-out FILE] [-timeline FILE]
 //	            [-epoch N] trace.rnt
 //	rnuca-trace corpus add|ls|verify|rm|gc -dir STORE ...
@@ -32,13 +32,15 @@
 // index prints the v2 chunk index (with -stats, per-chunk compressed
 // sizes and a lastAddr drift summary; with -upgrade, rewrites any
 // readable trace as an indexed v2 file). replay re-runs any of the five
-// designs over the saved trace, every batch of every design in parallel
-// on the process-wide cell pool, skipping generation cost; a
-// same-design replay reproduces the recording run's numbers exactly. On indexed traces, -shards fans
-// chunk decoding across workers without changing results, and -window
-// replays only the records [START, START+N); -trace-out, -timeline and
-// -epoch work as in rnuca-sim, with one timeline per design. corpus
-// manages a content-addressed corpus store (internal/corpus) — the store
+// designs over the saved trace, every design in parallel on the
+// process-wide cell pool, skipping generation cost; a replay is one
+// measurement (it has no seed to vary between batches), and a
+// same-design replay reproduces the recording run's numbers exactly.
+// On indexed traces, -shards fans chunk decoding across workers
+// without changing results, and -window replays only the records
+// [START, START+N); -trace-out, -timeline and -epoch work as in
+// rnuca-sim, with one timeline per design. corpus manages a
+// content-addressed corpus store (internal/corpus) — the store
 // rnuca-serve answers jobs from: add validates and stores traces by
 // SHA-256 digest, ls lists manifests, verify re-checks content and
 // chunk structure, rm drops names, gc collects unreferenced objects.
@@ -97,7 +99,7 @@ func usage() {
               [-workload NAME] -o FILE INPUT...
   rnuca-trace info FILE
   rnuca-trace index [-upgrade OUT] [-stats] FILE
-  rnuca-trace replay [-design IDS|all] [-warm N] [-measure N] [-batches B] [-shards N] [-window START:N]
+  rnuca-trace replay [-design IDS|all] [-warm N] [-measure N] [-shards N] [-window START:N]
               [-trace-out FILE] [-timeline FILE] [-epoch N] FILE
   rnuca-trace corpus add -dir STORE [-name NAME] FILE...
   rnuca-trace corpus ls -dir STORE
@@ -601,7 +603,6 @@ func replay(args []string) {
 	ds := fs.String("design", "", "designs to replay: comma-separated P,A,S,R,I or \"all\" (default: the recording design)")
 	warm := fs.Int("warm", 0, "warmup references (0 = recorded split)")
 	measure := fs.Int("measure", 0, "measured references (0 = recorded split)")
-	batches := fs.Int("batches", 1, "replay batches per design")
 	shards := fs.Int("shards", 0, "parallel trace-decode workers per engine (0 = one per CPU, 1 = sequential; needs a v2 indexed trace)")
 	window := fs.String("window", "", "replay only records START:N of the trace (needs a v2 indexed trace)")
 	outputs := report.OutputFlags(fs)
@@ -658,7 +659,7 @@ func replay(args []string) {
 		Input:   in,
 		Designs: ids,
 		Options: rnuca.RunOptions{
-			Warm: *warm, Measure: *measure, Batches: *batches,
+			Warm: *warm, Measure: *measure,
 			Progress: gauge.Observe,
 			Timeline: timeline,
 		},

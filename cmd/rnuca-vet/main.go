@@ -1,16 +1,16 @@
 // Command rnuca-vet runs the repo's static analyzer suite (package
 // rnuca/internal/analysis) over the given package patterns and reports
 // every finding. Exit status 1 means findings; 2 means the analysis
-// itself failed. It must run from inside the module (the loader
-// resolves the module's own import paths through the go command):
+// itself failed, a package that does not build included. It must run
+// from inside the module: the loader lists packages, and builds the
+// export data their imports resolve from, through the go command.
 //
 //	go run ./cmd/rnuca-vet ./...
 //	go run ./cmd/rnuca-vet -json ./... | jq '.[].code'
-//	go run ./cmd/rnuca-vet -jobs 4 -sarif ./... > vet.sarif
+//	go run ./cmd/rnuca-vet -sarif ./... > vet.sarif
 //
-// -jobs N fans the type-check out over N workers (N<=1 is the shared-
-// cache sequential loader). -update regenerates the api-frozen.txt
-// snapshots of packages that carry them, for deliberate API changes.
+// -update regenerates the api-frozen.txt snapshots of packages that
+// carry them, for deliberate API changes.
 // Every finding fails the run: fix it, or waive it in source with an
 // //rnuca:*-ok annotation and a reason.
 //
@@ -33,11 +33,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file/line/col/code/analyzer/message)")
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log for code-scanning upload")
 	list := flag.Bool("codes", false, "list every diagnostic code the suite can emit and exit")
-	jobs := flag.Int("jobs", 1, "type-check packages over this many parallel workers")
 	update := flag.Bool("update", false, "regenerate api-frozen.txt snapshots instead of reporting apifreeze findings")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: rnuca-vet [-json|-sarif] [-jobs n] [-update] [packages]\n")
+			"usage: rnuca-vet [-json|-sarif] [-update] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,7 +50,7 @@ func main() {
 
 	analysis.UpdateAPISnapshots = *update
 
-	pkgs, err := analysis.LoadParallel(*jobs, flag.Args()...)
+	pkgs, err := analysis.Load(flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rnuca-vet:", err)
 		os.Exit(2)

@@ -7,9 +7,16 @@
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf) but is built on the standard library alone
-// (go/parser + go/types with the source importer), so the module stays
-// dependency-free. If the repo ever takes on x/tools, each analyzer's
-// Run function ports mechanically.
+// (go/parser + go/types), so the module stays dependency-free. If the
+// repo ever takes on x/tools, each analyzer's Run function ports
+// mechanically.
+//
+// Load type-checks each listed package once from source. Its imports
+// resolve from the export data `go list -deps -export` builds into the
+// build cache, through one gc importer for the whole load, so no
+// dependency, the standard library included, is type-checked from
+// source. LoadDir loads a fixture package, which imports only the
+// standard library, the same way.
 //
 // rnuca-vet runs eight analyzers. Each diagnostic carries a stable
 // code (stable codes make findings greppable and CI-diffable); the

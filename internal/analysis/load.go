@@ -9,12 +9,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -28,34 +28,39 @@ type Package struct {
 	Info   *types.Info
 }
 
-// listedPackage is the subset of `go list -json` output the loader
-// consumes.
+// listedPackage is the subset of `go list -deps -export -json` output
+// the loader consumes.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
+	Export     string
+	DepOnly    bool
 }
 
 // Load resolves package patterns (./..., specific import paths)
-// through the go tool, parses and type-checks each package with the
-// standard library's source importer, and returns them ready for
-// RunAnalyzers. It must run inside the module being vetted: the
-// source importer resolves the module's own import paths through the
-// go command.
+// through the go tool, parses and type-checks each matched package
+// once from source, and returns them ready for RunAnalyzers. Imports
+// resolve from the export data `go list -export` leaves in the build
+// cache, so no dependency is type-checked from source. It must run
+// inside the module being vetted; a package that does not build fails
+// the load with the go command's error output.
 func Load(patterns ...string) ([]*Package, error) {
-	listed, err := listPackages(patterns)
+	listed, exports, err := listPackages(patterns)
 	if err != nil {
 		return nil, err
 	}
-	// One FileSet and one importer across every package: the source
-	// importer caches each dependency's type-check, so the whole-module
-	// run pays for each package once.
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("analysis: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	var out []*Package
 	for _, lp := range listed {
-		pkg, err := check(fset, imp, lp.ImportPath, lp.Dir, lp.Name == "main", lp.GoFiles)
+		pkg, err := check(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return out, err
 		}
@@ -64,94 +69,50 @@ func Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadParallel is Load with the type-check fanned out over jobs worker
-// goroutines. Each worker owns a private FileSet and source importer
-// (the importer's internal caches are not documented as
-// concurrency-safe), so shared dependencies are type-checked once per
-// worker instead of once per run — the fan-out trades that duplicated
-// work for wall-clock, which wins on the multi-core CI runners the
-// lint job occupies. jobs <= 1 falls back to the sequential loader.
-// Package order in the result matches Load exactly.
-func LoadParallel(jobs int, patterns ...string) ([]*Package, error) {
-	if jobs <= 1 {
-		return Load(patterns...)
-	}
-	listed, err := listPackages(patterns)
-	if err != nil {
-		return nil, err
-	}
-	if jobs > len(listed) {
-		jobs = len(listed)
-	}
-	out := make([]*Package, len(listed))
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fset := token.NewFileSet()
-			imp := importer.ForCompiler(fset, "source", nil)
-			// Round-robin sharding: worker w takes listed[w], listed[w+jobs], ...
-			for i := w; i < len(listed); i += jobs {
-				lp := listed[i]
-				pkg, err := check(fset, imp, lp.ImportPath, lp.Dir, lp.Name == "main", lp.GoFiles)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = pkg
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// listPackages resolves package patterns through the go tool.
-func listPackages(patterns []string) ([]listedPackage, error) {
+// listPackages resolves package patterns through the go tool. It
+// returns the matched packages that have Go files, sorted by import
+// path, and the export data file of every package in their import
+// graph.
+func listPackages(patterns []string) ([]listedPackage, map[string]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s",
+		return nil, nil, fmt.Errorf("analysis: go list %s: %v\n%s",
 			strings.Join(patterns, " "), err, stderr.String())
 	}
 	var listed []listedPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(&stdout)
 	for dec.More() {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
+			return nil, nil, fmt.Errorf("analysis: decoding go list output: %w", err)
 		}
-		if len(lp.GoFiles) > 0 {
+		exports[lp.ImportPath] = lp.Export
+		if !lp.DepOnly && len(lp.GoFiles) > 0 {
 			listed = append(listed, lp)
 		}
 	}
 	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
-	return listed, nil
+	return listed, exports, nil
 }
 
 // LoadDir loads a single package from the .go files directly inside
 // dir (tests load fixture packages this way; pkgPath stands in for the
-// import path). Only standard-library imports resolve.
+// import path). Only standard-library imports resolve, from the
+// export data the go command finds for them.
 func LoadDir(dir, pkgPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	var names []string
-	isMain := false
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -163,17 +124,11 @@ func LoadDir(dir, pkgPath string) (*Package, error) {
 	}
 	sort.Strings(names)
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, err := check(fset, imp, pkgPath, dir, false, names)
-	if err != nil {
-		return nil, err
-	}
-	pkg.IsMain = isMain || pkg.Types.Name() == "main"
-	return pkg, nil
+	return check(fset, importer.ForCompiler(fset, "gc", nil), pkgPath, dir, names)
 }
 
 // check parses and type-checks one package.
-func check(fset *token.FileSet, imp types.Importer, path, dir string, isMain bool, goFiles []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -197,7 +152,7 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, isMain boo
 	return &Package{
 		Path:   path,
 		Dir:    dir,
-		IsMain: isMain,
+		IsMain: tpkg.Name() == "main",
 		Fset:   fset,
 		Files:  files,
 		Types:  tpkg,

@@ -182,56 +182,10 @@ func TestDiagnosticJSON(t *testing.T) {
 	}
 }
 
-// TestLoadParallelParity proves the fan-out loader is a pure speedup:
-// same packages, same order, same diagnostics as the sequential path.
-// Skipped in -short mode (each worker re-typechecks shared deps).
-func TestLoadParallelParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel load typechecks dependencies per worker")
-	}
-	patterns := []string{"rnuca/internal/analysis", "rnuca/internal/sim", "rnuca/cmd/rnuca-vet"}
-	seq, err := analysis.Load(patterns...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := analysis.LoadParallel(3, patterns...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("package count: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Path != par[i].Path {
-			t.Errorf("package[%d]: sequential %q, parallel %q", i, seq[i].Path, par[i].Path)
-		}
-	}
-	dseq, err := analysis.RunAnalyzers(seq, analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpar, err := analysis.RunAnalyzers(par, analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dseq) != len(dpar) {
-		t.Fatalf("diagnostics: sequential %d, parallel %d", len(dseq), len(dpar))
-	}
-	for i := range dseq {
-		if dseq[i] != dpar[i] {
-			t.Errorf("diag[%d]: sequential %v, parallel %v", i, dseq[i], dpar[i])
-		}
-	}
-}
-
 // TestRepoIsVetClean runs the whole suite over the module — the same
 // gate CI's lint job enforces — so a finding introduced by any change
-// fails the ordinary test run too. Skipped in -short mode: the source
-// importer typechecks the full dependency tree.
+// fails the ordinary test run too, -short included.
 func TestRepoIsVetClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module typecheck is slow; CI lint runs it anyway")
-	}
 	pkgs, err := analysis.Load("rnuca/...")
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,8 @@ type Scale struct {
 	// TraceRefs is the reference count for the §3 characterization
 	// analyses (Figures 2-5), which need no timing simulation.
 	TraceRefs int `json:"trace_refs,omitempty"`
-	// Batches controls confidence intervals on Figure 12.
+	// Batches controls confidence intervals on Figure 12. It applies
+	// to generated cells; a replay cell runs one batch.
 	Batches int `json:"batches,omitempty"`
 	// ASRBest enables the paper's best-of-six ASR methodology; when
 	// false the adaptive variant alone represents ASR (6x cheaper).
@@ -183,11 +184,15 @@ type cell struct {
 }
 
 // newCell builds the cell for design id on an input, applying the
-// campaign's decode sharding to replay inputs and its observation
-// hooks.
+// campaign's observation hooks. A replay input takes the campaign's
+// decode sharding and runs one batch: it has no seed, so further
+// batches would repeat the same run.
 func (c *Campaign) newCell(w rnuca.Workload, in rnuca.Input, id rnuca.DesignID, opt rnuca.RunOptions) cell {
-	if in.Replays() && c.Shards > 0 {
-		in = in.Sharded(c.Shards)
+	if in.Replays() {
+		if c.Shards > 0 {
+			in = in.Sharded(c.Shards)
+		}
+		opt.Batches = 1
 	}
 	j := rnuca.Job{Input: in, Designs: []rnuca.DesignID{id}, Options: opt}
 	if c.gauge != nil {

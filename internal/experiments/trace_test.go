@@ -3,9 +3,12 @@ package experiments
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rnuca"
+	"rnuca/internal/trace"
+	"rnuca/internal/tracefile"
 )
 
 // recordTrace tees a workload run's references to path.
@@ -86,5 +89,44 @@ func TestCampaignUseTraceWindow(t *testing.T) {
 	an := c.analyze(w)
 	if an.Total() != uint64(scale.TraceRefs) {
 		t.Fatalf("analyzer observed %d refs, want %d", an.Total(), scale.TraceRefs)
+	}
+}
+
+// A replay has no seed, so a campaign runs its replay cells as one
+// batch whatever Scale.Batches asks of the generated ones: the result
+// measures Measure references, not Batches times as many.
+func TestCampaignReplayIsOneBatch(t *testing.T) {
+	w := rnuca.OLTPDB2()
+	path := filepath.Join(t.TempDir(), "oltp.rnt")
+	recordTrace(t, w, rnuca.RunOptions{Warm: 2_000, Measure: 6_000}, path)
+
+	scale := Scale{Warm: 2_000, Measure: 6_000, Batches: 3}
+	c := NewCampaign(scale)
+	if _, err := c.SetInput(rnuca.FromTrace(path)); err != nil {
+		t.Fatalf("SetInput: %v", err)
+	}
+	if got := c.Result(w, rnuca.DesignShared); got.Refs != uint64(scale.Measure) {
+		t.Fatalf("replay cell measured %d refs, want %d", got.Refs, scale.Measure)
+	}
+}
+
+// A trace declaring more cores than the simulator runs is refused when
+// it is registered, not when its first cell fails.
+func TestSetInputRefusesWideTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.rnt")
+	fw, err := tracefile.Create(path, tracefile.Header{Workload: "wide", Cores: 65, Warm: 10, Measure: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 65; i++ {
+		if err := fw.Write(trace.Ref{Core: i, Addr: uint64(i) * 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCampaign(Quick()).SetInput(rnuca.FromTrace(path)); err == nil || !strings.Contains(err.Error(), "declares 65 cores") {
+		t.Fatalf("SetInput on a 65-core trace: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"rnuca/internal/ospage"
+	"rnuca/internal/sim"
 	"rnuca/internal/trace"
 	"rnuca/internal/tracefile"
 )
@@ -38,6 +39,8 @@ type Options struct {
 	// the input count (files mode), DefaultCores (stride mode), or —
 	// in keep mode — the highest core id observed in a scan of the
 	// inputs plus one (pass 0); a non-zero value overrides the scan.
+	// Convert refuses a resolved count above sim.MaxCores, which no
+	// replay could run.
 	Cores int
 	// Interleave maps single-threaded inputs onto cores.
 	Interleave InterleaveMode
@@ -171,6 +174,9 @@ func Convert(inputs []string, out string, opt Options) (*Summary, error) {
 	cores, err := opt.coresFor(len(inputs))
 	if err != nil {
 		return nil, err
+	}
+	if cores > sim.MaxCores {
+		return nil, fmt.Errorf("ingest: %d cores, above the simulator's %d", cores, sim.MaxCores)
 	}
 	sum := &Summary{
 		Out:       out,

@@ -185,6 +185,25 @@ func TestConvertKeepAutoCores(t *testing.T) {
 	}
 }
 
+// A keep-mode capture naming core 64 resolves to 65 cores, one more
+// than the simulator runs; Convert refuses it before writing anything.
+func TestConvertKeepRefusesCoresAboveSimulator(t *testing.T) {
+	dir := t.TempDir()
+	wide := filepath.Join(dir, "wide.csv")
+	if err := os.WriteFile(wide, []byte("0x1000,load,0\n0x2000,load,64\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "wide.rnt")
+	if _, err := ingest.Convert([]string{wide}, out, ingest.Options{
+		Interleave: ingest.InterleaveKeep,
+	}); err == nil || !strings.Contains(err.Error(), "65 cores") {
+		t.Fatalf("65-core keep conversion: %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused conversion left output behind: %v", err)
+	}
+}
+
 // ChampSim inputs carry decoder-derived Busy (instruction-count gaps);
 // the flat -busy budget applies only to formats without one, even when
 // both feed one conversion.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rnuca/internal/loadgen"
+	"rnuca/internal/obs"
 	"rnuca/internal/serve"
 )
 
@@ -103,10 +104,11 @@ func TestLoadAgainstInProcessServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, ok := stats.Kind("sim")
+	sim, ok := stats.Jobs["sim"]
 	if !ok {
 		t.Fatalf("server stats carry no sim kind: %+v", stats)
 	}
+	server := obs.Snapshot(sim.Latency)
 	// The window covers the run unless the box stalled pathologically;
 	// allow the earliest sub-window to have aged out.
 	terminalJobs := uint64(res.Done) + uint64(res.Failed) + uint64(res.Canceled)

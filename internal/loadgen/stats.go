@@ -8,65 +8,30 @@ import (
 
 	"rnuca/internal/obs"
 	"rnuca/internal/report"
+	"rnuca/internal/serve"
 )
 
-// ServerStats is the slice of GET /v1/stats the client compares
-// against: per-kind windowed latency plus the saturation gauges.
-type ServerStats struct {
-	WindowSeconds float64 `json:"window_seconds"`
-	QueueDepth    int     `json:"queue_depth"`
-	Inflight      int     `json:"inflight"`
-	Jobs          map[string]struct {
-		Latency serverLatency `json:"latency"`
-	} `json:"jobs"`
-	Ledger struct {
-		Submitted uint64 `json:"submitted"`
-		Completed uint64 `json:"completed"`
-		Failed    uint64 `json:"failed"`
-		Throttled uint64 `json:"throttled"`
-	} `json:"ledger"`
-}
-
-type serverLatency struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean_seconds"`
-	Min   float64 `json:"min_seconds"`
-	Max   float64 `json:"max_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P90   float64 `json:"p90_seconds"`
-	P95   float64 `json:"p95_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
-// Kind converts one server-side kind's latency to a snapshot, the
-// shape CompareTable consumes. ok is false for a kind the server has
-// no window for.
-func (s ServerStats) Kind(kind string) (obs.Snapshot, bool) {
-	k, ok := s.Jobs[kind]
-	return obs.Snapshot(k.Latency), ok
-}
-
-// FetchServerStats reads GET /v1/stats. A nil client means
-// http.DefaultClient.
-func FetchServerStats(ctx context.Context, client *http.Client, baseURL string) (ServerStats, error) {
+// FetchServerStats reads GET /v1/stats into the server's own response
+// type. A nil client means http.DefaultClient.
+func FetchServerStats(ctx context.Context, client *http.Client, baseURL string) (serve.StatsResponse, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
 	if err != nil {
-		return ServerStats{}, err
+		return serve.StatsResponse{}, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return ServerStats{}, err
+		return serve.StatsResponse{}, err
 	}
 	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return ServerStats{}, fmt.Errorf("loadgen: /v1/stats returned %d", resp.StatusCode)
+		return serve.StatsResponse{}, fmt.Errorf("loadgen: /v1/stats returned %d", resp.StatusCode)
 	}
-	var st ServerStats
+	var st serve.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return ServerStats{}, fmt.Errorf("loadgen: decoding /v1/stats: %w", err)
+		return serve.StatsResponse{}, fmt.Errorf("loadgen: decoding /v1/stats: %w", err)
 	}
 	return st, nil
 }

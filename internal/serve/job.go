@@ -138,7 +138,9 @@ type FigureSpec struct {
 	// Designs are the designs the comparison sweeps (default: all
 	// five, in the paper's order).
 	Designs []string `json:"designs,omitempty"`
-	// Scale sizes the build (experiments.Scale).
+	// Scale sizes the build (experiments.Scale). Its batches may be
+	// at most 1: every cell replays a corpus, and a replay is one
+	// measurement.
 	Scale experiments.Scale `json:"scale"`
 	// Shards fans trace decoding per replay (execution hint).
 	Shards int `json:"shards,omitempty"`
@@ -501,6 +503,9 @@ func (s *Server) validate(j *job) error {
 			if f.v < 0 {
 				return fmt.Errorf("figure %s must not be negative (got %d)", f.name, f.v)
 			}
+		}
+		if fig.Scale.Batches > 1 {
+			return fmt.Errorf("figure batches is %d; a figure job replays only corpora, and a replay has no seed, so every batch would repeat one run", fig.Scale.Batches)
 		}
 		if _, err := parseDesigns(fig.Designs); err != nil {
 			return err

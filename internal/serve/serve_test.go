@@ -445,13 +445,12 @@ func waitRunning(t *testing.T, base, id string) {
 // table suite is built.
 func TestCancelRunningFigureJob(t *testing.T) {
 	_, hs, _ := newTestServer(t, 1)
-	// Batches inflate every simulation cell so the build takes long
-	// enough to cancel; warm+measure spans the trace, keeping each
-	// engine past the progress tick.
+	// Warm+measure spans the trace, keeping each engine past the
+	// progress tick.
 	st := postJob(t, hs.URL, JobSpec{Kind: "figure", Figure: &FigureSpec{
 		Corpora: []string{"oltp"},
 		Scale: experiments.Scale{
-			Warm: recWarm, Measure: recMeasure, Batches: 4, TraceRefs: 150_000,
+			Warm: recWarm, Measure: recMeasure, TraceRefs: 150_000,
 		},
 	}})
 	waitRunning(t, hs.URL, st.ID)
@@ -747,6 +746,9 @@ func TestSubmitValidation(t *testing.T) {
 		// Batches above 2^31-1 would make the batch loop unbounded.
 		`{"input":{"workload":"OLTP-DB2"},"designs":["R"],"options":{"batches":1099511627776}}`,
 		`{"kind":"figure","figure":{"corpora":["oltp"],"scale":{"trace_refs":-5}}}`,
+		// A replay has no seed: a second batch would repeat the first.
+		`{"input":{"corpus":"oltp"},"designs":["R"],"options":{"batches":2}}`,
+		`{"kind":"figure","figure":{"corpora":["oltp"],"scale":{"batches":2}}}`,
 		`{"kind":"figure","figure":{"corpora":["oltp"],"shards":-1}}`,
 		// Bad references, designs, and encodings.
 		`{"input":{"workload":"No-Such-WL"},"designs":["R"]}`,

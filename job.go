@@ -32,10 +32,13 @@ type RunOptions struct {
 	// Measure is the number of measured references. 0 means the
 	// default.
 	Measure int
-	// Batches > 1 runs that many independently-seeded measurements
-	// and reports mean CPI with a 95% confidence interval. The batches
-	// run on the process-wide cell pool, at most GOMAXPROCS at once,
-	// and fold in batch order, so the Result does not depend on which
+	// Batches > 1 runs that many independently-seeded measurements of
+	// a generated input and reports mean CPI with a 95% confidence
+	// interval. It applies to generated inputs only: a replay has no
+	// seed, so each of its batches would repeat one run, and Validate
+	// refuses Batches > 1 on trace and corpus inputs. The batches run
+	// on the process-wide cell pool, at most GOMAXPROCS at once, and
+	// fold in batch order, so the Result does not depend on which
 	// finished first. 0 or 1 means a single batch. When several cells
 	// read each batch of a generated input (Compare, or ASR's six
 	// variants), the run holds the batch's references on one shared
@@ -138,12 +141,12 @@ type Job struct {
 
 // Validate checks the job without running it: input construction
 // errors, unknown or repeated designs, unbound corpus references,
-// negative options, Warm or Measure above 2^31-1, and a chassis the
-// run could not build (an invalid Config, a core count other than the
-// input's, a cluster size that is not a power of two within the chip)
-// all surface here as errors, before any per-core state is allocated. A
-// replay's core count comes from its trace header, which Run checks
-// when it opens the trace.
+// negative options, Warm or Measure above 2^31-1, Batches above 1 on a
+// replay, and a chassis the run could not build (an invalid Config, a
+// core count other than the input's, a cluster size that is not a
+// power of two within the chip) all surface here as errors, before any
+// per-core state is allocated. A replay's core count comes from its
+// trace header, which Run checks when it opens the trace.
 func (j Job) Validate() error {
 	if err := j.Input.Err(); err != nil {
 		return err
@@ -186,6 +189,9 @@ func (j Job) Validate() error {
 		if f.v > f.max {
 			return fmt.Errorf("rnuca: job option %s is %d, above %d", f.name, f.v, f.max)
 		}
+	}
+	if j.Input.Replays() && j.Options.Batches > 1 {
+		return fmt.Errorf("rnuca: job option Batches is %d on a replay; a replay has no seed, so every batch would repeat one run", j.Options.Batches)
 	}
 	cores := j.Input.workload.Cores
 	switch j.Input.kind {

@@ -240,6 +240,8 @@ func TestJobValidationErrors(t *testing.T) {
 			Options: rnuca.RunOptions{Warm: 1, Measure: math.MaxInt}}, "Measure is 9223372036854775807, above 2147483647"},
 		{"batches above 2^31-1", rnuca.Job{Input: rnuca.FromWorkload(w), Designs: []rnuca.DesignID{"R"},
 			Options: rnuca.RunOptions{Warm: 10, Measure: 10, Batches: 1 << 40}}, "Batches is 1099511627776, above 2147483647"},
+		{"batches on a replay", rnuca.Job{Input: rnuca.FromTrace("some.rnt"), Designs: []rnuca.DesignID{"R"},
+			Options: rnuca.RunOptions{Batches: 2}}, "Batches is 2 on a replay"},
 		{"window on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Window(1, 2),
 			Designs: []rnuca.DesignID{"R"}}, "Window on a workload input"},
 		{"sharded on workload", rnuca.Job{Input: rnuca.FromWorkload(w).Sharded(4),
@@ -384,6 +386,11 @@ func TestJobValidateChassis(t *testing.T) {
 		if _, err := tc.job.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	// TraceWorkload reads the header through the same check, so a trace
+	// no replay could run does not enter the Campaign API either.
+	if _, err := rnuca.TraceWorkload(wide); err == nil || !strings.Contains(err.Error(), "declares 65 cores") {
+		t.Errorf("TraceWorkload on a 65-core trace: err = %v", err)
 	}
 }
 

@@ -76,7 +76,7 @@ func goldenEntry(t *testing.T, r rnuca.Result) map[string]any {
 // goldenPathCells adds one cell per way a job reaches the engine, all
 // on OLTP-DB2 (MIX for batched ASR) at 5000/15000 references: a
 // recording with its trace's SHA-256; replays of that trace (each
-// design, two batches, a sharded window, a Maker); generated runs with
+// design, a sharded window, a Maker); generated runs with
 // two batches, instruction clusters of 1, 2, 8 and 16 slices (8 is the
 // fixed-center fallback on a 4x4 torus), private clusters of 4 and 8
 // slices, and a Maker; and a two-batch comparison of P, S, R and I
@@ -118,7 +118,6 @@ func goldenPathCells(t *testing.T, got map[string]map[string]any) {
 	got["replay/OLTP-DB2"] = map[string]any{
 		"R": run(tr, R, nil, replay), "S": run(tr, S, nil, replay), "A": run(tr, A, nil, replay),
 	}
-	got["replay/OLTP-DB2/batches2"] = map[string]any{"S": run(tr, S, nil, with(replay, batches2))}
 	got["replay/OLTP-DB2/window2000+15000/sharded2"] = map[string]any{"R": run(tr.Window(2000, 15000).Sharded(2), R, nil, replay)}
 	got["replay/OLTP-DB2/maker"] = map[string]any{"A0.75": run(tr, A, asr75, replay)}
 

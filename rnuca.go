@@ -538,14 +538,9 @@ func runBatch(in feed, opt runOpts, mk maker, b int) (res sim.Result, err error)
 // split from the recording run's to the window itself.
 func replaySetup(in Input, opt RunOptions) (RunOptions, Workload, error) {
 	path := in.path
-	f, err := tracefile.Open(path)
+	hdr, err := traceHeader(path)
 	if err != nil {
 		return opt, Workload{}, err
-	}
-	hdr := f.Header()
-	f.Close()
-	if hdr.Cores < 1 || hdr.Cores > sim.MaxCores {
-		return opt, Workload{}, fmt.Errorf("rnuca: trace %s declares %d cores", path, hdr.Cores)
 	}
 	w := workloadFor(hdr)
 
@@ -630,18 +625,30 @@ func replaySetup(in Input, opt RunOptions) (RunOptions, Workload, error) {
 // catalog entry when the header's name resolves, otherwise a minimal
 // spec carrying the header's core count and timing parameters. It is
 // how ingested corpora (rnuca-trace convert), whose workloads exist in
-// no catalog, enter the replay and Campaign APIs.
+// no catalog, enter the replay and Campaign APIs. A trace declaring a
+// core count outside 1..sim.MaxCores is refused, as a replay of it
+// would be.
 func TraceWorkload(path string) (Workload, error) {
-	f, err := tracefile.Open(path)
+	hdr, err := traceHeader(path)
 	if err != nil {
 		return Workload{}, err
 	}
+	return workloadFor(hdr), nil
+}
+
+// traceHeader reads the header of the trace at path, refusing a core
+// count the simulator cannot run.
+func traceHeader(path string) (tracefile.Header, error) {
+	f, err := tracefile.Open(path)
+	if err != nil {
+		return tracefile.Header{}, err
+	}
 	hdr := f.Header()
 	f.Close()
-	if hdr.Cores < 1 {
-		return Workload{}, fmt.Errorf("rnuca: trace %s declares %d cores", path, hdr.Cores)
+	if hdr.Cores < 1 || hdr.Cores > sim.MaxCores {
+		return hdr, fmt.Errorf("rnuca: trace %s declares %d cores, outside 1..%d", path, hdr.Cores, sim.MaxCores)
 	}
-	return workloadFor(hdr), nil
+	return hdr, nil
 }
 
 // workloadFor reconstructs the workload a trace was recorded from: the
